@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 from .oracle import explore
 from .reduce import reducible_edges
+from .unionfind import UnionFind
 
 
 class MustReduceFirst(ValueError):
@@ -105,22 +106,10 @@ def depth_zero_rafts(g) -> list[Raft]:
     ff = [e for e in g.edges
           if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1)]
     ff_ids = {e.id for e in ff}
-    parent = {v.id: v.id for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(v.id for v in g.vertices)
     for e in ff:
-        a, b = find(e.ends[0].vertex), find(e.ends[1].vertex)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    comps = {}
-    for v in g.vertices:
-        comps.setdefault(find(v.id), set()).add(v.id)
+        uf.union(e.ends[0].vertex, e.ends[1].vertex)
+    comps = uf.classes()
 
     rafts = []
     for root in sorted(comps):
@@ -148,11 +137,12 @@ def raft_kind(g, raft: Raft) -> str:
         raise WrongRaftLevel("kind is defined for depth-zero rafts only")
     orc = g.oracle()
     members = set(raft.core)
-    edge_ids = [x for x in raft.core if x in set(g.edge_ids())]
-    if not edge_ids:
+    edge_ids = set(g.edge_ids())
+    if not members & edge_ids:
         return "point"
-    vertex_ids = [x for x in raft.core if x not in set(edge_ids)]
-    for vid in vertex_ids:
+    for vid in raft.core:
+        if vid in edge_ids:
+            continue
         valence = 0
         for (e, i) in g.ends_at(vid):
             if e.id in members:
@@ -168,23 +158,12 @@ def _flotilla_components(g, depth, level):
           and depth[v.id] <= level]
     es = [e for e in g.edges if depth.get(e.id, None) is not None
           and depth[e.id] <= level]
-    parent = {x: x for x in vs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(vs)
     for e in es:
-        a, b = find(e.ends[0].vertex), find(e.ends[1].vertex)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    comps = {}
-    for v in vs:
-        comps.setdefault(find(v), set()).add(v)
+        uf.union(e.ends[0].vertex, e.ends[1].vertex)
+    comps = uf.classes()
     for e in es:
-        comps[find(e.ends[0].vertex)].add(e.id)
+        comps[uf.find(e.ends[0].vertex)].add(e.id)
     return [Flotilla(level, tuple(sorted(m))) for _, m in sorted(comps.items())]
 
 
@@ -364,26 +343,15 @@ def depth_filtration(g, config: DepthConfig | None = None) -> DepthAssignment:
                     break
 
         # Rafts at this level: survivor classes plus their incident flotillas.
-        sparent = {s: s for s in survivors}
-
-        def sfind(x):
-            while sparent[x] != x:
-                sparent[x] = sparent[sparent[x]]
-                x = sparent[x]
-            return x
-
+        classes = UnionFind(survivors)
         for (a, b) in equiv_pairs:
-            if a in sparent and b in sparent:
-                ra, rb = sfind(a), sfind(b)
-                if ra != rb:
-                    sparent[max(ra, rb)] = min(ra, rb)
-        raft_groups = {}
-        for s in survivors:
-            raft_groups.setdefault(sfind(s), set()).add(s)
+            if a in classes and b in classes:
+                classes.union(a, b)
+        raft_groups = classes.classes()
         for vid in newly_vertices:
             for (e, i) in g.ends_at(vid):
-                if e.id in sparent and orc.finite_index_end(e.id, i):
-                    raft_groups[sfind(e.id)].add(vid)
+                if e.id in classes and orc.finite_index_end(e.id, i):
+                    raft_groups[classes.find(e.id)].add(vid)
                     break
 
         new_rafts = []

@@ -247,11 +247,6 @@ class RatMatrix:
         return RatMatrix(len(rows), ncols, tuple(rows))
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols))
-                                           for _ in range(rows)))
-
-    @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix(n, n, tuple(tuple(Fraction(1 if i == j else 0)
                                            for j in range(n)) for i in range(n)))
@@ -277,9 +272,6 @@ class RatMatrix:
             for row in self.entries
         )
         return RatMatrix(self.rows, other.cols, ents)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
 
     def rank(self) -> int:
         reduced, _ = _rref([list(r) for r in self.entries]) if self.rows else ([], [])

@@ -10,13 +10,15 @@ and index values.  Table mode exists so that worked non-abelian examples can
 be analyzed without implementing group-element arithmetic.
 
 All values are immutable after construction; operations elsewhere in the
-package are pure functions over them.
+package are pure functions over them.  A graph builds its id and incidence
+index on first use; the index is a cache, not part of the value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactlin import RatMatrix
 
@@ -80,17 +82,30 @@ class GraphOfGroups:
     oracle_mode: str = "abelian"      # "abelian" | "table"
     table: TableData | None = None
 
-    def vertex(self, vid: str) -> VertexSpec:
+    @cached_property
+    def _index(self):
+        """id -> vertex and id -> edge (first match wins), and vertex id ->
+        incident (edge, end index) pairs in `edges` order."""
+        vertices, edges, ends = {}, {}, {}
         for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(f"no vertex {vid!r}")
+            vertices.setdefault(v.id, v)
+        for e in self.edges:
+            edges.setdefault(e.id, e)
+            for i, end in enumerate(e.ends):
+                ends.setdefault(end.vertex, []).append((e, i))
+        return vertices, edges, ends
+
+    def vertex(self, vid: str) -> VertexSpec:
+        v = self._index[0].get(vid)
+        if v is None:
+            raise KeyError(f"no vertex {vid!r}")
+        return v
 
     def edge(self, eid: str) -> EdgeSpec:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(f"no edge {eid!r}")
+        e = self._index[1].get(eid)
+        if e is None:
+            raise KeyError(f"no edge {eid!r}")
+        return e
 
     def vertex_ids(self):
         return [v.id for v in self.vertices]
@@ -100,12 +115,7 @@ class GraphOfGroups:
 
     def ends_at(self, vid: str):
         """All (edge, end_index) incident to a vertex; loops contribute both ends."""
-        out = []
-        for e in self.edges:
-            for i, end in enumerate(e.ends):
-                if end.vertex == vid:
-                    out.append((e, i))
-        return out
+        return list(self._index[2].get(vid, ()))
 
     def oracle(self):
         from .oracle import AbelianOracle, TableOracle
@@ -129,13 +139,11 @@ def _connected(g: GraphOfGroups) -> bool:
     seen = {g.vertices[0].id}
     frontier = [g.vertices[0].id]
     while frontier:
-        v = frontier.pop()
-        for e in g.edges:
-            if any(end.vertex == v for end in e.ends):
-                for end in e.ends:
-                    if end.vertex not in seen:
-                        seen.add(end.vertex)
-                        frontier.append(end.vertex)
+        for (e, _) in g.ends_at(frontier.pop()):
+            for end in e.ends:
+                if end.vertex not in seen:
+                    seen.add(end.vertex)
+                    frontier.append(end.vertex)
     return len(seen) == len(g.vertices)
 
 

@@ -35,12 +35,11 @@ class AbelianOracle:
 
     def __init__(self, g: GraphOfGroups):
         self.g = g
-        self._rank = {v.id: v.rank for v in g.vertices}
         self._cls = {}
         self._moved = {}
 
     def top_class(self, vid: str) -> RationalSubspace:
-        return full_space(self._rank[vid])
+        return full_space(self.g.vertex(vid).rank)
 
     def class_of(self, eid: str, end: int) -> RationalSubspace:
         key = (eid, end)
@@ -59,7 +58,7 @@ class AbelianOracle:
 
     def finite_index_end(self, eid: str, end: int) -> bool:
         e = self.g.edge(eid)
-        return e.rank == self._rank[e.ends[end].vertex]
+        return e.rank == self.g.vertex(e.ends[end].vertex).rank
 
     def index_value(self, eid: str, end: int) -> int:
         if not self.finite_index_end(eid, end):
@@ -145,11 +144,20 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None, max_steps=None,
     isomorphism underlying the edge.  States are deduplicated on
     (vertex, class); `truncated` reports that a cap cut the search while new
     states were still appearing, in which case the result is a lower bound.
+    Each state tries the edge ends at its vertex in (edge id, end index) order.
     """
     g = oracle.g
-    if edge_ids is None:
-        edge_ids = [e.id for e in g.edges]
-    edges = [g.edge(eid) for eid in sorted(edge_ids)]
+    # g.edge raises KeyError on an id the graph does not have.
+    allowed = None if edge_ids is None else {g.edge(eid).id for eid in edge_ids}
+    arcs = {}   # vertex -> its allowed (edge, end index) pairs, in order
+
+    def arcs_at(vid):
+        if vid not in arcs:
+            arcs[vid] = sorted(((e, i) for (e, i) in g.ends_at(vid)
+                                if allowed is None or e.id in allowed),
+                               key=lambda p: (p[0].id, p[1]))
+        return arcs[vid]
+
     start = Placement(start_vertex, start_cls, ())
     seen = {(start_vertex, start_cls)}
     out = [start]
@@ -163,25 +171,22 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None, max_steps=None,
         steps += 1
         nxt = []
         for pl in frontier:
-            for e in edges:
-                for i, end in enumerate(e.ends):
-                    if end.vertex != pl.vertex:
-                        continue
-                    if not oracle.leq(pl.vertex, pl.cls, oracle.class_of(e.id, i)):
-                        continue
-                    cls2 = oracle.transport(e.id, i, pl.cls)
-                    if cls2 is None:
-                        continue
-                    dest = e.ends[1 - i].vertex
-                    key = (dest, cls2)
-                    if key in seen:
-                        continue
-                    if len(seen) >= max_states:
-                        truncated = True
-                        continue
-                    seen.add(key)
-                    pl2 = Placement(dest, cls2, pl.path + ((e.id, i),))
-                    out.append(pl2)
-                    nxt.append(pl2)
+            for (e, i) in arcs_at(pl.vertex):
+                if not oracle.leq(pl.vertex, pl.cls, oracle.class_of(e.id, i)):
+                    continue
+                cls2 = oracle.transport(e.id, i, pl.cls)
+                if cls2 is None:
+                    continue
+                dest = e.ends[1 - i].vertex
+                key = (dest, cls2)
+                if key in seen:
+                    continue
+                if len(seen) >= max_states:
+                    truncated = True
+                    continue
+                seen.add(key)
+                pl2 = Placement(dest, cls2, pl.path + ((e.id, i),))
+                out.append(pl2)
+                nxt.append(pl2)
         frontier = nxt
     return ExploreResult(tuple(out), truncated)

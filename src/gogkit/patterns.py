@@ -142,18 +142,6 @@ def line_slope(s: RationalSubspace):
     return _norm_slope(y, x)
 
 
-def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _mobius_to_standard(frame, s):
-    """Image of slope s under the Mobius map sending frame to (0, oo, 1)."""
-    p, q, r = frame
-    num = _det2(s, p) * _det2(r, q)
-    den = _det2(s, q) * _det2(r, p)
-    return _norm_slope(num, den)
-
-
 def _frame_images(frame, slopes):
     """Images of all slopes under the frame map, sorted with their keys."""
     (pp, pq), (qp, qq), (rp, rq) = frame

@@ -16,6 +16,7 @@ from dataclasses import replace
 from .exactlin import RatMatrix
 from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData
 from .oracle import explore
+from .unionfind import UnionFind
 
 
 class NotReducible(ValueError):
@@ -154,38 +155,24 @@ def comm_classes(g: GraphOfGroups, loop_bound: int = 3):
     for e in g.edges:
         base[("e", e.id)] = [(e.ends[i].vertex, orc.class_of(e.id, i)) for i in (0, 1)]
 
-    parent = {t: t for t in tokens}
+    owners = {}  # (vertex, class) -> tokens based there
+    for t in tokens:
+        for p in base[t]:
+            owners.setdefault(p, []).append(t)
 
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    # Two tokens share a class when either reaches a base placement of the
+    # other; union is symmetric, so joining each token with the owners of
+    # every placement it reaches covers both directions.
+    classes = UnionFind(tokens)
     max_steps = max(1, loop_bound * max(1, len(g.edges)))
-    placements = {}  # token -> set of (vertex, class) reachable
     for t in tokens:
-        reach = set()
         for (vid, cls) in base[t]:
-            res = explore(orc, vid, cls, max_steps=max_steps)
-            reach.update((p.vertex, p.cls) for p in res.placements)
-        placements[t] = reach
-    for ta in tokens:
-        for tb in tokens:
-            if ta < tb and (any(p in placements[ta] for p in base[tb])
-                            or any(p in placements[tb] for p in base[ta])):
-                union(ta, tb)
+            for p in explore(orc, vid, cls, max_steps=max_steps).placements:
+                for other in owners.get((p.vertex, p.cls), ()):
+                    classes.union(t, other)
 
-    groups = {}
-    for t in tokens:
-        groups.setdefault(find(t), []).append(t)
     out = []
-    for members in groups.values():
+    for members in classes.classes().values():
         if g.oracle_mode == "abelian":
             ranks = set()
             for kind, oid in members:

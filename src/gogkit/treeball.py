@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
 from .oracle import UnsupportedOracle
+from .unionfind import UnionFind
 
 
 # -- integer Smith normal form -------------------------------------------------
@@ -281,13 +282,7 @@ def ball_crossing_check(ball: TreeBall, g) -> str:
     nodes = [e for e in incident if e.local_span.dim == n - 1]
     if not nodes:
         return "empty"
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    components = UnionFind(range(len(nodes)))
 
     def crosses(span, hyper):
         return not contains(hyper, span)
@@ -299,11 +294,8 @@ def ball_crossing_check(ball: TreeBall, g) -> str:
                 crosses(c.local_span, a) and crosses(c.local_span, b)
                 for c in incident)
             if joined:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    components = {find(i) for i in range(len(nodes))}
-    return "connected" if len(components) == 1 else "disconnected"
+                components.union(i, j)
+    return "connected" if len(components.classes()) == 1 else "disconnected"
 
 
 # -- brute-force coarse inclusion within the ball -------------------------------

@@ -121,3 +121,67 @@ def test_table_transport_must_link_end_classes(graph):
     doc["transport"]["e"][0]["F1"] = "F1"   # must land on the other end class F2
     report = validate(graph_from_dict(doc))
     assert any("opposite end class" in v for v in report.violations)
+
+
+def _loop(eid, vid, m=1):
+    return EdgeSpec(eid, 1, (EdgeEnd(vid, RatMatrix.from_rows([[m]])),
+                             EdgeEnd(vid, RatMatrix.from_rows([[m]]))))
+
+
+def test_lookup_duplicate_ids_first_match():
+    g = GraphOfGroups((VertexSpec("v", 1), VertexSpec("v", 2)),
+                      (_loop("e", "v", 2), _loop("e", "v", 3)))
+    assert g.vertex("v") is g.vertices[0]
+    assert g.edge("e") is g.edges[0]
+
+
+def test_lookup_unknown_id_raises_key_error():
+    g = GraphOfGroups((VertexSpec("v", 1),), (_loop("e", "v"),))
+    with pytest.raises(KeyError, match="no vertex 'w'"):
+        g.vertex("w")
+    with pytest.raises(KeyError, match="no edge 'f'"):
+        g.edge("f")
+
+
+def test_ends_at_follows_edge_order_and_loops_give_both_ends():
+    one = RatMatrix.from_rows([[1]])
+    g = GraphOfGroups(
+        (VertexSpec("u", 1), VertexSpec("v", 1)),
+        (EdgeSpec("z", 1, (EdgeEnd("u", one), EdgeEnd("v", one))),
+         _loop("a", "v"),
+         EdgeSpec("m", 1, (EdgeEnd("v", one), EdgeEnd("u", one)))),
+    )
+    assert [(e.id, i) for e, i in g.ends_at("v")] == [("z", 1), ("a", 0), ("a", 1), ("m", 0)]
+    assert [(e.id, i) for e, i in g.ends_at("u")] == [("z", 0), ("m", 1)]
+    assert g.ends_at("nowhere") == []
+
+
+def test_ends_at_result_is_a_copy():
+    g = GraphOfGroups((VertexSpec("v", 1),), (_loop("e", "v"),))
+    g.ends_at("v").clear()
+    assert len(g.ends_at("v")) == 2
+
+
+def test_index_is_not_part_of_the_value(graph):
+    g, fresh = graph("arc3"), graph("arc3")
+    g.edge("f")
+    assert g == fresh and repr(g) == repr(fresh)
+    assert graph_to_dict(g) == graph_to_dict(fresh)
+
+
+def test_validate_reports_bad_graphs_without_raising():
+    one = RatMatrix.identity(1)
+    dangling = GraphOfGroups(
+        (VertexSpec("v", 1), VertexSpec("v", 1)),
+        (EdgeSpec("e", 1, (EdgeEnd("v", one), EdgeEnd("ghost", one))),
+         EdgeSpec("e", 1, (EdgeEnd("ghost", one), EdgeEnd("v", one)))),
+    )
+    report = validate(dangling)
+    assert "duplicate vertex ids" in report.violations
+    assert "duplicate edge ids" in report.violations
+    assert any("dangling vertex reference 'ghost'" in v for v in report.violations)
+    three = GraphOfGroups(
+        (VertexSpec("v", 1),),
+        (EdgeSpec("e", 1, (EdgeEnd("v", one),) * 3),),
+    )
+    assert "edge e: must have exactly two ends" in validate(three).violations

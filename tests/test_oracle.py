@@ -122,3 +122,43 @@ def test_explore_truncates_unbounded_families(graph):
     res = explore(orc, "v", canonicalize([(0, 1)]), max_steps=4)
     assert res.truncated
     assert len(res.placements) > 4
+
+
+def _explore_by_scan(orc, vid, cls, edge_ids, max_steps):
+    """Breadth-first search that scans every allowed edge at every state."""
+    edges = [orc.g.edge(eid) for eid in sorted(edge_ids)]
+    out, seen, frontier, steps = [(vid, cls, ())], {(vid, cls)}, [(vid, cls, ())], 0
+    while frontier and steps < max_steps:
+        steps += 1
+        nxt = []
+        for (v, c, path) in frontier:
+            for e in edges:
+                for i, end in enumerate(e.ends):
+                    if end.vertex != v or not orc.leq(v, c, orc.class_of(e.id, i)):
+                        continue
+                    c2 = orc.transport(e.id, i, c)
+                    key = (e.ends[1 - i].vertex, c2)
+                    if c2 is not None and key not in seen:
+                        seen.add(key)
+                        out.append(key + (path + ((e.id, i),),))
+                        nxt.append(out[-1])
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "shear_unknown", "heis", "nonex", "z2hnn"])
+def test_explore_matches_edge_scan(graph, name):
+    g = graph(name)
+    orc = g.oracle()
+    ids = sorted(g.edge_ids())
+    for edge_ids in (ids, ids[::2]):
+        for vid, cls in spans_at(g, orc):
+            res = explore(orc, vid, cls, edge_ids=edge_ids, max_steps=4)
+            assert [(p.vertex, p.cls, p.path) for p in res.placements] == \
+                _explore_by_scan(orc, vid, cls, edge_ids, 4)
+
+
+def test_explore_rejects_unknown_edge_ids(graph):
+    orc = graph("arc3").oracle()
+    with pytest.raises(KeyError, match="no edge 'nope'"):
+        explore(orc, "u", full_space(3), edge_ids=["nope"])

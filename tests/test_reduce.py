@@ -8,6 +8,7 @@ from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, collapse,
                     comm_classes, complete_reduce, graph_to_dict, reducible_edges,
                     validate)
 from gogkit.exactlin import RatMatrix
+from gogkit.oracle import explore
 from gogkit.reduce import NotReducible
 
 
@@ -189,3 +190,42 @@ def test_collapse_preserves_connectivity_and_counts(g):
     assert len(out.vertices) == len(g.vertices) - 1
     assert len(out.edges) == len(g.edges) - 1
     assert validate(out).ok
+
+
+def _comm_classes_by_pairs(g, loop_bound=3):
+    """Class descriptors from the token-pair definition, joined by flood fill."""
+    orc = g.oracle()
+    base = {("v", v.id): [(v.id, orc.top_class(v.id))] for v in g.vertices}
+    for e in g.edges:
+        base[("e", e.id)] = [(e.ends[i].vertex, orc.class_of(e.id, i)) for i in (0, 1)]
+    steps = max(1, loop_bound * max(1, len(g.edges)))
+    reach = {t: {(p.vertex, p.cls) for (v, c) in b
+                 for p in explore(orc, v, c, max_steps=steps).placements}
+             for t, b in base.items()}
+    linked = {t: {u for u in base if set(base[u]) & reach[t] or set(base[t]) & reach[u]}
+              for t in base}
+    out, done = [], set()
+    for t in base:
+        if t in done:
+            continue
+        group, stack = {t}, [t]
+        while stack:
+            for u in linked[stack.pop()] - group:
+                group.add(u)
+                stack.append(u)
+        done |= group
+        if g.oracle_mode == "abelian":
+            out.append(("rank", min(g.vertex(i).rank if k == "v" else g.edge(i).rank
+                                    for k, i in group)))
+        else:
+            out.append(("labels", tuple(sorted(
+                {g.table.top[i] for k, i in group if k == "v"}
+                | {end.class_label for k, i in group if k == "e" for end in g.edge(i).ends}))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "heis", "nonex",
+                                  "shear_unknown", "thm14", "z2hnn"])
+def test_comm_classes_match_token_pairs(graph, name):
+    g = complete_reduce(graph(name))
+    assert comm_classes(g) == _comm_classes_by_pairs(g)
