@@ -5,8 +5,12 @@ every row a primitive integer vector whose leading entry is positive.  This
 form is canonical: two subspaces are equal iff their stored bases are equal,
 so subspace equality is plain data equality and results are hashable.
 
-Everything here is exact.  Entries are Python ints / fractions.Fraction
-(arbitrary precision); no floating point is used anywhere.
+Everything here is exact and runs on Python ints: one fraction-free
+Gauss-Jordan elimination (`_echelon`) serves canonical forms, containment,
+kernels, rank and inverse, and determinants use Bareiss's integer-preserving
+elimination.  fractions.Fraction appears only where a public value is
+rational: RatMatrix entries, determinants, inverses and kernel vectors.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -14,66 +18,67 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class DimensionMismatch(ValueError):
     """Operands live in incompatible ambient spaces or have bad shapes."""
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _int_row(row):
+    """The row times the least common denominator of its entries."""
+    if all(type(x) is int for x in row):
+        return row
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.
+def _primitive(row):
+    """An integer row over the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*row)
+    if g == 0:
+        return tuple(row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
 
-    Mutates nothing; returns (nonzero rows with pivot 1 and zeros above and
-    below each pivot, pivot column list).
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Returns (rows, pivot columns): the nonzero rows of the echelon form, each
+    a primitive integer row with a positive entry at its own pivot and zero
+    at every other pivot.  Divided by its pivot entry, a row is the row of the
+    reduced row echelon form over Q, so both forms have the same span, rank
+    and pivots.  Every row stays primitive after each update, which keeps the
+    integers small.
     """
-    m = _frac_rows(rows)
+    m = [_primitive(_int_row(row)) for row in rows]
     pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
-    return m[:r], pivots
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        pv = prow[c]    # positive: the row's leading entry
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return m[:len(pivots)], pivots
 
 
-def _primitive_int_row(row):
-    """Scale a rational row to a primitive integer vector, leading entry > 0."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+def _int_matrix(m: RatMatrix):
+    """(d * M as integer rows, d) for d the least common denominator of M's entries."""
+    d = lcm(*[x.denominator for row in m.entries for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.entries], d
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,6 @@ class RationalSubspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
-    def basis_fractions(self):
-        return [[Fraction(x) for x in row] for row in self.basis]
-
     def __repr__(self):
         rows = ",".join("(" + ",".join(map(str, r)) + ")" for r in self.basis)
         return f"<{rows}> in Q^{self.ambient_dim}" if rows else f"0 in Q^{self.ambient_dim}"
@@ -122,10 +124,7 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> RationalSubspace:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
-    if not vectors:
-        return RationalSubspace(ambient_dim, ())
-    reduced, _ = _rref(vectors)
-    return RationalSubspace(ambient_dim, tuple(_primitive_int_row(r) for r in reduced))
+    return RationalSubspace(ambient_dim, tuple(_echelon(vectors)[0]))
 
 
 @lru_cache(maxsize=None)
@@ -155,19 +154,7 @@ def contains(a: RationalSubspace, b: RationalSubspace) -> bool:
     _check_same_ambient(a, b)
     if b.dim > a.dim:
         return False
-    if not b.basis:
-        return True
-    # Reduce each row of b against a's echelon basis; membership iff zero remains.
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in a.basis]
-    for row in b.basis:
-        rem = [Fraction(x) for x in row]
-        for arow, p in zip(a.basis, pivots):
-            if rem[p] != 0:
-                f = rem[p] / arow[p]
-                rem = [x - f * y for x, y in zip(rem, arow)]
-        if any(x != 0 for x in rem):
-            return False
-    return True
+    return len(_echelon(a.basis + b.basis)[0]) == a.dim
 
 
 def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
@@ -177,25 +164,27 @@ def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
 
 
 def kernel_vectors(rows, ncols):
-    """Basis of {x : M x = 0} for the matrix with the given rows, as tuples."""
-    if not rows:
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(ncols))
-                for i in range(ncols)]
-    reduced, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : M x = 0} for the matrix with the given rows, as tuples.
+
+    One vector per non-pivot column fc of the echelon form, with a 1 there,
+    0 at the other non-pivot columns and -row[fc] / row[p] at each pivot p.
+    """
+    reduced, pivots = _echelon(rows)
     out = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            v[p] = -row[fc]
+            v[p] = -Fraction(row[fc], row[p])
         out.append(tuple(v))
     return out
 
 
-def annihilator(s: RationalSubspace) -> list[tuple[Fraction, ...]]:
-    """Vectors y with y . x = 0 for all x in s; empty list for the full space."""
-    return kernel_vectors(s.basis_fractions(), s.ambient_dim)
+def annihilator(s: RationalSubspace) -> RationalSubspace:
+    """The subspace of covectors y with y . x = 0 for all x in s."""
+    return canonicalize(kernel_vectors(s.basis, s.ambient_dim), s.ambient_dim)
 
 
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
@@ -210,19 +199,12 @@ def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     if ka == 0 or kb == 0:
         return zero_space(n)
     # Solve sum_i x_i a_i = sum_j y_j b_j via the nullspace of [A^T | -B^T].
-    stacked = []
-    for r in range(n):
-        stacked.append(
-            [Fraction(a.basis[i][r]) for i in range(ka)]
-            + [Fraction(-b.basis[j][r]) for j in range(kb)]
-        )
+    stacked = [[a.basis[i][r] for i in range(ka)] + [-b.basis[j][r] for j in range(kb)]
+               for r in range(n)]
     vecs = []
     for w in kernel_vectors(stacked, ka + kb):
-        v = [Fraction(0)] * n
-        for i in range(ka):
-            if w[i]:
-                v = [x + w[i] * y for x, y in zip(v, a.basis[i])]
-        vecs.append(v)
+        w = _int_row(w)
+        vecs.append([sum(w[i] * a.basis[i][c] for i in range(ka)) for c in range(n)])
     return canonicalize(vecs, n)
 
 
@@ -274,44 +256,40 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, ents)
 
     def rank(self) -> int:
-        reduced, _ = _rref([list(r) for r in self.entries]) if self.rows else ([], [])
-        return len(reduced)
+        return len(_echelon(self.entries)[0])
 
     def det(self) -> Fraction:
+        """Bareiss's fraction-free elimination on d * M, then divided by d^n."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
         n = self.rows
-        m = [list(r) for r in self.entries]
-        det = Fraction(1)
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        m, d = _int_matrix(self)
+        sign, prev = 1, 1
+        for k in range(n):
+            if not m[k][k]:
+                i = next((i for i in range(k + 1, n) if m[i][k]), None)
+                if i is None:
+                    return Fraction(0)
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
+            pk = m[k][k]
+            for i in range(k + 1, n):
+                f = m[i][k]
+                m[i] = [(x * pk - f * y) // prev for x, y in zip(m[i], m[k])]
+            prev = pk
+        return Fraction(sign * prev, d ** n)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
+        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.entries)]
-        reduced, pivots = _rref(aug)
+        reduced, pivots = _echelon(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix(n, n, tuple(tuple(row[n:]) for row in reduced))
+        return RatMatrix(n, n, tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                                     for i, row in enumerate(reduced)))
 
     def column_span(self) -> RationalSubspace:
         return canonicalize([col for col in zip(*self.entries)] if self.entries else [],
@@ -324,7 +302,9 @@ def image(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
         raise DimensionMismatch(
             f"image: matrix has {m.cols} columns, subspace lives in Q^{s.ambient_dim}"
         )
-    return canonicalize([m.matvec(row) for row in s.basis], m.rows)
+    ints, _ = _int_matrix(m)
+    return canonicalize([[sum(x * y for x, y in zip(row, v)) for row in ints]
+                         for v in s.basis], m.rows)
 
 
 def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
@@ -333,8 +313,10 @@ def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
         raise DimensionMismatch(
             f"preimage: matrix has {m.rows} rows, subspace lives in Q^{s.ambient_dim}"
         )
-    ann = annihilator(s)
+    ann = annihilator(s).basis
     if not ann:
         return full_space(m.cols)
-    constraint = [list(RatMatrix.from_rows([row]).mul(m).entries[0]) for row in ann]
+    ints, _ = _int_matrix(m)
+    constraint = [[sum(y * row[c] for y, row in zip(u, ints)) for c in range(m.cols)]
+                  for u in ann]
     return canonicalize(kernel_vectors(constraint, m.cols), m.cols)

@@ -11,7 +11,7 @@ be analyzed without implementing group-element arithmetic.
 
 All values are immutable after construction; operations elsewhere in the
 package are pure functions over them.  A graph builds its id and incidence
-index on first use; the index is a cache, not part of the value.
+index, and its oracle, on first use; both are caches, not part of the value.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TableData:
 
     labels: vertex id -> tuple of class labels usable at that vertex.
     top: vertex id -> the label of the vertex group's own class.
-    order: vertex id -> frozenset of (a, b) pairs meaning a <= b. Reflexivity
+    order: vertex id -> tuple of (a, b) pairs meaning a <= b. Reflexivity
         is implicit; transitivity is a validation requirement.
     transport: edge id -> (map for entering end 0, map for entering end 1);
         each map sends labels at the entered end's vertex to labels at the
@@ -117,11 +117,16 @@ class GraphOfGroups:
         """All (edge, end_index) incident to a vertex; loops contribute both ends."""
         return list(self._index[2].get(vid, ()))
 
-    def oracle(self):
+    @cached_property
+    def _oracle(self):
         from .oracle import AbelianOracle, TableOracle
         if self.oracle_mode == "abelian":
             return AbelianOracle(self)
         return TableOracle(self)
+
+    def oracle(self):
+        """This graph's one oracle, so its class and transport caches are shared."""
+        return self._oracle
 
 
 @dataclass(frozen=True)
@@ -153,15 +158,17 @@ def _validate_table(g: GraphOfGroups, bad):
         bad("table oracle selected but no table data present")
         return
     vids = set(g.vertex_ids())
+    labels_at = {vid: set(t.labels.get(vid, ())) for vid in vids}
+    order_at = {vid: set(t.order.get(vid, ())) for vid in vids}
     for vid in vids:
-        if vid not in t.labels or not t.labels[vid]:
+        if not labels_at[vid]:
             bad(f"vertex {vid}: no class labels declared")
             continue
-        labels = set(t.labels[vid])
+        labels = labels_at[vid]
         top = t.top.get(vid)
         if top not in labels:
             bad(f"vertex {vid}: top class {top!r} not among its labels")
-        pairs = set(t.order.get(vid, ()))
+        pairs = order_at[vid]
         for (a, b) in pairs:
             if a not in labels or b not in labels:
                 bad(f"vertex {vid}: order pair ({a},{b}) uses undeclared labels")
@@ -176,9 +183,7 @@ def _validate_table(g: GraphOfGroups, bad):
                 bad(f"vertex {vid}: label {lab} not below the top class")
 
     def leq(vid, a, b):
-        if a == b:
-            return True
-        return (a, b) in set(t.order.get(vid, ()))
+        return a == b or (a, b) in order_at[vid]
 
     for e in g.edges:
         idx = t.indices.get(e.id)
@@ -189,12 +194,12 @@ def _validate_table(g: GraphOfGroups, bad):
             if end.class_label is None:
                 bad(f"edge {e.id} end {i}: no class label")
                 continue
-            if end.vertex in vids and end.class_label not in set(t.labels.get(end.vertex, ())):
+            if end.vertex in vids and end.class_label not in labels_at[end.vertex]:
                 bad(f"edge {e.id} end {i}: class {end.class_label!r} undeclared at {end.vertex}")
             iv = idx[i]
             if iv != INFINITE and (not isinstance(iv, int) or iv < 1):
                 bad(f"edge {e.id} end {i}: index must be a positive integer or \"inf\"")
-            if end.vertex in vids and end.class_label in set(t.labels.get(end.vertex, ())):
+            if end.vertex in vids and end.class_label in labels_at[end.vertex]:
                 is_top = end.class_label == t.top.get(end.vertex)
                 if (iv != INFINITE) != is_top:
                     bad(f"edge {e.id} end {i}: finite index iff end class is the vertex top "
@@ -207,8 +212,7 @@ def _validate_table(g: GraphOfGroups, bad):
             end, other = e.ends[i], e.ends[1 - i]
             if end.vertex not in vids or other.vertex not in vids:
                 continue
-            here = set(t.labels.get(end.vertex, ()))
-            there = set(t.labels.get(other.vertex, ()))
+            here, there = labels_at[end.vertex], labels_at[other.vertex]
             mp = maps[i]
             # Both end classes name the class of the same edge group, so
             # transport must identify them.
@@ -240,13 +244,14 @@ def validate(g: GraphOfGroups) -> ValidationReport:
     if not g.vertices:
         bad("graph has no vertices")
     vids = [v.id for v in g.vertices]
-    if len(set(vids)) != len(vids):
+    vid_set = set(vids)
+    if len(vid_set) != len(vids):
         bad("duplicate vertex ids")
     eids = [e.id for e in g.edges]
     if len(set(eids)) != len(eids):
         bad("duplicate edge ids")
     for eid in eids:
-        if eid in set(vids):
+        if eid in vid_set:
             bad(f"edge id {eid!r} collides with a vertex id")
     for v in g.vertices:
         if v.rank < 0:

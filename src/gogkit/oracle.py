@@ -88,6 +88,7 @@ class TableOracle:
             raise UnsupportedOracle("graph carries no table data")
         self.g = g
         self.t = g.table
+        self._order = {vid: set(pairs) for vid, pairs in g.table.order.items()}
 
     def top_class(self, vid: str) -> str:
         return self.t.top[vid]
@@ -96,7 +97,7 @@ class TableOracle:
         return self.g.edge(eid).ends[end].class_label
 
     def leq(self, vid: str, a: str, b: str) -> bool:
-        return a == b or (a, b) in set(self.t.order.get(vid, ()))
+        return a == b or (a, b) in self._order.get(vid, ())
 
     def strictly_less(self, vid, a, b) -> bool:
         return self.leq(vid, a, b) and not self.leq(vid, b, a)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 
 from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, annihilator,
-                       canonicalize, image, kernel_vectors)
+                       image, kernel_vectors)
 from .oracle import UnsupportedOracle
 
 DEFAULT_SEED = 94301
@@ -208,7 +208,7 @@ def slope_invariant(pattern: LinearPattern) -> SlopeInvariant:
 
 @lru_cache(maxsize=4096)
 def _int_annihilator(s: RationalSubspace):
-    return canonicalize(annihilator(s), s.ambient_dim).basis
+    return annihilator(s).basis
 
 
 def _constraint_rows(v_space: RationalSubspace, w_space: RationalSubspace, n: int):
@@ -216,8 +216,7 @@ def _constraint_rows(v_space: RationalSubspace, w_space: RationalSubspace, n: in
     rows = []
     for u in _int_annihilator(w_space):
         for v in v_space.basis:
-            rows.append([Fraction(u[a] * v[b])
-                         for a in range(n) for b in range(n)])
+            rows.append([u[a] * v[b] for a in range(n) for b in range(n)])
     return rows
 
 

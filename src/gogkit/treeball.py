@@ -322,13 +322,13 @@ def _walk(start, goal):
     return steps
 
 
-def coarse_le(ball: TreeBall, g, obj_a, obj_b, oracle=None) -> bool:
+def coarse_le(ball: TreeBall, g, obj_a, obj_b) -> bool:
     """Whether obj_a's space is coarsely inside obj_b's, via exact transport.
 
     The carried span must stay inside every edge class crossed on the tree
     path; failing the guard anywhere already refutes coarse inclusion.
     """
-    orc = oracle if oracle is not None else g.oracle()
+    orc = g.oracle()
     addr_a, span = _anchor(obj_a, ball, g)
     addr_b, target = _anchor(obj_b, ball, g)
     for (eid, entered) in _walk(addr_a, addr_b):
@@ -340,9 +340,8 @@ def coarse_le(ball: TreeBall, g, obj_a, obj_b, oracle=None) -> bool:
 
 def ball_chain_depths(ball: TreeBall, g):
     """Longest-strict-chain depth per orbit, by exhaustive search in the ball."""
-    orc = g.oracle()
     objs = list(ball.nodes.values()) + list(ball.edges)
-    le = [[coarse_le(ball, g, a, b, orc) for b in objs] for a in objs]
+    le = [[coarse_le(ball, g, a, b) for b in objs] for a in objs]
     order = range(len(objs))
     memo = {}
 

@@ -1,5 +1,7 @@
-"""Canonical subspace arithmetic, cross-checked against fraction-free elimination."""
+"""Canonical subspace arithmetic, cross-checked against fraction-free elimination
+and against a Fraction Gauss-Jordan reference."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gogkit.exactlin import (DimensionMismatch, RatMatrix, canonicalize, contains,
-                             full_space, image, intersect, preimage, subspace_sum,
-                             zero_space)
+                             full_space, image, intersect, kernel_vectors, preimage,
+                             subspace_sum, zero_space)
 
 
 def test_canonicalize_scaling():
@@ -251,3 +253,143 @@ def test_contains_preorder(triple):
         assert contains(a, c)
     if contains(a, b) and contains(b, a):
         assert a == b
+
+
+# -- independent oracle: Gauss-Jordan over Fraction ----------------------------
+
+
+def ref_rref(rows):
+    """Reduced row echelon form over Q: (rows with pivot 1, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def ref_canonical_basis(rows):
+    """Each RREF row scaled to a primitive integer row (its pivot is positive)."""
+    out = []
+    for row in ref_rref(rows)[0]:
+        den = 1
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        g = math.gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def ref_kernel(rows, ncols):
+    reduced, pivots = ref_rref(rows)
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[fc]
+        out.append(tuple(v))
+    return out
+
+
+def ref_det(rows):
+    """Determinant by Fraction elimination, negated once per row swap."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def ref_contains(a_rows, b_rows):
+    return len(ref_rref(list(a_rows) + list(b_rows))[0]) == len(ref_rref(a_rows)[0])
+
+
+rationals = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def rational_rows(draw, square=False):
+    n = draw(st.integers(1, 4))
+    k = n if square else draw(st.integers(0, 5))
+    return n, [[draw(rationals) for _ in range(n)] for _ in range(k)]
+
+
+@given(rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_kernel_rank_match_fraction_reference(data):
+    n, rows = data
+    assert canonicalize(rows, n).basis == ref_canonical_basis(rows)
+    kernel = kernel_vectors(rows, n)
+    assert kernel == ref_kernel(rows, n)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    if rows:
+        assert RatMatrix.from_rows(rows).rank() == len(ref_rref(rows)[0])
+
+
+@given(rational_rows(square=True), st.data())
+@settings(max_examples=300, deadline=None)
+def test_det_and_inverse_match_fraction_reference(data, extra):
+    n, rows = data
+    m = RatMatrix.from_rows(rows)
+    det = m.det()
+    assert type(det) is Fraction and det == ref_det(rows)
+    i, j = extra.draw(st.integers(0, n - 1)), extra.draw(st.integers(0, n - 1))
+    swapped = list(rows)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert RatMatrix.from_rows(swapped).det() == (det if i == j else -det)
+    if det == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    reduced, _ = ref_rref([list(r) + [int(a == b) for b in range(n)]
+                           for a, r in enumerate(rows)])
+    assert inv.entries == tuple(tuple(row[n:]) for row in reduced)
+    assert m.mul(inv) == RatMatrix.identity(n)
+
+
+@given(rational_rows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_fraction_reference(data, extra):
+    n, rows = data
+    other = extra.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=3))
+    a, b = canonicalize(rows, n), canonicalize(other, n)
+    assert contains(a, b) == ref_contains(a.basis, b.basis)
+    assert contains(b, a) == ref_contains(b.basis, a.basis)
+
+
+def test_det_sign_follows_row_swaps():
+    assert RatMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    assert RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+    assert RatMatrix.from_rows([[0, 2, 0], [3, 0, 0], [0, 0, Fraction(1, 6)]]).det() == -1
+    assert RatMatrix.from_rows([]).det() == 1
+
+
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(ValueError, match="singular"):
+        RatMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).inverse()

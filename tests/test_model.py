@@ -1,5 +1,6 @@
 """Graph model validation and the JSON wire format."""
 
+import dataclasses
 import json
 
 import pytest
@@ -167,6 +168,16 @@ def test_index_is_not_part_of_the_value(graph):
     g.edge("f")
     assert g == fresh and repr(g) == repr(fresh)
     assert graph_to_dict(g) == graph_to_dict(fresh)
+
+
+@pytest.mark.parametrize("name", ["arc3", "heis"])
+def test_one_oracle_per_graph(graph, name):
+    g, fresh = graph(name), graph(name)
+    orc = g.oracle()
+    assert g.oracle() is orc and orc.g is g
+    assert g == fresh and repr(g) == repr(fresh)
+    copy = dataclasses.replace(g)
+    assert copy == g and copy.oracle() is not orc and copy.oracle().g is copy
 
 
 def test_validate_reports_bad_graphs_without_raising():
