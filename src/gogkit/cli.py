@@ -357,7 +357,10 @@ def cmd_ball(args, cfg: RunConfig) -> int:
     if not reducible_edges(g):
         da = depth_filtration(g, cfg.depth_config())
         if da.verdict.kind != "infinite":
-            ball = annotate_depth(ball, da)
+            try:
+                ball = annotate_depth(ball, da)
+            except ValueError as e:
+                return _fail(str(e), EXIT_NEGATIVE)
     if args.dot or cfg.format == "dot":
         body = to_dot(ball)
         if cfg.output:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
 from .oracle import UnsupportedOracle
@@ -174,8 +175,17 @@ class TreeBall:
     def node(self, address) -> BallNode:
         return self.nodes[address]
 
+    @cached_property
+    def _children(self):
+        """Node address -> sorted child addresses; the ball's one adjacency."""
+        out = {}
+        for a in sorted(self.nodes):
+            if a:
+                out.setdefault(a[:-1], []).append(a)
+        return out
+
     def children(self, address):
-        return sorted(a for a in self.nodes if a[:-1] == address and len(a) == len(address) + 1)
+        return list(self._children.get(address, ()))
 
 
 def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
@@ -254,13 +264,17 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
         raise ValueError(f"depth assignment is from a different graph: no label for {missing[0]}")
     nodes = {a: replace(n, depth_label=da.depth[n.vertex]) for a, n in ball.nodes.items()}
     edges = tuple(replace(e, depth_label=da.depth[e.edge]) for e in ball.edges)
-    for a in edges:
-        for b in edges:
-            if a.root_span is None or b.root_span is None:
+    index = {}
+    of_edge = [None if e.root_span is None else index.setdefault(e.root_span, len(index))
+               for e in edges]
+    spans = list(index)
+    # inside[i][j]: span i lies strictly inside span j
+    inside = [[contains(t, s) and not contains(s, t) for t in spans] for s in spans]
+    for a, i in zip(edges, of_edge):
+        for b, j in zip(edges, of_edge):
+            if i is None or j is None:
                 continue
-            if (contains(b.root_span, a.root_span)
-                    and not contains(a.root_span, b.root_span)
-                    and a.depth_label <= b.depth_label):
+            if inside[i][j] and a.depth_label <= b.depth_label:
                 raise ValueError(
                     f"depth labels not monotone: {a.edge} (depth {a.depth_label}) "
                     f"sits strictly inside {b.edge} (depth {b.depth_label})")
@@ -339,10 +353,63 @@ def coarse_le(ball: TreeBall, g, obj_a, obj_b) -> bool:
 
 
 def ball_chain_depths(ball: TreeBall, g):
-    """Longest-strict-chain depth per orbit, by exhaustive search in the ball."""
+    """Longest-strict-chain depth per orbit, by exhaustive search in the ball.
+
+    Objects with the same anchor (node address, span) are coarsely equal, so
+    the search runs over the K distinct anchors.  From each anchor one walk
+    of the tree carries its span outward, crossing an edge only where the
+    span lies inside the edge class entered, as `coarse_le` does on a single
+    path; a failed guard prunes the subtree beyond it.  The walks make
+    O(K*N) guarded steps for a ball of N nodes, against `coarse_le`'s path
+    walk for each of the N^2 pairs of objects, and each guard, transport and
+    inclusion test runs once per distinct span, memoised on interned ids.
+    """
+    orc = g.oracle()
     objs = list(ball.nodes.values()) + list(ball.edges)
-    le = [[coarse_le(ball, g, a, b) for b in objs] for a in objs]
-    order = range(len(objs))
+    index = {}
+    of_obj = [index.setdefault(_anchor(obj, ball, g), len(index)) for obj in objs]
+    anchors = list(index)
+    # Walks carry span ids, so memo keys hash small tuples, not subspaces.
+    spans, ids = [], {}
+
+    def intern(span):
+        if span not in ids:
+            ids[span] = len(spans)
+            spans.append(span)
+        return ids[span]
+
+    @cache
+    def inside(t, k):
+        return contains(spans[t], spans[k])
+
+    @cache
+    def cross(eid, entered, k):
+        """Id of span k carried across the edge, or None where the guard fails."""
+        if not contains(orc.class_of(eid, entered), spans[k]):
+            return None
+        return intern(orc.transport(eid, entered, spans[k]))
+
+    at_node = {}
+    for k, (addr, target) in enumerate(anchors):
+        at_node.setdefault(addr, []).append((k, intern(target)))
+    le = [[False] * len(anchors) for _ in anchors]
+    for k, (addr, span) in enumerate(anchors):
+        row = le[k]
+        stack = [(addr, intern(span), None)]
+        while stack:
+            here, cur, came_from = stack.pop()
+            for j, t in at_node.get(here, ()):
+                row[j] = inside(t, cur)
+            steps = [(c, c[-1][0], c[-1][1]) for c in ball._children.get(here, ())]
+            if here:
+                eid, i, _ = here[-1]
+                steps.append((here[:-1], eid, 1 - i))   # walking up enters at the child side
+            for nxt, eid, entered in steps:
+                carried = None if nxt == came_from else cross(eid, entered, cur)
+                if carried is not None:
+                    stack.append((nxt, carried, here))
+
+    order = range(len(anchors))
     memo = {}
 
     def depth_of(i):
@@ -357,9 +424,9 @@ def ball_chain_depths(ball: TreeBall, g):
         return best
 
     out = {}
-    for i, obj in enumerate(objs):
+    for obj, k in zip(objs, of_obj):
         orbit = obj.vertex if isinstance(obj, BallNode) else obj.edge
-        out[orbit] = max(out.get(orbit, 0), depth_of(i))
+        out[orbit] = max(out.get(orbit, 0), depth_of(k))
     return out
 
 

@@ -4,7 +4,7 @@ import json
 
 from gogkit.cli import main
 
-from conftest import fixture_path
+from conftest import RANK0_PROBE, fixture_path
 
 
 def run(capsys, *argv):
@@ -126,6 +126,15 @@ def test_ball_report_and_dot(capsys):
     assert code == 0
     assert out.startswith("graph {")
     assert run(capsys, "ball", fixture_path("heis"))[0] == 5
+
+
+def test_ball_non_monotone_labels_exit_one(capsys, tmp_path):
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(RANK0_PROBE))
+    code, _, err = run(capsys, "ball", probe, "--vertex", "v0")
+    assert code == 1
+    assert err == "depth labels not monotone: e0 (depth 1) sits strictly inside e2 (depth 1)\n"
+    assert "Traceback" not in err
 
 
 def test_json_format(capsys):

@@ -1,13 +1,17 @@
 """Tree balls: Smith-form cosets, valences, crossing, chain depths, DOT."""
 
+import random
+
 import pytest
 
-from gogkit import (annotate_depth, ball_chain_depths, ball_crossing_check,
+from conftest import RANK0_PROBE
+from gogkit import (BallNode, annotate_depth, ball_chain_depths, ball_crossing_check,
                     build_ball, coarse_le, crossing_graph, depth_filtration,
-                    smith_normal_form, to_dot)
+                    graph_from_dict, smith_normal_form, to_dot)
 from gogkit.exactlin import RatMatrix
 from gogkit.oracle import UnsupportedOracle
 from gogkit.treeball import CosetSystem
+from test_depth import _random_irreducible_graph
 
 
 def matmul(a, b):
@@ -107,6 +111,15 @@ def test_realized_valence_matches_determinant_sum(graph):
             assert realized == expected == node.true_valence
 
 
+def test_children_match_address_scan(graph):
+    for name, vid in (("bs22", "v"), ("arc3", "u"), ("f2xz", "v")):
+        ball = build_ball(graph(name), vid, 2)
+        for addr in ball.nodes:
+            scan = sorted(a for a in ball.nodes
+                          if a[:-1] == addr and len(a) == len(addr) + 1)
+            assert ball.children(addr) == scan, (name, addr)
+
+
 def test_sibling_cosets_distinct(graph):
     ball = build_ball(graph("bs22"), "v", 2)
     for addr in ball.nodes:
@@ -187,6 +200,62 @@ def test_chain_depths_match_filtration(graph):
         assert da.verdict.kind == "finite"
         ball = build_ball(g, sorted(g.vertex_ids())[0], 3, branch_cap=3)
         assert ball_chain_depths(ball, g) == da.depth, name
+
+
+def _pairwise_chain_depths(ball, g):
+    """Reference: `coarse_le` on every ordered pair of ball objects, then the
+    memoised longest-strict-chain search over that N x N matrix."""
+    objs = list(ball.nodes.values()) + list(ball.edges)
+    le = [[coarse_le(ball, g, a, b) for b in objs] for a in objs]
+    memo = {}
+
+    def depth_of(i):
+        if i not in memo:
+            memo[i] = 0
+            memo[i] = max((depth_of(j) + 1 for j in range(len(objs))
+                           if i != j and le[i][j] and not le[j][i]), default=0)
+        return memo[i]
+
+    out = {}
+    for i, obj in enumerate(objs):
+        orbit = obj.vertex if isinstance(obj, BallNode) else obj.edge
+        out[orbit] = max(out.get(orbit, 0), depth_of(i))
+    return out
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "thm14", "f2xz", "z2hnn", "bs22"])
+def test_chain_depths_match_pairwise_coarse_le(graph, name):
+    g = graph(name)
+    ball = build_ball(g, sorted(g.vertex_ids())[0], 3, branch_cap=3)
+    assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g)
+
+
+@pytest.mark.parametrize("root", ["v0", "v1"])
+def test_chain_depths_match_pairwise_coarse_le_on_rank0_probe(root):
+    g = graph_from_dict(RANK0_PROBE)
+    ball = build_ball(g, root, 2, branch_cap=2)
+    assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g)
+
+
+def test_chain_depths_match_pairwise_coarse_le_on_random_graphs():
+    rng = random.Random(4711)
+    tested = 0
+    while tested < 30:
+        g = _random_irreducible_graph(rng)
+        if g is None:
+            continue
+        ball = build_ball(g, rng.choice(g.vertex_ids()), 3, branch_cap=2)
+        if len(ball.nodes) > 90:
+            continue
+        assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g), ball.root_vertex
+        tested += 1
+
+
+def test_annotate_depth_names_first_violation_on_rank0_probe():
+    g = graph_from_dict(RANK0_PROBE)
+    with pytest.raises(ValueError) as err:
+        annotate_depth(build_ball(g, "v0", 3, branch_cap=2), depth_filtration(g))
+    assert str(err.value) == "depth labels not monotone: e0 (depth 1) sits strictly inside e2 (depth 1)"
 
 
 def test_annotate_depth_and_reject_mismatch(graph):
