@@ -15,9 +15,8 @@ from .model import (GraphLoadError, GraphOfGroups, EdgeEnd, EdgeSpec, TableData,
                     graph_to_dict, load_graph, validate)
 from .oracle import AbelianOracle, TableOracle, UnsupportedOracle, explore
 from .reduce import NotReducible, collapse, comm_classes, complete_reduce, reducible_edges
-from .depth import (DepthAssignment, DepthConfig, Flotilla, Level, MustReduceFirst,
-                    Raft, Verdict, WitnessStep, depth_filtration, depth_zero_rafts,
-                    raft_kind)
+from .depth import (DepthAssignment, Flotilla, Level, MustReduceFirst, Raft, Verdict,
+                    WitnessStep, depth_filtration, depth_zero_rafts, raft_kind)
 from .crossing import (CrossingGraph, CrossingNode, HypothesisReport,
                        HypothesisStatus, WrongVertex, check_hypotheses, crossing_graph)
 from .patterns import (LinearPattern, RigidityVerdict, SlopeInvariant,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .crossing import WrongVertex, check_hypotheses, crossing_graph
-from .depth import DepthConfig, MustReduceFirst, depth_filtration, depth_zero_rafts, raft_kind
+from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts, raft_kind
 from .exactlin import DimensionMismatch, canonicalize
 from .model import GraphLoadError, dump_graph, graph_to_dict, load_graph, validate
 from .oracle import UnsupportedOracle
@@ -38,16 +38,12 @@ EXIT_UNSUPPORTED = 5
 
 @dataclass
 class RunConfig:
-    loop_bound: int = 3
     horizon: int | None = None
     radius: int = 2
     branch_cap: int = 3
     output: str | None = None
     format: str = "text"
     seed: int = DEFAULT_SEED
-
-    def depth_config(self) -> DepthConfig:
-        return DepthConfig(loop_bound=self.loop_bound, horizon=self.horizon)
 
 
 class _Emitter:
@@ -126,7 +122,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 def cmd_depth(args, cfg: RunConfig) -> int:
     try:
         g = _load(args.file)
-        da = depth_filtration(g, cfg.depth_config())
+        da = depth_filtration(g, cfg.horizon)
     except (GraphLoadError, MustReduceFirst) as e:
         return _fail(str(e), EXIT_INPUT)
     em = _Emitter(cfg)
@@ -186,7 +182,7 @@ def cmd_crossing(args, cfg: RunConfig) -> int:
         g = _load(args.file)
         if g.oracle_mode != "abelian":
             raise UnsupportedOracle("crossing graphs need the abelian oracle")
-        da = depth_filtration(g, cfg.depth_config())
+        da = depth_filtration(g, cfg.horizon)
         cg = crossing_graph(g, args.vertex, da)
     except (GraphLoadError, MustReduceFirst, WrongVertex, KeyError) as e:
         return _fail(str(e), EXIT_INPUT)
@@ -213,7 +209,7 @@ def cmd_crossing(args, cfg: RunConfig) -> int:
 def cmd_check(args, cfg: RunConfig) -> int:
     try:
         g = _load(args.file)
-        report = check_hypotheses(g, cfg.depth_config())
+        report = check_hypotheses(g, cfg.horizon)
     except GraphLoadError as e:
         return _fail(str(e), EXIT_INPUT)
     except UnsupportedOracle as e:
@@ -244,7 +240,7 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     em = _Emitter(cfg)
     em.text(f"reduced: {len(g.edges)} -> {len(reduced.edges)} edges, "
             f"{len(g.vertices)} -> {len(reduced.vertices)} vertices")
-    classes = comm_classes(reduced, loop_bound=cfg.loop_bound)
+    classes = comm_classes(reduced, cfg.horizon)
     for c in classes:
         em.text(f"class: {c}")
     em.put("graph", graph_to_dict(reduced))
@@ -304,17 +300,25 @@ def _load_pattern(path, vertex):
         if vertex:
             raise GraphLoadError(f"{path} is a pattern file; --vertex does not apply")
         body = doc["pattern"]
+        if not isinstance(body, dict):
+            raise GraphLoadError(f"{path}: pattern must be an object")
         n = body.get("ambient_dim")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise GraphLoadError(f"{path}: pattern.ambient_dim must be an integer")
-        spans = []
-        for rows in body.get("subspaces", []):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise GraphLoadError(f"{path}: pattern.ambient_dim must be a positive integer")
+        members = body.get("subspaces", [])
+        if not isinstance(members, list) or not all(
+                isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                for rows in members):
+            raise GraphLoadError(f"{path}: pattern.subspaces must be lists of integer rows")
+        for rows in members:
             for row in rows:
                 for x in row:
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise GraphLoadError(f"{path}: pattern entries must be integers")
-            spans.append(canonicalize(rows, n))
-        return LinearPattern.of(spans, n)
+        try:
+            return LinearPattern.of([canonicalize(rows, n) for rows in members], n)
+        except ValueError as e:   # DimensionMismatch included
+            raise GraphLoadError(f"{path}: {e}") from e
     g = _load(path)
     if not vertex:
         raise GraphLoadError(f"{path} is a graph file; --vertex-a/--vertex-b required")
@@ -355,7 +359,7 @@ def cmd_ball(args, cfg: RunConfig) -> int:
             return _fail(str(e), EXIT_UNSUPPORTED)
         return _fail(str(e), EXIT_INPUT)
     if not reducible_edges(g):
-        da = depth_filtration(g, cfg.depth_config())
+        da = depth_filtration(g, cfg.horizon)
         if da.verdict.kind != "infinite":
             try:
                 ball = annotate_depth(ball, da)
@@ -405,7 +409,6 @@ def build_parser():
     def common(sp, file_args=("file",)):
         for fa in file_args:
             sp.add_argument(fa)
-        sp.add_argument("--loop-bound", type=int, default=3)
         sp.add_argument("--horizon", type=int, default=None)
         sp.add_argument("--radius", type=int, default=2)
         sp.add_argument("--branch-cap", type=int, default=3)
@@ -463,7 +466,6 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     cfg = RunConfig(
-        loop_bound=args.loop_bound,
         horizon=args.horizon,
         radius=args.radius,
         branch_cap=args.branch_cap,
@@ -471,7 +473,7 @@ def main(argv=None) -> int:
         format=args.format,
         seed=seed,
     )
-    if cfg.loop_bound < 1 or cfg.radius < 0 or cfg.branch_cap < 1 or (
+    if cfg.radius < 0 or cfg.branch_cap < 1 or (
             cfg.horizon is not None and cfg.horizon < 1):
         return _fail("bounds must be positive", EXIT_INPUT)
     if cfg.format == "dot" and args.command != "ball":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import RationalSubspace, canonicalize, contains, subspace_sum, zero_space
-from .depth import DepthAssignment, DepthConfig, depth_filtration
+from .depth import DepthAssignment, depth_filtration
 from .oracle import UnsupportedOracle
 from .reduce import complete_reduce, reducible_edges
 
@@ -127,12 +127,11 @@ class HypothesisReport:
         return next(e for e in self.entries if e.number == number)
 
 
-def check_hypotheses(g, config: DepthConfig | None = None) -> HypothesisReport:
+def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     """Evaluate the five structural hypotheses of the rigidity package."""
-    cfg = config or DepthConfig()
     red = reducible_edges(g)
     work = complete_reduce(g) if red else g
-    da = depth_filtration(work, cfg)
+    da = depth_filtration(work, horizon)
 
     entries = []
     if red:

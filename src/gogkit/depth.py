@@ -34,12 +34,6 @@ class WrongRaftLevel(ValueError):
 
 
 @dataclass(frozen=True)
-class DepthConfig:
-    loop_bound: int = 3          # transport crossings budgeted per edge
-    horizon: int | None = None   # total transport steps; default 2 * #edges
-
-
-@dataclass(frozen=True)
 class Raft:
     level: int
     core: tuple[str, ...]        # orbits whose depth equals the level
@@ -227,21 +221,17 @@ def _no_raft_witness(g, orc):
     return tuple(steps)
 
 
-def _reach(orc, item_vertex, cls, flotilla_edges, loop_bound):
-    if not flotilla_edges:
-        return {(item_vertex, cls)}, False
-    res = explore(orc, item_vertex, cls, edge_ids=flotilla_edges,
-                  max_steps=max(1, loop_bound * len(flotilla_edges)))
-    return {(p.vertex, p.cls) for p in res.placements}, res.truncated
+def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
+    """Assign a depth to every vertex and edge orbit of an irreducible graph.
 
-
-def depth_filtration(g, config: DepthConfig | None = None) -> DepthAssignment:
-    """Assign a depth to every vertex and edge orbit of an irreducible graph."""
+    `horizon` bounds every transport walk, in rounds of `explore`; the
+    default is twice the edge count.
+    """
     if reducible_edges(g):
         raise MustReduceFirst("graph has reducible edges; apply complete_reduce first")
-    cfg = config or DepthConfig()
     orc = g.oracle()
-    horizon = cfg.horizon if cfg.horizon is not None else 2 * max(1, len(g.edges))
+    if horizon is None:
+        horizon = 2 * max(1, len(g.edges))
     truncated = False
 
     hit, trunc = _self_strict_scan(g, orc, horizon)
@@ -286,9 +276,9 @@ def depth_filtration(g, config: DepthConfig | None = None) -> DepthAssignment:
                 node = ("F", flot_of[x]) if x in flot_of else ("p", x)
                 cls = orc.class_of(e.id, i)
                 edge_pool = flot_edge_ids[node[1]] if node[0] == "F" else []
-                reach, trunc = _reach(orc, x, cls, edge_pool, cfg.loop_bound)
-                truncated = truncated or trunc
-                items[(e.id, i)] = (node, cls, reach)
+                res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
+                truncated = truncated or res.truncated
+                items[(e.id, i)] = (node, cls, {(p.vertex, p.cls) for p in res.placements})
                 nodes.setdefault(node, []).append((e.id, i))
 
         below = {}     # edge id -> (its class, dominating edge id, dominating class)

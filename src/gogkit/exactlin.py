@@ -97,9 +97,6 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
@@ -238,12 +235,6 @@ class RatMatrix:
 
     def int_rows(self):
         return [[int(x) for x in row] for row in self.entries]
-
-    def matvec(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of {len(v)}")
-        return tuple(sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0))
-                     for row in self.entries)
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

@@ -7,13 +7,13 @@ classes at a common vertex (conjugates included, which for abelian groups
 degenerates to plain span comparison), and transport of a class across an
 edge to the opposite vertex.
 
-Transport through an edge entered at end eta with opposite end theta sends a
-span V to image(M_theta, preimage(M_eta, V)).  When V lies inside the end
-class this moves the commensurability class itself (an isomorphism is acting
-underneath); otherwise it is the pushforward of the coarse intersection with
-the edge class.  Walks that must preserve a class therefore only cross an
-edge when the class sits below the entered end class; `explore` enforces
-exactly that guard.
+Transport is guarded: a class crosses an edge only when it sits below the
+class of the end it enters, and `transport` returns None otherwise.  Through
+an edge entered at end eta with opposite end theta, a span V inside the
+entered end class goes to image(M_theta, preimage(M_eta, V)), which moves the
+commensurability class itself (an isomorphism is acting underneath).  Every
+walk in the package, `explore` and the tree-ball walks alike, crosses edges
+through this one guarded step.
 """
 
 from __future__ import annotations
@@ -66,13 +66,18 @@ class AbelianOracle:
         return abs(int(self.g.edge(eid).ends[end].matrix.det()))
 
     def transport(self, eid: str, entered_end: int, cls: RationalSubspace):
+        """cls carried across the edge, or None when it is not below the entered end class."""
         key = (eid, entered_end, cls)
-        if key not in self._moved:
+        if key in self._moved:
+            return self._moved[key]
+        moved = None
+        if contains(self.class_of(eid, entered_end), cls):
             e = self.g.edge(eid)
             m_in = e.ends[entered_end].matrix
             m_out = e.ends[1 - entered_end].matrix
-            self._moved[key] = image(m_out, preimage(m_in, cls))
-        return self._moved[key]
+            moved = image(m_out, preimage(m_in, cls))
+        self._moved[key] = moved
+        return moved
 
     def render(self, cls: RationalSubspace) -> str:
         return repr(cls)
@@ -115,6 +120,10 @@ class TableOracle:
         return iv
 
     def transport(self, eid: str, entered_end: int, cls: str):
+        """The table's image of cls, or None when it is not below the entered end class."""
+        vid = self.g.edge(eid).ends[entered_end].vertex
+        if not self.leq(vid, cls, self.class_of(eid, entered_end)):
+            return None
         return self.t.transport.get(eid, ({}, {}))[entered_end].get(cls)
 
     def render(self, cls: str) -> str:
@@ -136,16 +145,19 @@ class ExploreResult:
     truncated: bool
 
 
-def explore(oracle, start_vertex, start_cls, *, edge_ids=None, max_steps=None,
-            max_states=20000) -> ExploreResult:
+MAX_STATES = 20000   # distinct (vertex, class) states one `explore` may hold
+
+
+def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
+            max_steps=None) -> ExploreResult:
     """All placements reachable from (vertex, class) by class-preserving walks.
 
-    A walk may cross an edge only while the carried class sits below the
-    entered end class, so every step moves the commensurability class by the
-    isomorphism underlying the edge.  States are deduplicated on
-    (vertex, class); `truncated` reports that a cap cut the search while new
-    states were still appearing, in which case the result is a lower bound.
-    Each state tries the edge ends at its vertex in (edge id, end index) order.
+    Each step is one guarded `transport`, so every step moves the
+    commensurability class by the isomorphism underlying the edge.  States
+    are deduplicated on (vertex, class); `truncated` reports that a cap
+    (`max_steps` rounds or MAX_STATES states) cut the search while new states
+    were still appearing, in which case the result is a lower bound.  Each
+    state tries the edge ends at its vertex in (edge id, end index) order.
     """
     g = oracle.g
     # g.edge raises KeyError on an id the graph does not have.
@@ -173,8 +185,6 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None, max_steps=None,
         nxt = []
         for pl in frontier:
             for (e, i) in arcs_at(pl.vertex):
-                if not oracle.leq(pl.vertex, pl.cls, oracle.class_of(e.id, i)):
-                    continue
                 cls2 = oracle.transport(e.id, i, pl.cls)
                 if cls2 is None:
                     continue
@@ -182,7 +192,7 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None, max_steps=None,
                 key = (dest, cls2)
                 if key in seen:
                     continue
-                if len(seen) >= max_states:
+                if len(seen) >= MAX_STATES:
                     truncated = True
                     continue
                 seen.add(key)

@@ -137,39 +137,35 @@ def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
         g = collapse(g, eid, end)
 
 
-def comm_classes(g: GraphOfGroups, loop_bound: int = 3):
+def comm_classes(g: GraphOfGroups, horizon: int | None = None):
     """Multiset of coarse-equivalence class descriptors of vertex/edge orbits.
 
-    Orbits are grouped by transporting their classes along class-preserving
-    walks of bounded length (each edge budgeted `loop_bound` crossings) and
-    comparing at common vertices.  Descriptors are chosen to be invariant
-    under the collapse order of a complete reduction: the class rank for the
-    abelian oracle, the set of class labels for the table oracle.  Returned
-    sorted, one descriptor per class.
+    Orbits are grouped by carrying their classes along class-preserving walks
+    of at most `horizon` rounds of `explore` (default twice the edge count)
+    and comparing at common vertices: each distinct base placement is walked
+    once, and the orbits based there join the orbits based at every placement
+    it reaches.  Descriptors are chosen to be invariant under the collapse
+    order of a complete reduction: the class rank for the abelian oracle, the
+    set of class labels for the table oracle.  Returned sorted, one
+    descriptor per class.
     """
     orc = g.oracle()
     tokens = [("v", v.id) for v in g.vertices] + [("e", e.id) for e in g.edges]
-    base = {}  # token -> list of (vertex, class)
-    for v in g.vertices:
-        base[("v", v.id)] = [(v.id, orc.top_class(v.id))]
-    for e in g.edges:
-        base[("e", e.id)] = [(e.ends[i].vertex, orc.class_of(e.id, i)) for i in (0, 1)]
-
     owners = {}  # (vertex, class) -> tokens based there
-    for t in tokens:
-        for p in base[t]:
-            owners.setdefault(p, []).append(t)
+    for v in g.vertices:
+        owners.setdefault((v.id, orc.top_class(v.id)), []).append(("v", v.id))
+    for e in g.edges:
+        for i in (0, 1):
+            owners.setdefault((e.ends[i].vertex, orc.class_of(e.id, i)), []).append(("e", e.id))
 
-    # Two tokens share a class when either reaches a base placement of the
-    # other; union is symmetric, so joining each token with the owners of
-    # every placement it reaches covers both directions.
+    # The start placement is always reached, so its own owners join too.
     classes = UnionFind(tokens)
-    max_steps = max(1, loop_bound * max(1, len(g.edges)))
-    for t in tokens:
-        for (vid, cls) in base[t]:
-            for p in explore(orc, vid, cls, max_steps=max_steps).placements:
-                for other in owners.get((p.vertex, p.cls), ()):
-                    classes.union(t, other)
+    if horizon is None:
+        horizon = 2 * max(1, len(g.edges))
+    for (vid, cls), ts in owners.items():
+        for p in explore(orc, vid, cls, max_steps=horizon).placements:
+            for other in owners.get((p.vertex, p.cls), ()):
+                classes.union(ts[0], other)
 
     out = []
     for members in classes.classes().values():

@@ -244,9 +244,9 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
 def _to_root_span(orc, span, up_path):
     cur = span
     for (eid, entered) in up_path:
-        if not contains(orc.class_of(eid, entered), cur):
-            return None
         cur = orc.transport(eid, entered, cur)
+        if cur is None:
+            return None
     return cur
 
 
@@ -346,9 +346,9 @@ def coarse_le(ball: TreeBall, g, obj_a, obj_b) -> bool:
     addr_a, span = _anchor(obj_a, ball, g)
     addr_b, target = _anchor(obj_b, ball, g)
     for (eid, entered) in _walk(addr_a, addr_b):
-        if not contains(orc.class_of(eid, entered), span):
-            return False
         span = orc.transport(eid, entered, span)
+        if span is None:
+            return False
     return contains(target, span)
 
 
@@ -385,9 +385,8 @@ def ball_chain_depths(ball: TreeBall, g):
     @cache
     def cross(eid, entered, k):
         """Id of span k carried across the edge, or None where the guard fails."""
-        if not contains(orc.class_of(eid, entered), spans[k]):
-            return None
-        return intern(orc.transport(eid, entered, spans[k]))
+        moved = orc.transport(eid, entered, spans[k])
+        return None if moved is None else intern(moved)
 
     at_node = {}
     for k, (addr, target) in enumerate(anchors):

@@ -23,6 +23,32 @@ RANK0_PROBE = {
 }
 
 
+# Table oracle with no depth-zero raft: each edge class is the top class at one
+# end and strictly below it at the other, so v, w, x climb around a cycle.
+NO_RAFT_TABLE = {
+    "oracle": "table",
+    "vertices": [{"id": "v", "rank": 3}, {"id": "w", "rank": 3}, {"id": "x", "rank": 3}],
+    "edges": [
+        {"id": "e1", "rank": 3, "ends": [
+            {"vertex": "v", "class": "Tv"}, {"vertex": "w", "class": "Cw"}]},
+        {"id": "e2", "rank": 3, "ends": [
+            {"vertex": "w", "class": "Tw"}, {"vertex": "x", "class": "Cx"}]},
+        {"id": "e3", "rank": 3, "ends": [
+            {"vertex": "x", "class": "Tx"}, {"vertex": "v", "class": "Cv"}]},
+    ],
+    "classes": {"v": {"labels": ["Tv", "Cv"], "top": "Tv"},
+                "w": {"labels": ["Tw", "Cw"], "top": "Tw"},
+                "x": {"labels": ["Tx", "Cx"], "top": "Tx"}},
+    "order": {"v": [["Cv", "Tv"]], "w": [["Cw", "Tw"]], "x": [["Cx", "Tx"]]},
+    "transport": {
+        "e1": [{"Tv": "Cw", "Cv": "Cw"}, {"Cw": "Tv"}],
+        "e2": [{"Tw": "Cx", "Cw": "Cx"}, {"Cx": "Tw"}],
+        "e3": [{"Tx": "Cv", "Cx": "Cv"}, {"Cv": "Tx"}],
+    },
+    "indices": {"e1": [2, "inf"], "e2": [2, "inf"], "e3": [2, "inf"]},
+}
+
+
 def fixture_path(name):
     return FIXTURES / f"{name}.json"
 

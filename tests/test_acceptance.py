@@ -90,9 +90,10 @@ def brute_coset_count(matrix_rows):
     det = abs(int(m.det()))
     assert det > 0
 
+    inv = m.inverse().entries
+
     def in_lattice(z):
-        sol = m.inverse().matvec(z)
-        return all(x.denominator == 1 for x in sol)
+        return all(sum(x * y for x, y in zip(row, z)).denominator == 1 for row in inv)
 
     reps = []
     for z in itertools.product(range(det), repeat=n):

@@ -1,10 +1,17 @@
 """Exit-code contract and deterministic report emission."""
 
+import argparse
 import json
+import pathlib
+import re
 
-from gogkit.cli import main
+import pytest
+
+from gogkit.cli import build_parser, main
 
 from conftest import RANK0_PROBE, fixture_path
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -94,6 +101,27 @@ def test_reduce_writes_graph(capsys, tmp_path):
     assert len(doc["edges"]) == 1 and len(doc["vertices"]) == 1
 
 
+def test_reduce_horizon_bounds_class_walks(capsys, tmp_path):
+    # f0 and f2 carry the line <(1,0)> two edges apart, through no other base
+    # placement, so one round of transport cannot join their classes
+    diag = [[2, 0], [0, 1]]
+    line = [[1], [0]]
+    doc = {"oracle": "abelian",
+           "vertices": [{"id": v, "rank": 2} for v in ("v0", "v1", "v2")],
+           "edges": [{"id": eid, "rank": r, "ends": [{"vertex": a, "matrix": m},
+                                                     {"vertex": b, "matrix": m}]}
+                     for eid, r, a, b, m in (("e1", 2, "v0", "v1", diag),
+                                             ("e2", 2, "v1", "v2", diag),
+                                             ("f0", 1, "v0", "v0", line),
+                                             ("f2", 1, "v2", "v2", line))]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    classes = {h: json.loads(run(capsys, "reduce", path, "--format", "json", *h)[1])["classes"]
+               for h in ((), ("--horizon", "1"), ("--horizon", "2"))}
+    assert classes[()] == classes[("--horizon", "2")] == [["rank", "1"], ["rank", "2"]]
+    assert classes[("--horizon", "1")] == [["rank", "1"], ["rank", "1"], ["rank", "2"]]
+
+
 def test_invariants_report(capsys):
     code, out, _ = run(capsys, "invariants", fixture_path("thm14"), "--vertex", "a")
     assert code == 0
@@ -110,6 +138,23 @@ def test_compare_pattern_files(capsys):
     diff = run(capsys, "compare", fixture_path("pattern_0inf12"),
                fixture_path("pattern_0inf13"))
     assert diff[0] == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0], [0, 1]]]}},   # full-rank member
+    {"pattern": {"ambient_dim": 2, "subspaces": [[]]}},                 # empty member
+    {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0, 0]]]}},        # row of length 3
+    {"pattern": [1]},                                                   # not an object
+    {"pattern": {"ambient_dim": 0, "subspaces": []}},                   # no ambient space
+], ids=["full-rank", "empty", "row-length", "not-object", "zero-dim"])
+def test_compare_malformed_pattern_exit_two(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", bad, fixture_path("pattern_0inf12"))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"{bad}: ") and err.count("\n") == 1
 
 
 def test_compare_graph_vertices(capsys):
@@ -185,3 +230,15 @@ def test_output_file(capsys, tmp_path):
 
 def test_bad_bounds_rejected(capsys):
     assert run(capsys, "ball", fixture_path("z2hnn"), "--branch-cap", "0")[0] == 2
+
+
+def test_readme_common_flags_match_parser():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Common flags"):].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    per_command = [{o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+                   for sp in sub.choices.values()]
+    common = set.intersection(*per_command) - {"--help"}
+    assert documented == common

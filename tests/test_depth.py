@@ -4,8 +4,10 @@ import pytest
 
 from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, depth_filtration,
                     depth_zero_rafts, raft_kind, reducible_edges, validate)
-from gogkit.depth import DepthConfig, MustReduceFirst, Raft, WrongRaftLevel
+from gogkit.depth import MustReduceFirst, Raft, WrongRaftLevel
 from gogkit.exactlin import RatMatrix
+
+from conftest import NO_RAFT_TABLE
 
 
 def members(raft):
@@ -202,30 +204,6 @@ def test_filtration_matches_ball_chains_on_random_graphs():
         assert best == da.depth, (da.depth, best)
 
 
-NO_RAFT_TABLE = {
-    "oracle": "table",
-    "vertices": [{"id": "v", "rank": 3}, {"id": "w", "rank": 3}, {"id": "x", "rank": 3}],
-    "edges": [
-        {"id": "e1", "rank": 3, "ends": [
-            {"vertex": "v", "class": "Tv"}, {"vertex": "w", "class": "Cw"}]},
-        {"id": "e2", "rank": 3, "ends": [
-            {"vertex": "w", "class": "Tw"}, {"vertex": "x", "class": "Cx"}]},
-        {"id": "e3", "rank": 3, "ends": [
-            {"vertex": "x", "class": "Tx"}, {"vertex": "v", "class": "Cv"}]},
-    ],
-    "classes": {"v": {"labels": ["Tv", "Cv"], "top": "Tv"},
-                "w": {"labels": ["Tw", "Cw"], "top": "Tw"},
-                "x": {"labels": ["Tx", "Cx"], "top": "Tx"}},
-    "order": {"v": [["Cv", "Tv"]], "w": [["Cw", "Tw"]], "x": [["Cx", "Tx"]]},
-    "transport": {
-        "e1": [{"Tv": "Cw", "Cv": "Cw"}, {"Cw": "Tv"}],
-        "e2": [{"Tw": "Cx", "Cw": "Cx"}, {"Cx": "Tw"}],
-        "e3": [{"Tx": "Cv", "Cx": "Cv"}, {"Cv": "Tx"}],
-    },
-    "indices": {"e1": [2, "inf"], "e2": [2, "inf"], "e3": [2, "inf"]},
-}
-
-
 def test_no_depth_zero_rafts_is_infinite():
     from gogkit import graph_from_dict, validate
     g = graph_from_dict(NO_RAFT_TABLE)
@@ -237,7 +215,7 @@ def test_no_depth_zero_rafts_is_infinite():
     assert all(s.orbit.startswith("e") for s in da.verdict.witness)
     # a horizon too short for the cycle still concludes from the empty rafts,
     # ascending through strictly increasing vertex classes instead
-    da = depth_filtration(g, DepthConfig(horizon=1))
+    da = depth_filtration(g, horizon=1)
     assert da.verdict.kind == "infinite"
     assert any(s.strict for s in da.verdict.witness)
     assert [s.orbit for s in da.verdict.witness] == ["v", "w", "x", "v"]

@@ -1,9 +1,13 @@
 """Oracle laws, checked for both implementations."""
 
+import copy
+
 import pytest
 
-from gogkit import contains, explore
+from gogkit import contains, explore, graph_from_dict, validate
 from gogkit.exactlin import canonicalize, full_space
+
+from conftest import NO_RAFT_TABLE
 
 
 def spans_at(g, orc):
@@ -99,13 +103,25 @@ def test_abelian_transport_of_contained_line(graph):
     assert orc.transport("e", 1, moved) == line
 
 
-def test_abelian_transport_defined_even_without_containment(graph):
+def test_abelian_transport_refuses_spans_outside_the_end_class(graph):
     g = graph("arc3")
     orc = g.oracle()
-    # spans only <a1,a2>: the third axis is cut down to the coarse intersection
+    # e's image at u is <a1,a2>: a span with the third axis does not cross
     skew = canonicalize([(0, 0, 1), (1, 0, 0)])
-    moved = orc.transport("e", 0, skew)
-    assert moved == canonicalize([(1, 0, 0)])
+    assert orc.transport("e", 0, skew) is None
+
+
+def test_table_transport_refuses_classes_above_the_end_class():
+    table = copy.deepcopy(NO_RAFT_TABLE)
+    # a map entry the table validates, but Tw is not below e1's end class Cw
+    table["transport"]["e1"][1]["Tw"] = "Tv"
+    g = graph_from_dict(table)
+    assert validate(g).ok, validate(g).violations
+    orc = g.oracle()
+    assert orc.transport("e1", 1, "Tw") is None
+    assert orc.transport("e1", 1, "Cw") == "Tv"
+    plain = graph_from_dict(NO_RAFT_TABLE).oracle()
+    assert explore(orc, "w", "Tw") == explore(plain, "w", "Tw")
 
 
 def test_explore_guards_exactness(graph):
