@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .crossing import WrongVertex, check_hypotheses, crossing_graph
@@ -36,21 +35,11 @@ EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
 
 
-@dataclass
-class RunConfig:
-    horizon: int | None = None
-    radius: int = 2
-    branch_cap: int = 3
-    output: str | None = None
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-
-
 class _Emitter:
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
+    def __init__(self, args):
+        self.args = args
         self.lines = []
-        self.payload = {"seed": cfg.seed}
+        self.payload = {"seed": args.seed}
 
     def text(self, line):
         self.lines.append(line)
@@ -59,15 +48,20 @@ class _Emitter:
         self.payload[key] = value
 
     def emit(self):
-        if self.cfg.format == "json":
+        if self.args.format == "json":
             body = json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
         else:
-            body = "\n".join(self.lines + [f"seed: {self.cfg.seed}"]) + "\n"
-        if self.cfg.output:
-            with open(self.cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+            body = "\n".join(self.lines + [f"seed: {self.args.seed}"]) + "\n"
+        _write(body, self.args.output)
+
+
+def _write(body, output):
+    """Write a report to the --output file, or to stdout without one."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
 
 def _fail(msg, code):
@@ -100,13 +94,9 @@ def _verdict_payload(v):
     return out
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
-    try:
-        g = load_graph(args.file)
-    except GraphLoadError as e:
-        return _fail(str(e), EXIT_INPUT)
-    report = validate(g)
-    em = _Emitter(cfg)
+def cmd_validate(args) -> int:
+    report = validate(load_graph(args.file))
+    em = _Emitter(args)
     em.put("violations", sorted(report.violations))
     em.put("ok", report.ok)
     if report.ok:
@@ -119,13 +109,9 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def cmd_depth(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-        da = depth_filtration(g, cfg.horizon)
-    except (GraphLoadError, MustReduceFirst) as e:
-        return _fail(str(e), EXIT_INPUT)
-    em = _Emitter(cfg)
+def cmd_depth(args) -> int:
+    da = depth_filtration(_load(args.file), args.horizon)
+    em = _Emitter(args)
     em.text(f"verdict: {da.verdict.render()}")
     em.put("verdict", _verdict_payload(da.verdict))
     em.put("depth", {k: da.depth[k] for k in sorted(da.depth)})
@@ -158,13 +144,10 @@ def cmd_depth(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rafts(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-    except GraphLoadError as e:
-        return _fail(str(e), EXIT_INPUT)
+def cmd_rafts(args) -> int:
+    g = _load(args.file)
     rafts = depth_zero_rafts(g)
-    em = _Emitter(cfg)
+    em = _Emitter(args)
     payload = []
     for r in rafts:
         kind = raft_kind(g, r)
@@ -177,18 +160,13 @@ def cmd_rafts(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_crossing(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-        if g.oracle_mode != "abelian":
-            raise UnsupportedOracle("crossing graphs need the abelian oracle")
-        da = depth_filtration(g, cfg.horizon)
-        cg = crossing_graph(g, args.vertex, da)
-    except (GraphLoadError, MustReduceFirst, WrongVertex, KeyError) as e:
-        return _fail(str(e), EXIT_INPUT)
-    except UnsupportedOracle as e:
-        return _fail(str(e), EXIT_UNSUPPORTED)
-    em = _Emitter(cfg)
+def cmd_crossing(args) -> int:
+    g = _load(args.file)
+    if g.oracle_mode != "abelian":
+        raise UnsupportedOracle("crossing graphs need the abelian oracle")
+    da = depth_filtration(g, args.horizon)
+    cg = crossing_graph(g, args.vertex, da)
+    em = _Emitter(args)
     em.text(f"crossing graph at {cg.vertex}: {cg.verdict} ({len(cg.nodes)} nodes)")
     em.put("vertex", cg.vertex)
     em.put("verdict", cg.verdict)
@@ -206,15 +184,9 @@ def cmd_crossing(args, cfg: RunConfig) -> int:
     return EXIT_OK if cg.verdict in ("connected", "empty") else EXIT_NEGATIVE
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-        report = check_hypotheses(g, cfg.horizon)
-    except GraphLoadError as e:
-        return _fail(str(e), EXIT_INPUT)
-    except UnsupportedOracle as e:
-        return _fail(str(e), EXIT_UNSUPPORTED)
-    em = _Emitter(cfg)
+def cmd_check(args) -> int:
+    report = check_hypotheses(_load(args.file), args.horizon)
+    em = _Emitter(args)
     entries = []
     for e in report.entries:
         entries.append({"number": e.number, "name": e.name, "status": e.status,
@@ -231,16 +203,13 @@ def cmd_check(args, cfg: RunConfig) -> int:
     return EXIT_OK if report.all_pass else EXIT_NEGATIVE
 
 
-def cmd_reduce(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-    except GraphLoadError as e:
-        return _fail(str(e), EXIT_INPUT)
+def cmd_reduce(args) -> int:
+    g = _load(args.file)
     reduced = complete_reduce(g, order=args.order)
-    em = _Emitter(cfg)
+    em = _Emitter(args)
     em.text(f"reduced: {len(g.edges)} -> {len(reduced.edges)} edges, "
             f"{len(g.vertices)} -> {len(reduced.vertices)} vertices")
-    classes = comm_classes(reduced, cfg.horizon)
+    classes = comm_classes(reduced, args.horizon)
     for c in classes:
         em.text(f"class: {c}")
     em.put("graph", graph_to_dict(reduced))
@@ -252,15 +221,9 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_invariants(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-        pattern, notes = vertex_edge_pattern(g, args.vertex)
-    except (GraphLoadError, KeyError) as e:
-        return _fail(str(e), EXIT_INPUT)
-    except UnsupportedOracle as e:
-        return _fail(str(e), EXIT_UNSUPPORTED)
-    em = _Emitter(cfg)
+def cmd_invariants(args) -> int:
+    pattern, notes = vertex_edge_pattern(_load(args.file), args.vertex)
+    em = _Emitter(args)
     em.text(f"pattern at {args.vertex}: {len(pattern.subspaces)} subspaces")
     em.put("vertex", args.vertex)
     em.put("pattern", [_span_rows(s) for s in pattern.subspaces])
@@ -326,19 +289,11 @@ def _load_pattern(path, vertex):
     return pattern
 
 
-def cmd_compare(args, cfg: RunConfig) -> int:
-    try:
-        pa = _load_pattern(args.file_a, args.vertex_a)
-        pb = _load_pattern(args.file_b, args.vertex_b)
-    except (GraphLoadError, KeyError) as e:
-        return _fail(str(e), EXIT_INPUT)
-    except UnsupportedOracle as e:
-        return _fail(str(e), EXIT_UNSUPPORTED)
-    try:
-        same, witness = patterns_equivalent(pa, pb, rng=random.Random(cfg.seed))
-    except DimensionMismatch as e:
-        return _fail(str(e), EXIT_INPUT)
-    em = _Emitter(cfg)
+def cmd_compare(args) -> int:
+    pa = _load_pattern(args.file_a, args.vertex_a)
+    pb = _load_pattern(args.file_b, args.vertex_b)
+    same, witness = patterns_equivalent(pa, pb, rng=random.Random(args.seed))
+    em = _Emitter(args)
     em.text(f"equivalent: {'yes' if same else 'no'}")
     em.put("equivalent", same)
     if witness is not None:
@@ -349,31 +304,21 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     return EXIT_OK if same else EXIT_NEGATIVE
 
 
-def cmd_ball(args, cfg: RunConfig) -> int:
-    try:
-        g = _load(args.file)
-        root = args.vertex or sorted(g.vertex_ids())[0]
-        ball = build_ball(g, root, cfg.radius, cfg.branch_cap)
-    except (GraphLoadError, KeyError, ValueError) as e:
-        if isinstance(e, UnsupportedOracle):
-            return _fail(str(e), EXIT_UNSUPPORTED)
-        return _fail(str(e), EXIT_INPUT)
+def cmd_ball(args) -> int:
+    g = _load(args.file)
+    root = args.vertex or sorted(g.vertex_ids())[0]
+    ball = build_ball(g, root, args.radius, args.branch_cap)
     if not reducible_edges(g):
-        da = depth_filtration(g, cfg.horizon)
+        da = depth_filtration(g, args.horizon)
         if da.verdict.kind != "infinite":
             try:
                 ball = annotate_depth(ball, da)
-            except ValueError as e:
+            except ValueError as e:     # labels not monotone: analysis negative
                 return _fail(str(e), EXIT_NEGATIVE)
-    if args.dot or cfg.format == "dot":
-        body = to_dot(ball)
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+    if args.format == "dot":
+        _write(to_dot(ball), args.output)
         return EXIT_OK
-    em = _Emitter(cfg)
+    em = _Emitter(args)
     truncated = sorted(str(_addr(a)) for a, n in ball.nodes.items() if n.truncated)
     em.text(f"ball at {ball.root_vertex}: radius {ball.radius}, "
             f"{len(ball.nodes)} nodes, {len(ball.edges)} edges")
@@ -401,84 +346,77 @@ def _addr(address):
     return "/".join(f"{eid}.{i}." + ",".join(map(str, lab)) for (eid, i, lab) in address)
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    parse.__name__ = "int"      # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="gog", description=__doc__)
     p.add_argument("--version", action="version", version=f"gogkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, file_args=("file",)):
-        for fa in file_args:
+    def command(name, run, summary, files=("file",), walks=True, formats=("text", "json")):
+        """A subcommand with the flags every report takes, and --horizon if it walks."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
+        for fa in files:
             sp.add_argument(fa)
-        sp.add_argument("--horizon", type=int, default=None)
-        sp.add_argument("--radius", type=int, default=2)
-        sp.add_argument("--branch-cap", type=int, default=3)
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        if walks:
+            sp.add_argument("--horizon", type=_at_least(1), default=None)
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--output", default=None)
         sp.add_argument("--seed", type=int, default=None)
+        return sp
 
-    common(sub.add_parser("validate", help="check the structural invariants"))
-    common(sub.add_parser("depth", help="depth filtration, rafts, flotillas"))
-    common(sub.add_parser("rafts", help="depth-zero rafts and their kinds"))
-    sp = sub.add_parser("crossing", help="crossing graph at a vertex")
-    common(sp)
+    command("validate", cmd_validate, "check the structural invariants", walks=False)
+    command("depth", cmd_depth, "depth filtration, rafts, flotillas")
+    command("rafts", cmd_rafts, "depth-zero rafts and their kinds", walks=False)
+    sp = command("crossing", cmd_crossing, "crossing graph at a vertex")
     sp.add_argument("--vertex", required=True)
-    common(sub.add_parser("check", help="the five structural hypotheses"))
-    sp = sub.add_parser("reduce", help="collapse reducible edges")
-    common(sp)
+    command("check", cmd_check, "the five structural hypotheses")
+    sp = command("reduce", cmd_reduce, "collapse reducible edges")
     sp.add_argument("--order", choices=("lex", "revlex"), default="lex")
     sp.add_argument("-o", "--output-graph", default=None)
-    sp = sub.add_parser("invariants", help="pattern invariants at a vertex")
-    common(sp)
+    sp = command("invariants", cmd_invariants, "pattern invariants at a vertex", walks=False)
     sp.add_argument("--vertex", required=True)
-    sp = sub.add_parser("compare", help="linear equivalence of two patterns")
-    common(sp, file_args=("file_a", "file_b"))
+    sp = command("compare", cmd_compare, "linear equivalence of two patterns",
+                 files=("file_a", "file_b"), walks=False)
     sp.add_argument("--vertex-a", default=None)
     sp.add_argument("--vertex-b", default=None)
-    sp = sub.add_parser("ball", help="finite Bass-Serre tree ball")
-    common(sp)
+    sp = command("ball", cmd_ball, "finite Bass-Serre tree ball",
+                 formats=("text", "json", "dot"))
     sp.add_argument("--vertex", default=None)
-    sp.add_argument("--dot", action="store_true")
+    sp.add_argument("--radius", type=_at_least(0), default=2)
+    sp.add_argument("--branch-cap", type=_at_least(1), default=3)
     return p
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "depth": cmd_depth,
-    "rafts": cmd_rafts,
-    "crossing": cmd_crossing,
-    "check": cmd_check,
-    "reduce": cmd_reduce,
-    "invariants": cmd_invariants,
-    "compare": cmd_compare,
-    "ball": cmd_ball,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    seed = DEFAULT_SEED
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:     # usage errors exit 2, --help and --version 0
+        return e.code
     env = os.environ.get("GOG_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    cfg = RunConfig(
-        horizon=args.horizon,
-        radius=args.radius,
-        branch_cap=args.branch_cap,
-        output=args.output,
-        format=args.format,
-        seed=seed,
-    )
-    if cfg.radius < 0 or cfg.branch_cap < 1 or (
-            cfg.horizon is not None and cfg.horizon < 1):
-        return _fail("bounds must be positive", EXIT_INPUT)
-    if cfg.format == "dot" and args.command != "ball":
-        return _fail("dot format only applies to the ball command", EXIT_INPUT)
-    return COMMANDS[args.command](args, cfg)
+    try:
+        seed = DEFAULT_SEED if env is None else int(env)
+    except ValueError:
+        return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
+    if args.seed is None:
+        args.seed = seed
+    # The one table from exceptions to exit codes; KeyError is an unknown vertex id.
+    try:
+        return args.run(args)
+    except UnsupportedOracle as e:
+        return _fail(str(e), EXIT_UNSUPPORTED)
+    except (GraphLoadError, MustReduceFirst, WrongVertex, DimensionMismatch, KeyError) as e:
+        return _fail(str(e), EXIT_INPUT)
 
 
 if __name__ == "__main__":

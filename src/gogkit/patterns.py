@@ -24,6 +24,9 @@ from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, annihilat
 from .oracle import UnsupportedOracle
 
 DEFAULT_SEED = 94301
+# Random points tried per bijection before the exact grid, and their coefficient range.
+SAMPLES = 20
+COEFF_BOUND = 10 ** 6
 
 
 class UnderdeterminedSlopes(ValueError):
@@ -230,8 +233,7 @@ def _as_matrix(coeffs, basis, n):
     return RatMatrix.from_rows(ents)
 
 
-def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None,
-                        samples: int = 20, coeff_bound: int = 10 ** 6):
+def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None):
     """Decide whether an invertible rational matrix carries one pattern to the other.
 
     For each dimension-respecting bijection, the matrices sending each member
@@ -248,6 +250,8 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None,
     n = p.ambient_dim
     if len(p.subspaces) != len(q.subspaces) or sorted(p.dims()) != sorted(q.dims()):
         return False, None
+    if n == 0:
+        return True, RatMatrix.identity(0)     # the empty map is invertible
     rng = rng if rng is not None else random.Random(DEFAULT_SEED)
 
     by_dim = {}
@@ -294,9 +298,9 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None,
             if n <= 3:
                 continue
         grid_size = (n + 1) ** len(basis)
-        if n > 3 or grid_size > samples:
-            for _ in range(samples):
-                coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound))
+        if n > 3 or grid_size > SAMPLES:
+            for _ in range(SAMPLES):
+                coeffs = [Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND))
                           for _ in basis]
                 t = _as_matrix(coeffs, basis, n)
                 if verified(t):

@@ -315,7 +315,7 @@ def ball_crossing_check(ball: TreeBall, g) -> str:
 # -- brute-force coarse inclusion within the ball -------------------------------
 
 
-def _anchor(obj, ball, g):
+def _anchor(obj, g):
     if isinstance(obj, BallNode):
         return obj.address, full_space(g.vertex(obj.vertex).rank)
     return obj.parent, obj.local_span
@@ -343,8 +343,8 @@ def coarse_le(ball: TreeBall, g, obj_a, obj_b) -> bool:
     path; failing the guard anywhere already refutes coarse inclusion.
     """
     orc = g.oracle()
-    addr_a, span = _anchor(obj_a, ball, g)
-    addr_b, target = _anchor(obj_b, ball, g)
+    addr_a, span = _anchor(obj_a, g)
+    addr_b, target = _anchor(obj_b, g)
     for (eid, entered) in _walk(addr_a, addr_b):
         span = orc.transport(eid, entered, span)
         if span is None:
@@ -367,7 +367,7 @@ def ball_chain_depths(ball: TreeBall, g):
     orc = g.oracle()
     objs = list(ball.nodes.values()) + list(ball.edges)
     index = {}
-    of_obj = [index.setdefault(_anchor(obj, ball, g), len(index)) for obj in objs]
+    of_obj = [index.setdefault(_anchor(obj, g), len(index)) for obj in objs]
     anchors = list(index)
     # Walks carry span ids, so memo keys hash small tuples, not subspaces.
     spans, ids = [], {}

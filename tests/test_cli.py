@@ -163,11 +163,20 @@ def test_compare_graph_vertices(capsys):
     assert code == 0
 
 
+def test_compare_rank_zero_vertex_with_itself(capsys, tmp_path):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"oracle": "abelian", "vertices": [{"id": "v", "rank": 0}],
+                                 "edges": []}))
+    code, out, _ = run(capsys, "compare", point, point, "--vertex-a", "v", "--vertex-b", "v")
+    assert code == 0
+    assert out.startswith("equivalent: yes\n")
+
+
 def test_ball_report_and_dot(capsys):
     code, out, _ = run(capsys, "ball", fixture_path("z2hnn"), "--radius", "3")
     assert code == 0
     assert "7 nodes" in out
-    code, out, _ = run(capsys, "ball", fixture_path("z2hnn"), "--radius", "3", "--dot")
+    code, out, _ = run(capsys, "ball", fixture_path("z2hnn"), "--radius", "3", "--format", "dot")
     assert code == 0
     assert out.startswith("graph {")
     assert run(capsys, "ball", fixture_path("heis"))[0] == 5
@@ -232,13 +241,76 @@ def test_bad_bounds_rejected(capsys):
     assert run(capsys, "ball", fixture_path("z2hnn"), "--branch-cap", "0")[0] == 2
 
 
+def _own_flags():
+    """Each subcommand's `--` options, --help excluded."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, sp in sub.choices.items()}
+
+
 def test_readme_common_flags_match_parser():
     text = README.read_text(encoding="utf-8")
     paragraph = text[text.index("Common flags"):].split("\n\n", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    per_command = [{o for a in sp._actions for o in a.option_strings if o.startswith("--")}
-                   for sp in sub.choices.values()]
-    common = set.intersection(*per_command) - {"--help"}
+    own = _own_flags()
+    common = set.intersection(*own.values())
     assert documented == common
+    block = text[text.index("## Command line"):text.index("Common flags")]
+    usage = {m[1]: set(re.findall(r"--[a-z][a-z-]*", m[2]))
+             for m in re.finditer(r"^gog (\w+)([^#\n]*)", block, re.M)}
+    assert usage == {name: flags - common for name, flags in own.items()}
+
+
+def _argv(command, path, *extra):
+    """`command` on `path` with the arguments it requires, then `extra`."""
+    files = [path, path] if command == "compare" else [path]
+    vertex = ["--vertex", "v"] if command in ("crossing", "invariants") else []
+    return [command, *files, *vertex, *extra]
+
+
+COMMANDS = ("validate", "depth", "rafts", "crossing", "check", "reduce", "invariants",
+            "compare", "ball")
+WALKS = ("depth", "crossing", "check", "reduce", "ball")
+THM14 = str(fixture_path("thm14"))
+USAGE = "usage: gog"     # argparse's message: the usage, then one error line
+
+EXIT_TABLE = (
+    [(_argv(c, "no_such_file.json"), 2, "no_such_file") for c in COMMANDS]
+    + [(_argv(c, fixture_path("nonex")), 5, "abelian oracle")
+       for c in ("crossing", "invariants", "ball")]
+    + [([c, THM14, "--vertex", "nope"], 2, "nope") for c in ("crossing", "invariants", "ball")]
+    + [(["compare", THM14, THM14, "--vertex-a", "a", "--vertex-b", "nope"], 2, "nope")]
+    + [(_argv(c, THM14, flag, "3"), 2, USAGE)
+       for c in COMMANDS for flag in ("--radius", "--branch-cap") if c != "ball"]
+    + [(_argv(c, THM14, "--horizon", "3"), 2, USAGE)
+       for c in ("validate", "rafts", "invariants", "compare")]
+    + [(_argv(c, THM14, "--format", "dot"), 2, USAGE) for c in COMMANDS if c != "ball"]
+    + [(_argv(c, THM14, "--dot"), 2, USAGE) for c in COMMANDS]
+    + [(_argv(c, THM14, "--horizon", "0"), 2, USAGE) for c in WALKS]
+    + [(["ball", THM14, "--branch-cap", "0"], 2, USAGE),
+       (["ball", THM14, "--radius", "-1"], 2, USAGE),
+       (["depth", THM14, "--horizon", "x"], 2, USAGE),
+       ([], 2, USAGE)]
+)
+
+
+@pytest.mark.parametrize("argv,code,needle", EXIT_TABLE, ids=[
+    "-".join(pathlib.Path(str(a)).name for a in c[0]) or "no-command" for c in EXIT_TABLE])
+def test_exit_code_table(capsys, argv, code, needle):
+    # main returns the code itself: SystemExit from argparse would fail the test
+    got, out, err = run(capsys, *argv)
+    assert type(got) is int and got == code
+    assert out == "" and "Traceback" not in err and needle in err
+    lines = err.splitlines()
+    if needle == USAGE:
+        assert lines[0].startswith("usage: gog") and lines[-1].startswith("gog")
+        assert ": error: " in lines[-1]
+    else:
+        assert len(lines) == 1
+
+
+def test_help_and_version_return_zero(capsys):
+    assert run(capsys, "--version")[0] == 0
+    assert run(capsys, "depth", "--help")[0] == 0

@@ -157,6 +157,11 @@ def test_dimension_multiset_mismatch():
     assert patterns_equivalent(p, q) == (False, None)
 
 
+def test_empty_patterns_in_q0_are_equivalent():
+    empty = LinearPattern.of([], 0)
+    assert patterns_equivalent(empty, empty) == (True, RatMatrix.identity(0))
+
+
 def test_ambient_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         patterns_equivalent(slopes_pattern(0, 1, 2),
