@@ -276,9 +276,13 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
                 node = ("F", flot_of[x]) if x in flot_of else ("p", x)
                 cls = orc.class_of(e.id, i)
                 edge_pool = flot_edge_ids[node[1]] if node[0] == "F" else []
-                res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
-                truncated = truncated or res.truncated
-                items[(e.id, i)] = (node, cls, {(p.vertex, p.cls) for p in res.placements})
+                if edge_pool:
+                    res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
+                    truncated = truncated or res.truncated
+                    reach = {(p.vertex, p.cls) for p in res.placements}
+                else:
+                    reach = {(x, cls)}      # no edge to cross: the start placement alone
+                items[(e.id, i)] = (node, cls, reach)
                 nodes.setdefault(node, []).append((e.id, i))
 
         below = {}     # edge id -> (its class, dominating edge id, dominating class)

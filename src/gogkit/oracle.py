@@ -51,7 +51,8 @@ class AbelianOracle:
         return contains(b, a)
 
     def strictly_less(self, vid, a, b) -> bool:
-        return contains(b, a) and not contains(a, b)
+        # a strict inclusion of subspaces drops dimension
+        return a.dim < b.dim and contains(b, a)
 
     def equivalent(self, vid, a, b) -> bool:
         return a == b

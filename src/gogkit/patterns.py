@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, annihilator,
-                       image, kernel_vectors)
+from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, _echelon,
+                       annihilator, image, kernel_vectors)
 from .oracle import UnsupportedOracle
 
 DEFAULT_SEED = 94301
@@ -93,6 +93,24 @@ def _normal_covector(s: RationalSubspace):
     return _int_annihilator(s)[0]
 
 
+def _rank(rows) -> int:
+    return len(_echelon(rows)[0])
+
+
+def _normal_ranks(pattern: LinearPattern):
+    """Sorted (k, rank) over every set of k = 2..n hyperplane normals.
+
+    An invertible T sends hyperplanes to hyperplanes and their normals by
+    T^-T up to scale, so it preserves the rank of every set of normals:
+    patterns with different normal ranks are never linearly equivalent.
+    """
+    n = pattern.ambient_dim
+    normals = [_normal_covector(s) for s in pattern.subspaces if s.dim == n - 1]
+    return tuple(sorted((k, _rank(rows))
+                        for k in range(2, n + 1)
+                        for rows in itertools.combinations(normals, k)))
+
+
 def rigidity_check(pattern: LinearPattern) -> RigidityVerdict:
     """Search for n+1 hyperplanes in general position.
 
@@ -107,13 +125,8 @@ def rigidity_check(pattern: LinearPattern) -> RigidityVerdict:
         return RigidityVerdict("inconclusive")
     normals = {i: _normal_covector(pattern.subspaces[i]) for i in hyper}
     for combo in itertools.combinations(hyper, n + 1):
-        ok = True
-        for subset in itertools.combinations(combo, n):
-            m = RatMatrix.from_rows([normals[i] for i in subset])
-            if m.det() == 0:
-                ok = False
-                break
-        if ok:
+        if all(_rank([normals[i] for i in subset]) == n
+               for subset in itertools.combinations(combo, n)):
             return RigidityVerdict("rigid", combo)
     return RigidityVerdict("inconclusive")
 
@@ -236,14 +249,17 @@ def _as_matrix(coeffs, basis, n):
 def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None):
     """Decide whether an invertible rational matrix carries one pattern to the other.
 
-    For each dimension-respecting bijection, the matrices sending each member
-    into its target form a linear space; the question is whether it contains
-    an invertible element.  Random evaluations give a fast certificate of
-    existence.  For ambient dimension at most 3 a nonexistence certificate is
-    exact: the determinant is a polynomial of degree <= n in each parameter,
-    so it vanishes identically iff it vanishes on the grid {0..n}^k.  Returns
-    (answer, witness matrix or None); deterministic for a fixed seed, with
-    the lexicographically least bijection found first.
+    First the ranks of every set of hyperplane normals are compared: an
+    invertible map preserves them, so a difference decides "no" exactly, in
+    every dimension, before any bijection is tried or any random sample drawn.
+    Otherwise, for each dimension-respecting bijection, the matrices sending
+    each member into its target form a linear space; the question is whether
+    it contains an invertible element.  Random evaluations give a fast
+    certificate of existence.  For ambient dimension at most 3 a nonexistence
+    certificate is exact: the determinant is a polynomial of degree <= n in
+    each parameter, so it vanishes identically iff it vanishes on the grid
+    {0..n}^k.  Returns (answer, witness matrix or None); deterministic for a
+    fixed seed, with the lexicographically least bijection found first.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("patterns in different ambient spaces")
@@ -252,6 +268,8 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None):
         return False, None
     if n == 0:
         return True, RatMatrix.identity(0)     # the empty map is invertible
+    if _normal_ranks(p) != _normal_ranks(q):
+        return False, None
     rng = rng if rng is not None else random.Random(DEFAULT_SEED)
 
     by_dim = {}

@@ -278,3 +278,63 @@ def test_deeper_vertex_backfills_through_shared_vertex():
     da = depth_filtration(g)
     assert da.verdict.kind == "finite"
     assert da.depth == {"z": 0, "g": 1, "x": 1, "h": 2}
+
+
+def _level_items(g, da):
+    """(vertex, class, flotilla edge pool) of each item the level loop builds, in order."""
+    orc = g.oracle()
+    edge_ids = set(g.edge_ids())
+    out = []
+    for n, level in enumerate(da.levels, start=1):
+        unassigned = [e for e in sorted(g.edges, key=lambda e: e.id)
+                      if da.depth.get(e.id, n) >= n]
+        if not unassigned:
+            break
+        for e in unassigned:
+            for i in (0, 1):
+                x = e.ends[i].vertex
+                pool = next((sorted(m for m in fl.members if m in edge_ids)
+                             for fl in level.flotillas if x in fl.members), [])
+                out.append((x, orc.class_of(e.id, i), pool))
+    return out
+
+
+def test_empty_flotilla_pools_skip_explore(graph, monkeypatch):
+    """Only items with flotilla edges are explored; the rest are their own reach.
+
+    Each skipped walk would have returned the start placement alone,
+    untruncated, so the assignment is the one that exploring every item gives.
+    """
+    import random
+
+    import gogkit.depth as depth_module
+    from gogkit import graph_from_dict
+    from gogkit.oracle import ExploreResult, Placement, explore
+
+    graphs = [graph(name) for name in ("arc3", "arc4", "thm14", "f2xz", "bs22", "z2hnn",
+                                       "nonex", "shear_unknown")]
+    graphs.append(graph_from_dict(NO_RAFT_TABLE))
+    rng = random.Random(3317)
+    while len(graphs) < 40:
+        g = _random_irreducible_graph(rng)
+        if g is not None:
+            graphs.append(g)
+
+    calls = []
+    monkeypatch.setattr(depth_module, "explore",
+                        lambda orc, vid, cls, **kw: calls.append((vid, cls, kw))
+                        or explore(orc, vid, cls, **kw))
+    skipped = 0
+    for g in graphs:
+        calls.clear()
+        da = depth_filtration(g)
+        horizon = 2 * max(1, len(g.edges))
+        items = _level_items(g, da)
+        assert [(vid, cls, kw["edge_ids"]) for vid, cls, kw in calls
+                if "edge_ids" in kw] == [item for item in items if item[2]]
+        for x, cls, pool in items:
+            if not pool:
+                skipped += 1
+                assert explore(g.oracle(), x, cls, edge_ids=pool, max_steps=horizon) == \
+                    ExploreResult((Placement(x, cls, ()),), False)
+    assert skipped

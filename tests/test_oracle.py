@@ -3,8 +3,10 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gogkit import contains, explore, graph_from_dict, validate
+from gogkit import GraphOfGroups, VertexSpec, contains, explore, graph_from_dict, validate
 from gogkit.exactlin import canonicalize, full_space
 
 from conftest import NO_RAFT_TABLE
@@ -178,3 +180,34 @@ def test_explore_rejects_unknown_edge_ids(graph):
     orc = graph("arc3").oracle()
     with pytest.raises(KeyError, match="no edge 'nope'"):
         explore(orc, "u", full_space(3), edge_ids=["nope"])
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(a, b) in one Q^n, with a often inside b: a mixes b's spanning vectors."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    b_vecs = draw(st.lists(vec, max_size=n))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(b_vecs),
+                                   max_size=len(b_vecs)), max_size=n))
+    a_vecs = [tuple(sum(c * v[k] for c, v in zip(cs, b_vecs)) for k in range(n))
+              for cs in mixes]
+    a_vecs += draw(st.lists(vec, max_size=1))
+    return canonicalize(a_vecs, n), canonicalize(b_vecs, n)
+
+
+@given(subspace_pairs())
+@settings(max_examples=300, deadline=None)
+def test_abelian_strictly_less_compares_dimensions_first(pair):
+    import gogkit.oracle as oracle_module
+
+    a, b = pair
+    orc = GraphOfGroups((VertexSpec("v", a.ambient_dim),), ()).oracle()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "contains",
+                   lambda x, y: calls.append((x, y)) or contains(x, y))
+        got = orc.strictly_less("v", a, b)
+    assert got == (contains(b, a) and not contains(a, b))
+    if a.dim >= b.dim:
+        assert calls == []

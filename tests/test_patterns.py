@@ -1,11 +1,14 @@
 """Pattern rigidity, slope invariants, and exact linear equivalence."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogkit import vertex_edge_pattern
-from gogkit.exactlin import DimensionMismatch, RatMatrix, canonicalize, image
+from gogkit import patterns, vertex_edge_pattern
+from gogkit.exactlin import DimensionMismatch, RatMatrix, annihilator, canonicalize, image
 from gogkit.patterns import (LinearPattern, UnderdeterminedSlopes, line_slope,
                              patterns_equivalent, rigidity_check, slope_invariant)
 
@@ -216,3 +219,114 @@ def test_equivalence_relation_reflexive_and_transitive():
     assert patterns_equivalent(q, r)[0]
     same, w = patterns_equivalent(p, r)
     assert same and w.det() != 0
+
+
+# -- normal ranks before the bijection search ----------------------------------
+
+
+def hyperplanes(normals):
+    n = len(normals[0])
+    return LinearPattern.of([annihilator(canonicalize([v], n)) for v in normals], n)
+
+
+def moved(pattern, t):
+    # LinearPattern.of re-sorts the moved members, which shuffles them
+    return LinearPattern.of([image(t, s) for s in pattern.subspaces], pattern.ambient_dim)
+
+
+def random_invertible(rng, n):
+    while True:
+        t = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if t.det() != 0:
+            return t
+
+
+def general_position_normals(rng, n, count):
+    while True:
+        normals = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
+        if all(RatMatrix.from_rows(c).det() != 0
+               for c in itertools.combinations(normals, n)):
+            return normals
+
+
+def near_miss(rng, normals):
+    """One normal replaced by the sum of two others."""
+    k, i, j = rng.sample(range(len(normals)), 3)
+    out = list(normals)
+    out[k] = tuple(a + b for a, b in zip(normals[i], normals[j]))
+    return out
+
+
+def count_kernels(monkeypatch):
+    calls = []
+    real = patterns.kernel_vectors
+    monkeypatch.setattr(patterns, "kernel_vectors",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n,count,cases", [(2, 4, 6), (3, 5, 4), (4, 5, 1)])
+def test_normal_ranks_agree_with_the_search_alone(monkeypatch, n, count, cases):
+    """Same answer and witness as the bijection search without the rank check."""
+    rng = random.Random(8100 + n)
+    pairs = []
+    for _ in range(cases):
+        base = general_position_normals(rng, n, count)
+        near = near_miss(rng, base)
+        other = general_position_normals(rng, n, count)
+        p, q = hyperplanes(base), hyperplanes(near)
+        pairs += [(p, moved(p, random_invertible(rng, n))),
+                  (p, moved(q, random_invertible(rng, n))),
+                  (q, moved(q, random_invertible(rng, n))),
+                  (p, hyperplanes(other))]
+    got = [patterns_equivalent(a, b) for a, b in pairs]
+    monkeypatch.setattr(patterns, "_normal_ranks", lambda pattern: ())
+    assert got == [patterns_equivalent(a, b) for a, b in pairs]
+    assert all(same for same, _ in got[0::4]) and all(same for same, _ in got[2::4])
+    assert not any(same for same, _ in got[1::4] if n >= 3)
+
+
+@pytest.mark.parametrize("normals,near", [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)],
+     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)]),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)],
+     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 1)]),
+])
+def test_near_miss_answered_without_a_bijection(monkeypatch, normals, near):
+    p = hyperplanes(normals)
+    q = moved(hyperplanes(near), random_invertible(random.Random(5), len(normals[0])))
+    calls = count_kernels(monkeypatch)
+    assert patterns_equivalent(p, q) == (False, None)
+    assert patterns_equivalent(q, p) == (False, None)
+    assert calls == []
+
+
+def test_equal_normal_ranks_still_searched(monkeypatch):
+    p, r = slopes_pattern(0, "inf", 1, 2), slopes_pattern(0, "inf", 1, 3)
+    assert patterns._normal_ranks(p) == patterns._normal_ranks(r)
+    calls = count_kernels(monkeypatch)
+    assert patterns_equivalent(p, r) == (False, None)
+    assert calls
+
+
+def test_rigidity_check_matches_determinants():
+    def by_det(pattern):
+        n = pattern.ambient_dim
+        hyper = [i for i, s in enumerate(pattern.subspaces) if s.dim == n - 1]
+        normals = {i: patterns._normal_covector(pattern.subspaces[i]) for i in hyper}
+        for combo in itertools.combinations(hyper, n + 1):
+            if all(RatMatrix.from_rows([normals[i] for i in c]).det() != 0
+                   for c in itertools.combinations(combo, n)):
+                return ("rigid", combo)
+        return ("inconclusive", None)
+
+    rng = random.Random(4411)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        normals = [v for v in (tuple(rng.randint(-1, 1) for _ in range(n))
+                               for _ in range(rng.randint(n, n + 3))) if any(v)]
+        if not normals:
+            continue
+        p = hyperplanes(normals)
+        verdict = rigidity_check(p)
+        assert (verdict.status, verdict.witness) == by_det(p)
