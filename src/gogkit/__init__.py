@@ -11,7 +11,7 @@ from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace,
                        canonicalize, contains, full_space, image, intersect,
                        preimage, subspace_sum, zero_space)
 from .model import (GraphLoadError, GraphOfGroups, EdgeEnd, EdgeSpec, TableData,
-                    ValidationReport, VertexSpec, dump_graph, graph_from_dict,
+                    UnknownId, ValidationReport, VertexSpec, dump_graph, graph_from_dict,
                     graph_to_dict, load_graph, validate)
 from .oracle import AbelianOracle, TableOracle, UnsupportedOracle, explore
 from .reduce import NotReducible, collapse, comm_classes, complete_reduce, reducible_edges

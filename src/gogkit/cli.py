@@ -19,7 +19,8 @@ from . import __version__
 from .crossing import WrongVertex, check_hypotheses, crossing_graph
 from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts, raft_kind
 from .exactlin import DimensionMismatch, canonicalize
-from .model import GraphLoadError, dump_graph, graph_to_dict, load_graph, validate
+from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, graph_to_dict,
+                    int_rows, load_graph, read_json, validate)
 from .oracle import UnsupportedOracle
 from .patterns import (DEFAULT_SEED, LinearPattern, UnderdeterminedSlopes,
                        patterns_equivalent, rigidity_check, slope_invariant,
@@ -70,7 +71,10 @@ def _fail(msg, code):
 
 
 def _load(path):
-    g = load_graph(path)
+    return _valid(load_graph(path))
+
+
+def _valid(g):
     report = validate(g)
     if not report.ok:
         raise GraphLoadError(
@@ -251,14 +255,7 @@ def cmd_invariants(args) -> int:
 
 
 def _load_pattern(path, vertex):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise GraphLoadError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise GraphLoadError(
-            f"{path}: JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = read_json(path)
     if isinstance(doc, dict) and "pattern" in doc:
         if vertex:
             raise GraphLoadError(f"{path} is a pattern file; --vertex does not apply")
@@ -269,20 +266,15 @@ def _load_pattern(path, vertex):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphLoadError(f"{path}: pattern.ambient_dim must be a positive integer")
         members = body.get("subspaces", [])
-        if not isinstance(members, list) or not all(
-                isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-                for rows in members):
+        if not isinstance(members, list):
             raise GraphLoadError(f"{path}: pattern.subspaces must be lists of integer rows")
-        for rows in members:
-            for row in rows:
-                for x in row:
-                    if isinstance(x, bool) or not isinstance(x, int):
-                        raise GraphLoadError(f"{path}: pattern entries must be integers")
         try:
-            return LinearPattern.of([canonicalize(rows, n) for rows in members], n)
-        except ValueError as e:   # DimensionMismatch included
+            return LinearPattern.of(
+                [canonicalize(int_rows(rows, f"pattern.subspaces[{k}]"), n)
+                 for k, rows in enumerate(members)], n)
+        except ValueError as e:   # GraphLoadError and DimensionMismatch included
             raise GraphLoadError(f"{path}: {e}") from e
-    g = _load(path)
+    g = _valid(graph_from_dict(doc))
     if not vertex:
         raise GraphLoadError(f"{path} is a graph file; --vertex-a/--vertex-b required")
     pattern, _ = vertex_edge_pattern(g, vertex)
@@ -410,12 +402,12 @@ def main(argv=None) -> int:
         return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
     if args.seed is None:
         args.seed = seed
-    # The one table from exceptions to exit codes; KeyError is an unknown vertex id.
+    # The one table from exceptions to exit codes.
     try:
         return args.run(args)
     except UnsupportedOracle as e:
         return _fail(str(e), EXIT_UNSUPPORTED)
-    except (GraphLoadError, MustReduceFirst, WrongVertex, DimensionMismatch, KeyError) as e:
+    except (GraphLoadError, MustReduceFirst, WrongVertex, DimensionMismatch, UnknownId) as e:
         return _fail(str(e), EXIT_INPUT)
 
 

@@ -56,7 +56,7 @@ def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
     n = g.vertex(vid).rank
     orc = g.oracle()
     spans = []
-    for (e, i) in sorted(g.ends_at(vid), key=lambda p: (p[0].id, p[1])):
+    for (e, i) in g.ends_at(vid):
         spans.append((orc.class_of(e.id, i), (e.id, i)))
 
     by_span = {}

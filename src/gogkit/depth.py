@@ -205,7 +205,7 @@ def _no_raft_witness(g, orc):
         frontier, visited = [vid], {vid}
         while frontier and hop is None:
             x = frontier.pop(0)
-            for (e, i) in sorted(g.ends_at(x), key=lambda p: (p[0].id, p[1])):
+            for (e, i) in g.ends_at(x):
                 if e.id not in ff_ids and orc.finite_index_end(e.id, i):
                     hop = (e, i)
                     break
@@ -326,26 +326,22 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
 
         for eid in survivors:
             depth[eid] = n
-        newly_vertices = []
-        for v in g.vertices:
-            if v.id in depth:
-                continue
-            for (e, i) in g.ends_at(v.id):
-                if e.id in depth and depth[e.id] == n and orc.finite_index_end(e.id, i):
-                    depth[v.id] = n
-                    newly_vertices.append(v.id)
-                    break
 
         # Rafts at this level: survivor classes plus their incident flotillas.
+        # A vertex not yet assigned joins this level, and the raft of the
+        # first survivor whose end there has finite index.
         classes = UnionFind(survivors)
         for (a, b) in equiv_pairs:
             if a in classes and b in classes:
                 classes.union(a, b)
         raft_groups = classes.classes()
-        for vid in newly_vertices:
-            for (e, i) in g.ends_at(vid):
+        for v in g.vertices:
+            if v.id in depth:
+                continue
+            for (e, i) in g.ends_at(v.id):
                 if e.id in classes and orc.finite_index_end(e.id, i):
-                    raft_groups[classes.find(e.id)].add(vid)
+                    depth[v.id] = n
+                    raft_groups[classes.find(e.id)].add(v.id)
                     break
 
         new_rafts = []

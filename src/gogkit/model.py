@@ -12,6 +12,8 @@ be analyzed without implementing group-element arithmetic.
 All values are immutable after construction; operations elsewhere in the
 package are pure functions over them.  A graph builds its id and incidence
 index, and its oracle, on first use; both are caches, not part of the value.
+The incidence index lists each vertex's edge ends sorted by (edge id, end
+index), so every walk over them sees one order.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ INFINITE = "inf"
 
 class GraphLoadError(ValueError):
     """Structurally unusable input: bad JSON, bad shapes, bad types."""
+
+
+class UnknownId(KeyError):
+    """A vertex or edge id the graph does not have."""
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,11 @@ class GraphOfGroups:
     @cached_property
     def _index(self):
         """id -> vertex and id -> edge (first match wins), and vertex id ->
-        incident (edge, end index) pairs in `edges` order."""
+        incident (edge, end index) pairs sorted by (edge id, end index)."""
         vertices, edges, ends = {}, {}, {}
         for v in self.vertices:
             vertices.setdefault(v.id, v)
-        for e in self.edges:
+        for e in sorted(self.edges, key=lambda e: e.id):
             edges.setdefault(e.id, e)
             for i, end in enumerate(e.ends):
                 ends.setdefault(end.vertex, []).append((e, i))
@@ -98,13 +104,13 @@ class GraphOfGroups:
     def vertex(self, vid: str) -> VertexSpec:
         v = self._index[0].get(vid)
         if v is None:
-            raise KeyError(f"no vertex {vid!r}")
+            raise UnknownId(f"no vertex {vid!r}")
         return v
 
     def edge(self, eid: str) -> EdgeSpec:
         e = self._index[1].get(eid)
         if e is None:
-            raise KeyError(f"no edge {eid!r}")
+            raise UnknownId(f"no edge {eid!r}")
         return e
 
     def vertex_ids(self):
@@ -114,7 +120,8 @@ class GraphOfGroups:
         return [e.id for e in self.edges]
 
     def ends_at(self, vid: str):
-        """All (edge, end_index) incident to a vertex; loops contribute both ends."""
+        """All (edge, end_index) incident to a vertex, sorted by (edge id, end
+        index); loops contribute both ends."""
         return list(self._index[2].get(vid, ()))
 
     @cached_property
@@ -310,14 +317,15 @@ def _int_strict(x, where):
     return x
 
 
-def _matrix_strict(m, where):
+def int_rows(m, where):
+    """`m` as a list of equal-length rows of exact integers; GraphLoadError if not."""
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
         raise GraphLoadError(f"{where}: matrix must be an array of arrays")
     rows = [[_int_strict(x, where) for x in r] for r in m]
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise GraphLoadError(f"{where}: ragged matrix")
-    return RatMatrix.from_rows(rows)
+    return rows
 
 
 def graph_from_dict(doc) -> GraphOfGroups:
@@ -347,7 +355,7 @@ def graph_from_dict(doc) -> GraphOfGroups:
                 if "matrix" not in end:
                     raise GraphLoadError(f"{where}: abelian mode requires a matrix")
                 ends.append(EdgeEnd(str(end["vertex"]),
-                                    matrix=_matrix_strict(end["matrix"], where)))
+                                    matrix=RatMatrix.from_rows(int_rows(end["matrix"], where))))
             else:
                 if "class" not in end:
                     raise GraphLoadError(f"{where}: table mode requires a class label")
@@ -391,17 +399,21 @@ def graph_from_dict(doc) -> GraphOfGroups:
     return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
 
 
-def load_graph(path) -> GraphOfGroups:
+def read_json(path):
+    """The decoded JSON document at `path`; GraphLoadError when unreadable."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise GraphLoadError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise GraphLoadError(
             f"{path}: JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    return graph_from_dict(doc)
+
+
+def load_graph(path) -> GraphOfGroups:
+    return graph_from_dict(read_json(path))
 
 
 def graph_to_dict(g: GraphOfGroups) -> dict:

@@ -167,9 +167,8 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
 
     def arcs_at(vid):
         if vid not in arcs:
-            arcs[vid] = sorted(((e, i) for (e, i) in g.ends_at(vid)
-                                if allowed is None or e.id in allowed),
-                               key=lambda p: (p[0].id, p[1]))
+            arcs[vid] = [(e, i) for (e, i) in g.ends_at(vid)
+                         if allowed is None or e.id in allowed]
         return arcs[vid]
 
     start = Placement(start_vertex, start_cls, ())

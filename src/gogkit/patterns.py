@@ -72,7 +72,7 @@ def vertex_edge_pattern(g, vid: str):
     orc = g.oracle()
     members = []
     notes = []
-    for (e, i) in sorted(g.ends_at(vid), key=lambda p: (p[0].id, p[1])):
+    for (e, i) in g.ends_at(vid):
         span = orc.class_of(e.id, i)
         if span.dim == 0:
             notes.append((e.id, i, "zero span excluded"))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .exactlin import RatMatrix
 from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData
 from .oracle import explore
 from .unionfind import UnionFind
@@ -23,38 +22,31 @@ class NotReducible(ValueError):
     pass
 
 
+def _reducible(orc, e: EdgeSpec, end: int) -> bool:
+    """Distinct endpoints and index one at `end`: for the abelian oracle a
+    square injection matrix with determinant +-1."""
+    return (not e.is_loop() and orc.finite_index_end(e.id, end)
+            and orc.index_value(e.id, end) == 1)
+
+
 def reducible_edges(g: GraphOfGroups):
-    """All (edge id, end index) with distinct endpoints and a surjective injection.
-
-    Surjective means index one: for the abelian oracle a square injection
-    matrix with determinant +-1.  Loops are never listed.
-    """
+    """All (edge id, end index) that `collapse` accepts, sorted; never a loop."""
     orc = g.oracle()
-    out = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.is_loop():
-            continue
-        for i in (0, 1):
-            if orc.finite_index_end(e.id, i) and orc.index_value(e.id, i) == 1:
-                out.append((e.id, i))
-    return out
-
-
-def _compose_abelian(e: EdgeSpec, surj_end: int, other_matrix: RatMatrix) -> RatMatrix:
-    # phi_theta . phi_eta^{-1} . phi_other, all integer since phi_eta is unimodular.
-    m_eta = e.ends[surj_end].matrix
-    m_theta = e.ends[1 - surj_end].matrix
-    return m_theta.mul(m_eta.inverse()).mul(other_matrix)
+    return [(e.id, i) for e in sorted(g.edges, key=lambda e: e.id) for i in (0, 1)
+            if _reducible(orc, e, i)]
 
 
 def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
     """Collapse along a reducible edge; the surjective end's vertex disappears."""
-    if (eid, end) not in reducible_edges(g):
+    orc = g.oracle()
+    if end not in (0, 1) or eid not in g.edge_ids() or not _reducible(orc, g.edge(eid), end):
         raise NotReducible(f"edge {eid} end {end} is not reducible")
     e = g.edge(eid)
     gone = e.ends[end].vertex          # absorbed vertex
     kept = e.ends[1 - end].vertex      # carries the merged group
-    orc = g.oracle()
+    if g.oracle_mode == "abelian":
+        # phi_theta . phi_eta^{-1}, integer since phi_eta is unimodular.
+        through = e.ends[1 - end].matrix.mul(e.ends[end].matrix.inverse())
 
     new_edges = []
     for f in g.edges:
@@ -65,7 +57,7 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
             if fe.vertex != gone:
                 ends.append(fe)
             elif g.oracle_mode == "abelian":
-                ends.append(EdgeEnd(kept, matrix=_compose_abelian(e, end, fe.matrix)))
+                ends.append(EdgeEnd(kept, matrix=through.mul(fe.matrix)))
             else:
                 moved = orc.transport(eid, end, fe.class_label)
                 ends.append(EdgeEnd(kept, class_label=moved))
@@ -113,28 +105,21 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
     )
 
 
-def _pick(policy, candidates):
-    if callable(policy):
-        return policy(candidates)
-    if policy == "lex":
-        return min(candidates)
-    if policy == "revlex":
-        return max(candidates)
-    raise ValueError(f"unknown edge-selection policy {policy!r}")
-
-
 def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
     """Collapse reducible edges until none remain.
 
     The edge count strictly decreases, so this terminates.  `order` picks the
-    next (edge id, end index): "lex" (default), "revlex", or a callable.
+    next (edge id, end index): "lex" (default) the least, "revlex" the
+    greatest; any other value raises ValueError.
     """
+    if order not in ("lex", "revlex"):
+        raise ValueError(f"unknown edge-selection policy {order!r}")
+    pick = min if order == "lex" else max
     while True:
         cands = reducible_edges(g)
         if not cands:
             return g
-        eid, end = _pick(order, cands)
-        g = collapse(g, eid, end)
+        g = collapse(g, *pick(cands))
 
 
 def comm_classes(g: GraphOfGroups, horizon: int | None = None):

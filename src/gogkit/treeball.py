@@ -220,7 +220,7 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
         expanded = dist < radius
         truncated = False
         if expanded:
-            for (e, i) in sorted(g.ends_at(vid), key=lambda p: (p[0].id, p[1])):
+            for (e, i) in g.ends_at(vid):
                 sys = cosets[(e.id, i)]
                 skip_zero = arrived == (e.id, i)
                 if sys.finite:

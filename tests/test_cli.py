@@ -146,7 +146,12 @@ def test_compare_pattern_files(capsys):
     {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0, 0]]]}},        # row of length 3
     {"pattern": [1]},                                                   # not an object
     {"pattern": {"ambient_dim": 0, "subspaces": []}},                   # no ambient space
-], ids=["full-rank", "empty", "row-length", "not-object", "zero-dim"])
+    {"pattern": {"ambient_dim": 2, "subspaces": [[[1.5, 0]]]}},         # float entry
+    {"pattern": {"ambient_dim": 2, "subspaces": [[[1], [0, 1]]]}},      # ragged member
+    {"pattern": {"ambient_dim": 2, "subspaces": [[1, 0]]}},             # member not rows
+    {"pattern": {"ambient_dim": 2, "subspaces": {}}},                   # not a list
+], ids=["full-rank", "empty", "row-length", "not-object", "zero-dim", "float", "ragged",
+        "flat-member", "subspaces-object"])
 def test_compare_malformed_pattern_exit_two(capsys, tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -161,6 +166,27 @@ def test_compare_graph_vertices(capsys):
     code, out, _ = run(capsys, "compare", fixture_path("f2xz"), fixture_path("f2xz"),
                        "--vertex-a", "v", "--vertex-b", "v")
     assert code == 0
+
+
+def test_compare_decodes_each_graph_file_once(capsys, monkeypatch):
+    decoded = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: decoded.append(fh.name) or load(fh))
+    code, _, _ = run(capsys, "compare", fixture_path("f2xz"), fixture_path("f2xz"),
+                     "--vertex-a", "v", "--vertex-b", "v")
+    assert code == 0
+    assert decoded == [str(fixture_path("f2xz"))] * 2
+
+
+def test_key_error_inside_an_analysis_is_not_an_input_error(monkeypatch):
+    import gogkit.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli_mod, "depth_filtration", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["depth", str(fixture_path("arc3"))])
 
 
 def test_compare_rank_zero_vertex_with_itself(capsys, tmp_path):

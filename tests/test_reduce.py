@@ -73,6 +73,45 @@ def test_collapse_requires_reducibility(graph):
         collapse(graph("arc3"), "e", 0)
 
 
+def test_collapse_rejects_unknown_edge_and_bad_end():
+    ident = [[1, 0], [0, 1]]
+    g = abelian_graph([("a", 2), ("b", 2)], [("e", 2, ("a", ident), ("b", ident))])
+    for eid, end in (("nope", 0), ("e", 2), ("e", -1)):
+        with pytest.raises(NotReducible):
+            collapse(g, eid, end)
+
+
+def test_complete_reduce_rejects_unknown_order(graph):
+    for name in ("heis", "arc3"):
+        for order in ("bogus", ["lex"], min):
+            with pytest.raises(ValueError, match="unknown edge-selection policy"):
+                complete_reduce(graph(name), order=order)
+
+
+@pytest.mark.parametrize("name", ["heis", "chain"])
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_complete_reduce_scans_once_per_collapse(graph, monkeypatch, name, order):
+    import gogkit.reduce as reduce_mod
+    ident = [[1, 0], [0, 1]]
+    g = graph(name) if name == "heis" else abelian_graph(
+        [("a", 2), ("b", 2), ("c", 2)],
+        [("e", 2, ("a", ident), ("b", ident)), ("f", 2, ("b", ident), ("c", ident))])
+    calls = {"scan": 0, "collapse": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reduce_mod, "reducible_edges",
+                        counted("scan", reduce_mod.reducible_edges))
+    monkeypatch.setattr(reduce_mod, "collapse", counted("collapse", reduce_mod.collapse))
+    complete_reduce(g, order=order)
+    assert calls["collapse"] > 0
+    assert calls["scan"] == calls["collapse"] + 1
+
+
 def test_complete_reduce_fixed_point(graph):
     g = graph("arc3")
     assert complete_reduce(g) == g
@@ -168,15 +207,21 @@ def policies(draw):
     return pick
 
 
+def _reduce_with(g, pick):
+    while cands := reducible_edges(g):
+        g = collapse(g, *pick(cands))
+    return g
+
+
 @given(reducible_graphs(), policies(), policies())
 @settings(max_examples=60, deadline=None)
 def test_collapse_order_does_not_change_fingerprint(g, p1, p2):
-    r1 = complete_reduce(g, order=p1)
-    r2 = complete_reduce(g, order=p2)
+    r1 = _reduce_with(g, p1)
+    r2 = _reduce_with(g, p2)
     assert validate(r1).ok and validate(r2).ok
     assert not reducible_edges(r1) and not reducible_edges(r2)
     assert comm_classes(r1) == comm_classes(r2)
-    assert complete_reduce(r1, order=p2) == r1
+    assert _reduce_with(r1, p2) == r1
 
 
 @given(reducible_graphs())
