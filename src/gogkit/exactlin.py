@@ -7,10 +7,10 @@ so subspace equality is plain data equality and results are hashable.
 
 Everything here is exact and runs on Python ints: one fraction-free
 Gauss-Jordan elimination (`_echelon`) serves canonical forms, containment,
-kernels, rank and inverse, and determinants use Bareiss's integer-preserving
-elimination.  fractions.Fraction appears only where a public value is
-rational: RatMatrix entries, determinants, inverses and kernel vectors.  No
-floating point is used anywhere.
+kernels, rank, inverse and `carry`, and determinants use Bareiss's
+integer-preserving elimination.  fractions.Fraction appears only where a
+public value is rational: RatMatrix entries, determinants, inverses and
+kernel vectors.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -311,3 +311,26 @@ def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
     constraint = [[sum(y * row[c] for y, row in zip(u, ints)) for c in range(m.cols)]
                   for u in ann]
     return canonicalize(kernel_vectors(constraint, m.cols), m.cols)
+
+
+def carry(m_in: RatMatrix, m_out: RatMatrix, s: RationalSubspace) -> RationalSubspace:
+    """image(m_out, preimage(m_in, s)) for an injective m_in whose column span holds s.
+
+    One elimination of [M_in | basis(s)^T] solves M_in X = basis(s)^T, and the
+    columns of M_out X span the result.  Raises ValueError when m_in is not
+    injective or s is not inside its column span.
+    """
+    if s.ambient_dim != m_in.rows or m_in.cols != m_out.cols:
+        raise DimensionMismatch("carry: the shapes of m_in, m_out and s do not fit")
+    k = m_in.cols
+    ints_in, _ = _int_matrix(m_in)
+    reduced, pivots = _echelon([row + [v[r] for v in s.basis]
+                                for r, row in enumerate(ints_in)])
+    if pivots != list(range(k)):
+        raise ValueError("carry: m_in is not injective or s is outside its column span")
+    # row r reads p_r x_r = rhs_r; scale every x_r to the common denominator
+    d = lcm(*[row[r] for r, row in enumerate(reduced)])
+    xs = [[x * (d // row[r]) for x in row[k:]] for r, row in enumerate(reduced)]
+    ints_out, _ = _int_matrix(m_out)
+    return canonicalize([[sum(a * x[j] for a, x in zip(row, xs)) for row in ints_out]
+                         for j in range(s.dim)], m_out.rows)

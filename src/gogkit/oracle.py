@@ -14,13 +14,19 @@ entered end class goes to image(M_theta, preimage(M_eta, V)), which moves the
 commensurability class itself (an isomorphism is acting underneath).  Every
 walk in the package, `explore` and the tree-ball walks alike, crosses edges
 through this one guarded step.
+
+The abelian guard looks at dimensions first.  Edge maps are injective, so a
+span of larger dimension than the entered end class never crosses, and one of
+equal dimension crosses only when it is that class, which lands on the
+opposite end class with no elimination.  Only a smaller span is tested with
+`contains`, and it crosses by `carry`: one elimination solving M_eta X = V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import RationalSubspace, contains, full_space, image, preimage
+from .exactlin import RationalSubspace, carry, contains, full_space
 from .model import INFINITE, GraphOfGroups
 
 
@@ -72,11 +78,14 @@ class AbelianOracle:
         if key in self._moved:
             return self._moved[key]
         moved = None
-        if contains(self.class_of(eid, entered_end), cls):
-            e = self.g.edge(eid)
-            m_in = e.ends[entered_end].matrix
-            m_out = e.ends[1 - entered_end].matrix
-            moved = image(m_out, preimage(m_in, cls))
+        end_cls = self.class_of(eid, entered_end)
+        if cls.dim < end_cls.dim or cls.ambient_dim != end_cls.ambient_dim:
+            # contains raises DimensionMismatch on a class from another ambient
+            if contains(end_cls, cls):
+                ends = self.g.edge(eid).ends
+                moved = carry(ends[entered_end].matrix, ends[1 - entered_end].matrix, cls)
+        elif cls == end_cls:
+            moved = self.class_of(eid, 1 - entered_end)
         self._moved[key] = moved
         return moved
 

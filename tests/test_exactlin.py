@@ -5,10 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gogkit.exactlin import (DimensionMismatch, RatMatrix, canonicalize, contains,
+from gogkit.exactlin import (DimensionMismatch, RatMatrix, canonicalize, carry, contains,
                              full_space, image, intersect, kernel_vectors, preimage,
                              subspace_sum, zero_space)
 
@@ -393,3 +393,51 @@ def test_det_sign_follows_row_swaps():
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(ValueError, match="singular"):
         RatMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).inverse()
+
+
+# -- carry: one elimination in place of image(preimage(...)) -------------------
+
+
+@st.composite
+def carry_cases(draw):
+    """(m_in, m_out, s): m_in injective, s spanned by mixes of its columns."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    rows = [[draw(rationals) for _ in range(k)] for _ in range(n)]
+    m_in = RatMatrix.from_rows(rows)
+    assume(m_in.rank() == k)
+    m_out = RatMatrix.from_rows([[draw(rationals) for _ in range(k)]
+                                 for _ in range(draw(st.integers(k, 4)))])
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                          max_size=k))
+    s = canonicalize([[sum(c * x for c, x in zip(cs, row)) for row in rows]
+                      for cs in mixes], n)
+    return m_in, m_out, s
+
+
+@given(carry_cases())
+@settings(max_examples=300, deadline=None)
+def test_carry_matches_image_of_preimage(case):
+    m_in, m_out, s = case
+    assert carry(m_in, m_out, s) == image(m_out, preimage(m_in, s))
+
+
+def test_carry_of_zero_and_of_the_whole_image():
+    m_in = RatMatrix.from_rows([[2, 0], [0, 3], [1, 1]])
+    m_out = RatMatrix.from_rows([[1, 1], [0, 1]])
+    assert carry(m_in, m_out, zero_space(3)) == zero_space(2)
+    assert carry(m_in, m_out, m_in.column_span()) == m_out.column_span()
+    rank0 = RatMatrix(2, 0, ((), ()))
+    assert carry(rank0, RatMatrix(3, 0, ((), (), ())), zero_space(2)) == zero_space(3)
+
+
+def test_carry_rejects_bad_shapes_and_spans_outside_the_image():
+    m_in = RatMatrix.from_rows([[1], [0]])
+    with pytest.raises(ValueError, match="outside"):
+        carry(m_in, m_in, canonicalize([(0, 1)]))
+    with pytest.raises(ValueError, match="not injective"):
+        carry(RatMatrix.from_rows([[1, 2], [2, 4]]), RatMatrix.identity(2), zero_space(2))
+    with pytest.raises(DimensionMismatch):
+        carry(m_in, m_in, full_space(3))
+    with pytest.raises(DimensionMismatch):
+        carry(m_in, RatMatrix.identity(2), zero_space(2))

@@ -3,13 +3,14 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gogkit import GraphOfGroups, VertexSpec, contains, explore, graph_from_dict, validate
-from gogkit.exactlin import canonicalize, full_space
+from gogkit import exactlin, oracle
+from gogkit.exactlin import DimensionMismatch, canonicalize, full_space, image, preimage
 
-from conftest import NO_RAFT_TABLE
+from conftest import NO_RAFT_TABLE, RANK0_PROBE
 
 
 def spans_at(g, orc):
@@ -111,6 +112,103 @@ def test_abelian_transport_refuses_spans_outside_the_end_class(graph):
     # e's image at u is <a1,a2>: a span with the third axis does not cross
     skew = canonicalize([(0, 0, 1), (1, 0, 0)])
     assert orc.transport("e", 0, skew) is None
+
+
+def _old_transport(orc, eid, entered_end, cls):
+    """Transport as a guard on `contains` followed by image(preimage(...))."""
+    e = orc.g.edge(eid)
+    m_in, m_out = e.ends[entered_end].matrix, e.ends[1 - entered_end].matrix
+    if not contains(m_in.column_span(), cls):
+        return None
+    return image(m_out, preimage(m_in, cls))
+
+
+@st.composite
+def one_edge_graphs(draw):
+    """A graph with one edge whose injective integer maps have rank k <= n <= 4.
+
+    The edge is a loop or joins two vertices; rank-0 edges and square
+    (finite-index) ends are both drawn.
+    """
+    loop = draw(st.booleans())
+    ranks = [draw(st.integers(0, 4))]
+    ranks.append(ranks[0] if loop else draw(st.integers(0, 4)))
+    k = draw(st.integers(0, min(ranks)))
+    ends = []
+    for i, n in enumerate(ranks):
+        m = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)]
+        ends.append({"vertex": "v" if loop else f"v{i}", "matrix": m})
+    vertices = [{"id": "v", "rank": ranks[0]}] if loop else \
+        [{"id": f"v{i}", "rank": n} for i, n in enumerate(ranks)]
+    g = graph_from_dict({"oracle": "abelian", "vertices": vertices,
+                         "edges": [{"id": "e", "rank": k, "ends": ends}]})
+    assume(validate(g).ok)
+    return g
+
+
+@st.composite
+def classes_near(draw, end_cls):
+    """The end class itself, a span inside it, or any span in its ambient space."""
+    n = end_cls.ambient_dim
+    kind = draw(st.sampled_from(["own", "inside", "any"]))
+    if kind == "own":
+        return end_cls
+    if kind == "inside":
+        mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=end_cls.dim,
+                                       max_size=end_cls.dim), max_size=end_cls.dim))
+        return canonicalize([[sum(c * b[j] for c, b in zip(cs, end_cls.basis))
+                              for j in range(n)] for cs in mixes], n)
+    vecs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         max_size=n))
+    return canonicalize(vecs, n)
+
+
+@given(one_edge_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_abelian_transport_matches_guarded_image_of_preimage(g, data):
+    orc = g.oracle()
+    for i in (0, 1):
+        for _ in range(3):
+            cls = data.draw(classes_near(orc.class_of("e", i)))
+            assert orc.transport("e", i, cls) == _old_transport(orc, "e", i, cls)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["arc3", "bs22", "thm14", "f2xz", "z2hnn", "rank0_probe"])
+def test_transport_of_an_end_class_runs_no_elimination(graph, monkeypatch, name):
+    g = graph_from_dict(RANK0_PROBE) if name == "rank0_probe" else graph(name)
+    orc = g.oracle()
+    own = {(e.id, i): orc.class_of(e.id, i) for e in g.edges for i in (0, 1)}
+    guards = _count_calls(monkeypatch, oracle, "contains")
+    eliminations = _count_calls(monkeypatch, exactlin, "_echelon")
+    for (eid, i), cls in own.items():
+        assert orc.transport(eid, i, cls) == own[(eid, 1 - i)]
+    assert guards == [] and eliminations == []
+
+
+def test_transport_of_a_larger_class_makes_no_containment_test(graph, monkeypatch):
+    orc = graph("arc3").oracle()
+    orc.class_of("e", 0)
+    guards = _count_calls(monkeypatch, oracle, "contains")
+    assert orc.transport("e", 0, full_space(3)) is None
+    assert guards == []
+
+
+@pytest.mark.parametrize("cls", [full_space(2), canonicalize([(1, 0)]), full_space(4)])
+def test_transport_rejects_a_class_from_another_ambient(graph, cls):
+    orc = graph("arc3").oracle()   # e's end classes live in Q^3
+    with pytest.raises(DimensionMismatch):
+        orc.transport("e", 0, cls)
 
 
 def test_table_transport_refuses_classes_above_the_end_class():
