@@ -395,13 +395,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:     # usage errors exit 2, --help and --version 0
         return e.code
-    env = os.environ.get("GOG_SEED")
-    try:
-        seed = DEFAULT_SEED if env is None else int(env)
-    except ValueError:
-        return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
-    if args.seed is None:
-        args.seed = seed
+    if args.seed is None:       # --seed wins, so GOG_SEED is read only without it
+        env = os.environ.get("GOG_SEED")
+        try:
+            args.seed = DEFAULT_SEED if env is None else int(env)
+        except ValueError:
+            return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
     # The one table from exceptions to exit codes.
     try:
         return args.run(args)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import RationalSubspace, canonicalize, contains, subspace_sum, zero_space
+from .exactlin import RationalSubspace, contains, subspace_sum, zero_space
 from .depth import DepthAssignment, depth_filtration
 from .oracle import UnsupportedOracle
 from .reduce import complete_reduce, reducible_edges
@@ -71,18 +71,12 @@ def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
     total = zero_space(n)
     for span, _ in spans:
         total = subspace_sum(total, span)
+    # A corank-one node's span lies in `total`, so a proper `total` is
+    # itself the hyperplane that holds every incident span.
     if total.is_full():
         verdict, witness = "connected", None
     else:
-        hull = list(total.basis)
-        for j in range(n):
-            if len(hull) >= n - 1:
-                break
-            unit = [1 if k == j else 0 for k in range(n)]
-            grown = canonicalize(hull + [unit], n)
-            if grown.dim > len(hull):
-                hull.append(unit)
-        verdict, witness = "disconnected", canonicalize(hull, n)
+        verdict, witness = "disconnected", total
 
     adj = []
     for a in nodes:

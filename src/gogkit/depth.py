@@ -9,16 +9,19 @@ incident edge whose class is strictly below another incident class, and give
 the survivors (and the positive-depth vertices coarsely equivalent to them)
 the next depth.
 
-A graph of finitely generated abelian groups always gets a Finite verdict:
+A graph of finitely generated abelian groups never gets an Infinite verdict:
 a strict coarse inclusion of abelian subgroups drops rank, so chains are
 bounded.  Table-mode graphs can be Infinite (an edge class strictly inside a
-translate of itself) and either mode can come back Unknown when the bounded
-transport horizon was exhausted while new classes were still appearing.
+translate of itself); abelian transport keeps dimension, so the scan for such
+a self-comparison runs for the table oracle only.  Either mode can come back
+Unknown when a bounded transport walk (in abelian mode, a flotilla reach walk)
+was cut while new classes were still appearing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .oracle import explore
 from .reduce import reducible_edges
@@ -88,6 +91,23 @@ class DepthAssignment:
     levels: tuple[Level, ...]
 
 
+def _ff_edges(g, orc):
+    """Edges whose inclusions have finite index at both ends."""
+    return [e for e in g.edges
+            if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1)]
+
+
+def _components(vertex_ids, edges):
+    """(vertex ids, edge ids) of each component, ordered by least vertex id."""
+    uf = UnionFind(vertex_ids)
+    for e in edges:
+        uf.union(e.ends[0].vertex, e.ends[1].vertex)
+    comps = {root: (list(members), []) for root, members in uf.classes().items()}
+    for e in edges:
+        comps[uf.find(e.ends[0].vertex)][1].append(e.id)
+    return [comps[root] for root in sorted(comps)]
+
+
 def depth_zero_rafts(g) -> list[Raft]:
     """Maximal subgraphs whose internal edge inclusions all have finite index.
 
@@ -97,26 +117,13 @@ def depth_zero_rafts(g) -> list[Raft]:
     inside somewhere else, so they have positive depth and no raft.
     """
     orc = g.oracle()
-    ff = [e for e in g.edges
-          if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1)]
+    ff = _ff_edges(g, orc)
     ff_ids = {e.id for e in ff}
-    uf = UnionFind(v.id for v in g.vertices)
-    for e in ff:
-        uf.union(e.ends[0].vertex, e.ends[1].vertex)
-    comps = uf.classes()
-
     rafts = []
-    for root in sorted(comps):
-        members = comps[root]
-        ok = True
-        for vid in members:
-            for (e, i) in g.ends_at(vid):
-                if e.id not in ff_ids and orc.finite_index_end(e.id, i):
-                    ok = False
-        if ok:
-            core = sorted(members) + sorted(e.id for e in ff
-                                            if e.ends[0].vertex in members)
-            rafts.append(Raft(0, tuple(sorted(core)), ()))
+    for vids, eids in _components([v.id for v in g.vertices], ff):
+        if not any(e.id not in ff_ids and orc.finite_index_end(e.id, i)
+                   for vid in vids for (e, i) in g.ends_at(vid)):
+            rafts.append(Raft(0, tuple(sorted(vids + eids)), ()))
     return rafts
 
 
@@ -148,17 +155,10 @@ def raft_kind(g, raft: Raft) -> str:
 
 def _flotilla_components(g, depth, level):
     """Components of the subgraph of orbits with depth <= level."""
-    vs = [v.id for v in g.vertices if depth.get(v.id, None) is not None
-          and depth[v.id] <= level]
-    es = [e for e in g.edges if depth.get(e.id, None) is not None
-          and depth[e.id] <= level]
-    uf = UnionFind(vs)
-    for e in es:
-        uf.union(e.ends[0].vertex, e.ends[1].vertex)
-    comps = uf.classes()
-    for e in es:
-        comps[uf.find(e.ends[0].vertex)].add(e.id)
-    return [Flotilla(level, tuple(sorted(m))) for _, m in sorted(comps.items())]
+    vs = [v.id for v in g.vertices if v.id in depth and depth[v.id] <= level]
+    es = [e for e in g.edges if e.id in depth and depth[e.id] <= level]
+    return [Flotilla(level, tuple(sorted(vids + eids)))
+            for vids, eids in _components(vs, es)]
 
 
 def _self_strict_scan(g, orc, horizon):
@@ -169,12 +169,12 @@ def _self_strict_scan(g, orc, horizon):
     """
     truncated = False
     for e in sorted(g.edges, key=lambda e: e.id):
-        base = [(e.ends[i].vertex, orc.class_of(e.id, i), i) for i in (0, 1)]
-        for (vid, cls, i) in base:
+        base = [(e.ends[i].vertex, orc.class_of(e.id, i)) for i in (0, 1)]
+        for (vid, cls) in base:
             res = explore(orc, vid, cls, max_steps=horizon)
             truncated = truncated or res.truncated
             for pl in res.placements:
-                for (bv, bcls, bi) in base:
+                for (bv, bcls) in base:
                     if pl.vertex != bv:
                         continue
                     if orc.strictly_less(bv, pl.cls, bcls):
@@ -191,10 +191,7 @@ def _self_strict_scan(g, orc, horizon):
 
 def _no_raft_witness(g, orc):
     """Ascend through strictly increasing vertex classes until an orbit repeats."""
-    raftless = depth_zero_rafts(g)
-    assert not raftless
-    ff_ids = {e.id for e in g.edges
-              if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1)}
+    ff_ids = {e.id for e in _ff_edges(g, orc)}
     steps = []
     seen = []
     vid = min(v.id for v in g.vertices)
@@ -233,11 +230,12 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
     if horizon is None:
         horizon = 2 * max(1, len(g.edges))
     truncated = False
-
-    hit, trunc = _self_strict_scan(g, orc, horizon)
-    truncated = truncated or trunc
-    if hit is not None:
-        return DepthAssignment({}, Verdict("infinite", witness=hit, horizon=horizon), ())
+    # Abelian transport keeps dimension and a strict inclusion drops it, so
+    # no abelian edge class is strictly comparable to a translate of itself.
+    if g.oracle_mode == "table":
+        hit, truncated = _self_strict_scan(g, orc, horizon)
+        if hit is not None:
+            return DepthAssignment({}, Verdict("infinite", witness=hit, horizon=horizon), ())
 
     rafts0 = depth_zero_rafts(g)
     if not rafts0:
@@ -245,10 +243,7 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             {}, Verdict("infinite", witness=_no_raft_witness(g, orc), horizon=horizon), ())
     rafts0 = [replace(r, kind=raft_kind(g, r)) for r in rafts0]
 
-    depth = {}
-    for r in rafts0:
-        for m in r.core:
-            depth[m] = 0
+    depth = {m: 0 for r in rafts0 for m in r.core}
     flotillas = _flotilla_components(g, depth, 0)
     levels = [Level(0, tuple(rafts0), tuple(flotillas))]
 
@@ -260,49 +255,43 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             break
         n += 1
 
-        flot_of = {}
-        for fi, fl in enumerate(flotillas):
-            for m in fl.members:
-                flot_of[m] = fi
+        flot_of = {m: fi for fi, fl in enumerate(flotillas) for m in fl.members}
         flot_edge_ids = [sorted(m for m in fl.members if m in all_edge_ids)
                          for fl in flotillas]
 
-        # One item per unassigned edge end, grouped by quotient node.
+        # One item per unassigned edge end, grouped by quotient node; an
+        # item's reach is {vertex: [classes in explore order]}.
         nodes = {}
-        items = {}
+        reach = {}
         for e in sorted(unassigned_edges, key=lambda e: e.id):
             for i in (0, 1):
                 x = e.ends[i].vertex
                 node = ("F", flot_of[x]) if x in flot_of else ("p", x)
                 cls = orc.class_of(e.id, i)
                 edge_pool = flot_edge_ids[node[1]] if node[0] == "F" else []
+                spots = {}
                 if edge_pool:
                     res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
                     truncated = truncated or res.truncated
-                    reach = {(p.vertex, p.cls) for p in res.placements}
+                    for p in res.placements:
+                        spots.setdefault(p.vertex, []).append(p.cls)
                 else:
-                    reach = {(x, cls)}      # no edge to cross: the start placement alone
-                items[(e.id, i)] = (node, cls, reach)
+                    spots[x] = [cls]    # no edge to cross: the start placement alone
+                reach[(e.id, i)] = spots
                 nodes.setdefault(node, []).append((e.id, i))
 
-        below = {}     # edge id -> (its class, dominating edge id, dominating class)
+        below = {}     # edge id -> (a class it reaches, dominating edge id)
         equiv_pairs = set()
-        for node, members in nodes.items():
-            for a in members:
-                for b in members:
-                    if a >= b:
-                        continue
-                    _, _, ra = items[a]
-                    _, _, rb = items[b]
-                    spots_a = {}
-                    for (z, c) in ra:
-                        spots_a.setdefault(z, set()).add(c)
-                    for (z, cb) in rb:
+        for members in nodes.values():
+            for a, b in combinations(members, 2):
+                spots_a = reach[a]
+                for z, cbs in reach[b].items():
+                    for cb in cbs:
                         for ca in spots_a.get(z, ()):
                             if orc.strictly_less(z, ca, cb):
-                                below.setdefault(a[0], (orc.render(ca), b[0], orc.render(cb)))
+                                below.setdefault(a[0], (ca, b[0]))
                             elif orc.strictly_less(z, cb, ca):
-                                below.setdefault(b[0], (orc.render(cb), a[0], orc.render(ca)))
+                                below.setdefault(b[0], (cb, a[0]))
                             elif orc.equivalent(z, ca, cb):
                                 equiv_pairs.add((a[0], b[0]))
 
@@ -311,15 +300,10 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             # Every remaining edge is strictly below another: the strictness
             # pointers must close a cycle, which certifies an infinite chain.
             chain = [min(below)]
-            while True:
-                nxt = below[chain[-1]][1]
-                if nxt in chain:
-                    chain.append(nxt)
-                    break
-                chain.append(nxt)
-            steps = tuple(
-                WitnessStep(eid, below[eid][0] if eid in below else "", True)
-                for eid in chain)
+            while chain[-1] not in chain[:-1]:
+                chain.append(below[chain[-1]][1])
+            steps = tuple(WitnessStep(eid, orc.render(below[eid][0]), True)
+                          for eid in chain)
             return DepthAssignment(
                 dict(depth), Verdict("infinite", witness=steps, horizon=horizon),
                 tuple(levels))

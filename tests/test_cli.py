@@ -9,7 +9,7 @@ import pytest
 
 from gogkit.cli import build_parser, main
 
-from conftest import RANK0_PROBE, fixture_path
+from conftest import NO_RAFT_TABLE, RANK0_PROBE, fixture_path
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -92,6 +92,14 @@ def test_rafts_report(capsys):
     assert "line" in out
 
 
+def test_rafts_report_without_rafts(capsys, tmp_path):
+    path = tmp_path / "no_raft.json"
+    path.write_text(json.dumps(NO_RAFT_TABLE))
+    code, out, _ = run(capsys, "rafts", path)
+    assert code == 0
+    assert out.splitlines()[0] == "no depth-0 rafts"
+
+
 def test_reduce_writes_graph(capsys, tmp_path):
     out_path = tmp_path / "reduced.json"
     code, out, _ = run(capsys, "reduce", fixture_path("heis"),
@@ -130,6 +138,20 @@ def test_invariants_report(capsys):
     assert code == 5
 
 
+def test_invariants_report_prints_slope_invariant(capsys, tmp_path):
+    # four lines of slopes 0, oo, 1 and 2 at the rank-2 vertex v
+    doc = {"oracle": "abelian",
+           "vertices": [{"id": "v", "rank": 2}, {"id": "w", "rank": 1}],
+           "edges": [{"id": f"e{k}", "rank": 1,
+                      "ends": [{"vertex": "v", "matrix": m}, {"vertex": "w", "matrix": [[1]]}]}
+                     for k, m in enumerate(([[1], [0]], [[0], [1]], [[1], [1]], [[1], [2]]))]}
+    path = tmp_path / "slopes.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "invariants", path, "--vertex", "v")
+    assert code == 0
+    assert "slope invariant: {-1, 0, 1, oo}\n" in out
+
+
 def test_compare_pattern_files(capsys):
     same = run(capsys, "compare", fixture_path("pattern_0inf12"),
                fixture_path("pattern_0inf12_shifted"))
@@ -166,6 +188,16 @@ def test_compare_graph_vertices(capsys):
     code, out, _ = run(capsys, "compare", fixture_path("f2xz"), fixture_path("f2xz"),
                        "--vertex-a", "v", "--vertex-b", "v")
     assert code == 0
+
+
+def test_compare_misuse_exits_two(capsys):
+    pattern = fixture_path("pattern_0inf12")
+    code, out, err = run(capsys, "compare", pattern, pattern, "--vertex-a", "v")
+    assert (code, out) == (2, "")
+    assert "is a pattern file; --vertex does not apply" in err
+    code, out, err = run(capsys, "compare", fixture_path("f2xz"), fixture_path("f2xz"))
+    assert (code, out) == (2, "")
+    assert "is a graph file; --vertex-a/--vertex-b required" in err
 
 
 def test_compare_decodes_each_graph_file_once(capsys, monkeypatch):
@@ -253,6 +285,10 @@ def test_seed_env_override(capsys, monkeypatch):
 def test_seed_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("GOG_SEED", "7")
     code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--seed", "11")
+    assert "seed: 11" in out
+    monkeypatch.setenv("GOG_SEED", "junk")     # not read when the flag is given
+    code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--seed", "11")
+    assert code == 0
     assert "seed: 11" in out
 
 

@@ -1,11 +1,15 @@
 """Crossing graphs and the five-hypothesis checklist."""
 
+import json
+
 import pytest
 
-from gogkit import check_hypotheses, crossing_graph, depth_filtration
+from gogkit import check_hypotheses, crossing_graph, depth_filtration, graph_from_dict
 from gogkit.crossing import WrongVertex
 from gogkit.exactlin import canonicalize, contains
 from gogkit.oracle import UnsupportedOracle
+
+from conftest import fixture_path
 
 
 def test_two_spanning_hyperplanes_connected(graph):
@@ -101,6 +105,21 @@ def test_reducible_input_fails_hypothesis_one_and_reduces(graph):
     assert report.entry(1).status == "fail"
     assert "reducible" in report.entry(1).detail
     assert report.reduced
+
+
+@pytest.mark.parametrize("declared, status, detail", [
+    (False, "fail", "vertex w declared not coarse PD"),
+    (None, "unknown", "no PD declaration for vertex w"),
+], ids=["declared-not-pd", "undeclared"])
+def test_hypothesis_three_reads_table_pd_declarations(declared, status, detail):
+    doc = json.loads(fixture_path("heis").read_text())
+    if declared is None:
+        del doc["pd_flags"]
+    else:
+        for flags in doc["pd_flags"].values():
+            flags["is_coarse_pd"] = declared
+    report = check_hypotheses(graph_from_dict(doc))
+    assert (report.entry(3).status, report.entry(3).detail) == (status, detail)
 
 
 def test_unknown_propagates(graph):

@@ -338,3 +338,72 @@ def test_empty_flotilla_pools_skip_explore(graph, monkeypatch):
                 assert explore(g.oracle(), x, cls, edge_ids=pool, max_steps=horizon) == \
                     ExploreResult((Placement(x, cls, ()),), False)
     assert skipped
+
+
+def test_abelian_filtration_runs_no_self_strict_scan(graph, monkeypatch):
+    """Abelian transport keeps dimension, so only flotilla reach walks run.
+
+    The table oracle keeps the unrestricted scan: it finds nonex's witness.
+    """
+    import random
+
+    import gogkit.depth as depth_module
+    from gogkit.oracle import explore
+
+    graphs = [graph(name) for name in ("arc3", "arc4", "thm14", "f2xz", "bs22", "z2hnn",
+                                       "shear_unknown")]
+    rng = random.Random(3317)
+    while len(graphs) < 40:
+        g = _random_irreducible_graph(rng)
+        if g is not None:
+            graphs.append(g)
+
+    unrestricted = []
+
+    def counting(orc, vid, cls, **kw):
+        if "edge_ids" not in kw:
+            unrestricted.append(vid)
+        return explore(orc, vid, cls, **kw)
+
+    monkeypatch.setattr(depth_module, "explore", counting)
+    for g in graphs:
+        assert g.oracle_mode == "abelian"
+        depth_filtration(g)
+    assert unrestricted == []
+
+    da = depth_filtration(graph("nonex"))
+    assert da.verdict.kind == "infinite"
+    assert unrestricted
+
+
+def test_no_raft_witness_crosses_a_finite_index_edge():
+    """The ascent walks v -> w over f, finite index at both ends, to leave by e1."""
+    from gogkit import graph_from_dict, validate
+    labels = {v: {"labels": [f"T{v}", f"C{v}"], "top": f"T{v}"} for v in "vwx"}
+    doc = {
+        "oracle": "table",
+        "vertices": [{"id": v, "rank": 3} for v in "vwx"],
+        "edges": [
+            {"id": "f", "rank": 3, "ends": [
+                {"vertex": "v", "class": "Tv"}, {"vertex": "w", "class": "Tw"}]},
+            {"id": "e1", "rank": 3, "ends": [
+                {"vertex": "w", "class": "Tw"}, {"vertex": "x", "class": "Cx"}]},
+            {"id": "e2", "rank": 3, "ends": [
+                {"vertex": "x", "class": "Tx"}, {"vertex": "v", "class": "Cv"}]},
+        ],
+        "classes": labels,
+        "order": {v: [[f"C{v}", f"T{v}"]] for v in "vwx"},
+        "transport": {
+            "f": [{"Tv": "Tw", "Cv": "Cw"}, {"Tw": "Tv", "Cw": "Cv"}],
+            "e1": [{"Tw": "Cx", "Cw": "Cx"}, {"Cx": "Tw"}],
+            "e2": [{"Tx": "Cv", "Cx": "Cv"}, {"Cv": "Tx"}],
+        },
+        "indices": {"f": [2, 2], "e1": [2, "inf"], "e2": [2, "inf"]},
+    }
+    g = graph_from_dict(doc)
+    assert validate(g).ok, validate(g).violations
+    assert depth_zero_rafts(g) == []
+    da = depth_filtration(g, 1)
+    assert da.verdict.kind == "infinite"
+    assert [(s.orbit, s.cls) for s in da.verdict.witness] == [
+        ("v", "Tv"), ("x", "Tx"), ("v", "Tv")]

@@ -240,6 +240,15 @@ def test_explore_truncates_unbounded_families(graph):
     assert len(res.placements) > 4
 
 
+def test_explore_stops_at_max_states(graph, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STATES", 50)
+    g = graph("shear_unknown")
+    orc = g.oracle()
+    res = explore(orc, "v", orc.class_of("e", 0), max_steps=None)
+    assert res.truncated
+    assert len(res.placements) == 50
+
+
 def _explore_by_scan(orc, vid, cls, edge_ids, max_steps):
     """Breadth-first search that scans every allowed edge at every state."""
     edges = [orc.g.edge(eid) for eid in sorted(edge_ids)]

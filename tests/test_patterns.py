@@ -330,3 +330,39 @@ def test_rigidity_check_matches_determinants():
         p = hyperplanes(normals)
         verdict = rigidity_check(p)
         assert (verdict.status, verdict.witness) == by_det(p)
+
+
+class _NoSampling(random.Random):
+    def randint(self, a, b):
+        raise AssertionError("the exact grid should decide without sampling")
+
+
+def _record_grid_points(monkeypatch):
+    """Coefficient lists `patterns_equivalent` builds candidate maps from."""
+    points = []
+    as_matrix = patterns._as_matrix
+    monkeypatch.setattr(patterns, "_as_matrix",
+                        lambda coeffs, basis, n: points.append(list(coeffs))
+                        or as_matrix(coeffs, basis, n))
+    return points
+
+
+def test_grid_certifies_no_in_q3(monkeypatch):
+    coplanar = LinearPattern.of([canonicalize([v]) for v in
+                                 ((1, 0, 0), (0, 1, 0), (1, 1, 0))], 3)
+    independent = LinearPattern.of([canonicalize([v]) for v in
+                                    ((1, 0, 0), (0, 1, 0), (0, 0, 1))], 3)
+    points = _record_grid_points(monkeypatch)
+    assert patterns_equivalent(coplanar, independent) == (False, None)
+    # every bijection's samples failed, and the (n+1)-grid was walked to the end
+    assert any(len(c) > 1 and all(0 <= x <= 3 for x in c) for c in points)
+
+
+def test_grid_finds_a_witness_in_q2_without_sampling():
+    p = lines((1, 0), (0, 1))
+    q = lines((1, 1), (1, 2))
+    same, witness = patterns_equivalent(p, q, rng=_NoSampling())
+    assert same
+    assert witness.det() != 0
+    got = sorted((image(witness, s) for s in p.subspaces), key=lambda s: (s.dim, s.basis))
+    assert got == list(q.subspaces)
