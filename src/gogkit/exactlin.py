@@ -239,11 +239,13 @@ class RatMatrix:
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        cols = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        ents = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-            for row in self.entries
-        )
+        # (d_a A)(d_b B) = d_a d_b AB: integer dot products, one Fraction per entry
+        a, da = _int_matrix(self)
+        b, db = _int_matrix(other)
+        d = da * db
+        cols = list(zip(*b)) if b else [()] * other.cols
+        ents = tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col)), d) for col in cols)
+                     for row in a)
         return RatMatrix(self.rows, other.cols, ents)
 
     def rank(self) -> int:

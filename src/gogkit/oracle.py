@@ -42,6 +42,7 @@ class AbelianOracle:
     def __init__(self, g: GraphOfGroups):
         self.g = g
         self._cls = {}
+        self._index = {}
         self._moved = {}
 
     def top_class(self, vid: str) -> RationalSubspace:
@@ -70,7 +71,10 @@ class AbelianOracle:
     def index_value(self, eid: str, end: int) -> int:
         if not self.finite_index_end(eid, end):
             raise ValueError(f"edge {eid} end {end} has infinite index image")
-        return abs(int(self.g.edge(eid).ends[end].matrix.det()))
+        key = (eid, end)
+        if key not in self._index:
+            self._index[key] = abs(int(self.g.edge(eid).ends[end].matrix.det()))
+        return self._index[key]
 
     def transport(self, eid: str, entered_end: int, cls: RationalSubspace):
         """cls carried across the edge, or None when it is not below the entered end class."""

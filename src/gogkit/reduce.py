@@ -7,13 +7,19 @@ attached there is re-attached through the composed injection.  Iterating
 until no such edge remains gives an irreducible graph.  The end result is
 not unique, but the multiset of commensurability classes of vertex and edge
 groups is; `comm_classes` computes that fingerprint.
+
+`complete_reduce` scans the graph for reducible ends once and keeps them in a
+candidate set.  A collapse changes only the edges with an end at the absorbed
+vertex: those ends move to the kept vertex (an edge may become a loop) and
+are composed with the collapsed edge's maps, so their determinant or index
+gets multiplied by the index of the collapsed edge at the kept end.  So after
+each collapse only both ends of those re-attached edges are rechecked; every
+other edge, and whether it is reducible, carries over unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData
+from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData, UnknownId
 from .oracle import explore
 from .unionfind import UnionFind
 
@@ -37,23 +43,35 @@ def reducible_edges(g: GraphOfGroups):
 
 
 def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
-    """Collapse along a reducible edge; the surjective end's vertex disappears."""
+    """Collapse along a reducible edge; the surjective end's vertex disappears.
+
+    Edges with no end at the absorbed vertex are carried over as they are.
+    """
     orc = g.oracle()
-    if end not in (0, 1) or eid not in g.edge_ids() or not _reducible(orc, g.edge(eid), end):
+    try:
+        e = g.edge(eid)
+    except UnknownId:
+        e = None
+    if end not in (0, 1) or e is None or not _reducible(orc, e, end):
         raise NotReducible(f"edge {eid} end {end} is not reducible")
-    e = g.edge(eid)
     gone = e.ends[end].vertex          # absorbed vertex
     kept = e.ends[1 - end].vertex      # carries the merged group
     if g.oracle_mode == "abelian":
         # phi_theta . phi_eta^{-1}, integer since phi_eta is unimodular.
         through = e.ends[1 - end].matrix.mul(e.ends[end].matrix.inverse())
 
+    def moves(f):
+        return f.ends[0].vertex == gone or f.ends[1].vertex == gone
+
     new_edges = []
     for f in g.edges:
         if f.id == eid:
             continue
+        if not moves(f):
+            new_edges.append(f)
+            continue
         ends = []
-        for i, fe in enumerate(f.ends):
+        for fe in f.ends:
             if fe.vertex != gone:
                 ends.append(fe)
             elif g.oracle_mode == "abelian":
@@ -61,7 +79,7 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
             else:
                 moved = orc.transport(eid, end, fe.class_label)
                 ends.append(EdgeEnd(kept, class_label=moved))
-        new_edges.append(replace(f, ends=(ends[0], ends[1])))
+        new_edges.append(EdgeSpec(f.id, f.rank, (ends[0], ends[1])))
 
     table = None
     if g.oracle_mode == "table":
@@ -74,11 +92,14 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
         for f in g.edges:
             if f.id == eid:
                 continue
+            if not moves(f):
+                indices[f.id], transport[f.id] = t.indices[f.id], t.transport[f.id]
+                continue
             idx = []
             maps = []
             for i, fe in enumerate(f.ends):
                 iv = t.indices[f.id][i]
-                mp = dict(t.transport[f.id][i])
+                mp = t.transport[f.id][i]
                 if fe.vertex == gone:
                     iv = INFINITE if iv == INFINITE else iv * cross
                     # Entering at the re-attached end now starts at `kept`:
@@ -110,16 +131,25 @@ def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
 
     The edge count strictly decreases, so this terminates.  `order` picks the
     next (edge id, end index): "lex" (default) the least, "revlex" the
-    greatest; any other value raises ValueError.
+    greatest; any other value raises ValueError.  The graph is scanned once;
+    after each collapse only the ends of the re-attached edges are rechecked.
     """
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown edge-selection policy {order!r}")
     pick = min if order == "lex" else max
-    while True:
-        cands = reducible_edges(g)
-        if not cands:
-            return g
-        g = collapse(g, *pick(cands))
+    cands = set(reducible_edges(g))
+    while cands:
+        eid, end = pick(cands)
+        gone = g.edge(eid).ends[end].vertex
+        touched = {f.id for f, _ in g.ends_at(gone)}
+        g = collapse(g, eid, end)
+        orc = g.oracle()
+        for fid in touched:
+            for i in (0, 1):
+                cands.discard((fid, i))
+                if fid != eid and _reducible(orc, g.edge(fid), i):
+                    cands.add((fid, i))
+    return g
 
 
 def comm_classes(g: GraphOfGroups, horizon: int | None = None):

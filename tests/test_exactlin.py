@@ -395,6 +395,33 @@ def test_inverse_of_singular_matrix_raises():
         RatMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).inverse()
 
 
+def ref_mul(a, b):
+    """The product as sums of Fraction products, entry by entry."""
+    cols = list(zip(*b.entries)) if b.entries else [()] * b.cols
+    return RatMatrix(a.rows, b.cols, tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        for row in a.entries))
+
+
+def rat_matrix(draw, rows, cols):
+    # built directly: from_rows cannot express a 0-row matrix with columns
+    return RatMatrix(rows, cols, tuple(tuple(Fraction(draw(rationals)) for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_fraction_reference(data, n, k, m):
+    a, b = rat_matrix(data.draw, n, k), rat_matrix(data.draw, k, m)
+    product = a.mul(b)
+    assert product == ref_mul(a, b)
+    assert (product.rows, product.cols) == (n, m)
+    assert all(type(x) is Fraction for row in product.entries for x in row)
+    k2 = data.draw(st.integers(0, 3).filter(lambda j: j != k))
+    with pytest.raises(DimensionMismatch):
+        a.mul(rat_matrix(data.draw, k2, m))
+
+
 # -- carry: one elimination in place of image(preimage(...)) -------------------
 
 

@@ -91,6 +91,8 @@ def test_complete_reduce_rejects_unknown_order(graph):
 @pytest.mark.parametrize("name", ["heis", "chain"])
 @pytest.mark.parametrize("order", ["lex", "revlex"])
 def test_complete_reduce_scans_once_per_collapse(graph, monkeypatch, name, order):
+    """One `reducible_edges` scan for the whole reduction, however many
+    collapses follow: later steps recheck only the re-attached edges."""
     import gogkit.reduce as reduce_mod
     ident = [[1, 0], [0, 1]]
     g = graph(name) if name == "heis" else abelian_graph(
@@ -109,7 +111,7 @@ def test_complete_reduce_scans_once_per_collapse(graph, monkeypatch, name, order
     monkeypatch.setattr(reduce_mod, "collapse", counted("collapse", reduce_mod.collapse))
     complete_reduce(g, order=order)
     assert calls["collapse"] > 0
-    assert calls["scan"] == calls["collapse"] + 1
+    assert calls["scan"] == 1
 
 
 def test_complete_reduce_fixed_point(graph):
@@ -163,7 +165,7 @@ def test_single_vertex_fingerprint():
 def _unimodular(rng, n):
     # product of a few elementary integer matrices: always determinant +-1
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, 4) if n else 0):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -175,26 +177,41 @@ def _unimodular(rng, n):
 
 @st.composite
 def reducible_graphs(draw):
-    """Small connected abelian graphs with at least one reducible edge."""
+    """Small connected abelian graphs on a spanning tree plus up to three extra
+    edges (loops, parallel copies, random pairs); ranks 0-3, edge ranks from 0
+    up to the smaller end rank, most drawn at that maximum."""
     rng = draw(st.randoms(use_true_random=False))
     nv = draw(st.integers(2, 4))
-    ranks = [draw(st.integers(1, 3)) for _ in range(nv)]
+    ranks = [draw(st.integers(0, 3)) for _ in range(nv)]
     vertices = [(f"v{i}", ranks[i]) for i in range(nv)]
-    edges = []
-    for i in range(1, nv):
-        j = rng.randrange(i)
-        r = min(ranks[i], ranks[j])
+
+    def edge(eid, a, b):
+        r = min(ranks[a], ranks[b])
+        if r and rng.random() < 0.25:
+            r = rng.randrange(r)
         kinds = []
-        for end_rank in (ranks[i], ranks[j]):
+        for end_rank in (ranks[a], ranks[b]):
             rows = _unimodular(rng, end_rank)
-            cols = [[rows[a][b] for b in range(r)] for a in range(end_rank)]
-            if end_rank == r and rng.random() < 0.4:
-                cols = [[2 * x if b == 0 else x for b, x in enumerate(row)]
+            cols = [[rows[x][y] for y in range(r)] for x in range(end_rank)]
+            if end_rank == r and r and rng.random() < 0.4:
+                cols = [[2 * x if y == 0 else x for y, x in enumerate(row)]
                         for row in cols]
             kinds.append(cols)
-        edges.append((f"e{i}", r, (f"v{i}", kinds[0]), (f"v{j}", kinds[1])))
-    g = abelian_graph(vertices, edges)
-    return g
+        return (eid, r, (f"v{a}", kinds[0]), (f"v{b}", kinds[1]))
+
+    pairs = [(i, rng.randrange(i)) for i in range(1, nv)]
+    edges = [edge(f"e{i + 1}", a, b) for i, (a, b) in enumerate(pairs)]
+    for k in range(draw(st.integers(0, 3))):
+        kind = rng.choice(("loop", "parallel", "copy", "pair"))
+        if kind == "copy":
+            # the same maps again: once one copy collapses, the other is a loop
+            _, r, end0, end1 = rng.choice(edges)
+            edges.append((f"x{k}", r, end0, end1))
+            continue
+        a, b = {"loop": (rng.randrange(nv),) * 2, "parallel": rng.choice(pairs),
+                "pair": (rng.randrange(nv), rng.randrange(nv))}[kind]
+        edges.append(edge(f"x{k}", a, b))
+    return abelian_graph(vertices, edges)
 
 
 @st.composite
@@ -222,6 +239,31 @@ def test_collapse_order_does_not_change_fingerprint(g, p1, p2):
     assert not reducible_edges(r1) and not reducible_edges(r2)
     assert comm_classes(r1) == comm_classes(r2)
     assert _reduce_with(r1, p2) == r1
+
+
+@given(reducible_graphs())
+@settings(max_examples=200, deadline=None)
+def test_complete_reduce_matches_full_rescan(g):
+    for order, pick in (("lex", min), ("revlex", max)):
+        assert graph_to_dict(complete_reduce(g, order)) == graph_to_dict(_reduce_with(g, pick))
+
+
+@pytest.mark.parametrize("order, pick", [("lex", min), ("revlex", max)])
+def test_complete_reduce_matches_full_rescan_on_table_graph(graph, order, pick):
+    g = graph("heis")
+    assert graph_to_dict(complete_reduce(g, order)) == graph_to_dict(_reduce_with(g, pick))
+
+
+def test_parallel_identity_edges_leave_a_loop():
+    ident = [[1, 0], [0, 1]]
+    g = abelian_graph(
+        [("a", 2), ("b", 2)],
+        [("e", 2, ("a", ident), ("b", ident)), ("f", 2, ("a", ident), ("b", ident))])
+    for order, pick, vid, loop in (("lex", min, "b", "f"), ("revlex", max, "a", "e")):
+        out = complete_reduce(g, order)
+        assert out.vertex_ids() == [vid] and out.edge_ids() == [loop]
+        assert out.edge(loop).is_loop() and not reducible_edges(out)
+        assert out == _reduce_with(g, pick)
 
 
 @given(reducible_graphs())
