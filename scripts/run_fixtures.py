@@ -11,7 +11,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from gogkit import (build_ball, check_hypotheses, complete_reduce, depth_filtration,
-                    depth_zero_rafts, load_graph, raft_kind, reducible_edges, validate)
+                    depth_zero_rafts, load_graph, reducible_edges, validate)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 SKIP = {"invalid_rank_deficient"}
@@ -33,7 +33,7 @@ def main():
         if red:
             print(f"  reduced along {len(g.edges) - len(work.edges)} edges")
         for raft in depth_zero_rafts(work):
-            print(f"  depth-0 raft {{{','.join(raft.core)}}}: {raft_kind(work, raft)}")
+            print(f"  depth-0 raft {{{','.join(raft.core)}}}: {raft.kind}")
         da = depth_filtration(work)
         print(f"  depth verdict: {da.verdict.render()}")
         checks = check_hypotheses(g)

@@ -17,10 +17,10 @@ import sys
 
 from . import __version__
 from .crossing import WrongVertex, check_hypotheses, crossing_graph
-from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts, raft_kind
+from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts
 from .exactlin import DimensionMismatch, canonicalize
 from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, graph_to_dict,
-                    int_rows, load_graph, read_json, validate)
+                    int_rows, load_graph, read_json, validate, write_text)
 from .oracle import UnsupportedOracle
 from .patterns import (DEFAULT_SEED, LinearPattern, UnderdeterminedSlopes,
                        patterns_equivalent, rigidity_check, slope_invariant,
@@ -59,8 +59,7 @@ class _Emitter:
 def _write(body, output):
     """Write a report to the --output file, or to stdout without one."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        write_text(output, body)
     else:
         sys.stdout.write(body)
 
@@ -154,9 +153,8 @@ def cmd_rafts(args) -> int:
     em = _Emitter(args)
     payload = []
     for r in rafts:
-        kind = raft_kind(g, r)
-        payload.append({"members": sorted(r.core), "kind": kind})
-        em.text(f"depth-0 raft {{{','.join(sorted(r.core))}}}: {kind}")
+        payload.append({"members": sorted(r.core), "kind": r.kind})
+        em.text(f"depth-0 raft {{{','.join(sorted(r.core))}}}: {r.kind}")
     if not rafts:
         em.text("no depth-0 rafts")
     em.put("rafts", payload)

@@ -114,7 +114,8 @@ def depth_zero_rafts(g) -> list[Raft]:
     A component of the finite-index-both-ends subgraph qualifies unless one
     of its vertices has a finite-index incident end from an edge outside it;
     such vertices are coarsely equivalent to an edge space that sits strictly
-    inside somewhere else, so they have positive depth and no raft.
+    inside somewhere else, so they have positive depth and no raft.  Each raft
+    carries its `raft_kind`.
     """
     orc = g.oracle()
     ff = _ff_edges(g, orc)
@@ -123,7 +124,8 @@ def depth_zero_rafts(g) -> list[Raft]:
     for vids, eids in _components([v.id for v in g.vertices], ff):
         if not any(e.id not in ff_ids and orc.finite_index_end(e.id, i)
                    for vid in vids for (e, i) in g.ends_at(vid)):
-            rafts.append(Raft(0, tuple(sorted(vids + eids)), ()))
+            raft = Raft(0, tuple(sorted(vids + eids)), ())
+            rafts.append(replace(raft, kind=raft_kind(g, raft)))
     return rafts
 
 
@@ -241,7 +243,6 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
     if not rafts0:
         return DepthAssignment(
             {}, Verdict("infinite", witness=_no_raft_witness(g, orc), horizon=horizon), ())
-    rafts0 = [replace(r, kind=raft_kind(g, r)) for r in rafts0]
 
     depth = {m: 0 for r in rafts0 for m in r.core}
     flotillas = _flotilla_components(g, depth, 0)

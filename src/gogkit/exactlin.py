@@ -5,19 +5,20 @@ every row a primitive integer vector whose leading entry is positive.  This
 form is canonical: two subspaces are equal iff their stored bases are equal,
 so subspace equality is plain data equality and results are hashable.
 
-Everything here is exact and runs on Python ints: one fraction-free
-Gauss-Jordan elimination (`_echelon`) serves canonical forms, containment,
-kernels, rank, inverse and `carry`, and determinants use Bareiss's
+A matrix is integer rows over one positive denominator, and caches its column
+span and determinant.  Everything is exact and runs on Python ints: one
+fraction-free Gauss-Jordan elimination (`_echelon`) serves canonical forms,
+containment, kernels, inverse and `carry`, and determinants use Bareiss's
 integer-preserving elimination.  fractions.Fraction appears only where a
-public value is rational: RatMatrix entries, determinants, inverses and
-kernel vectors.  No floating point is used anywhere.
+public value is rational: RatMatrix entries, determinants and kernel vectors.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 
@@ -73,12 +74,6 @@ def _echelon(rows):
                 m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
     return m[:len(pivots)], pivots
-
-
-def _int_matrix(m: RatMatrix):
-    """(d * M as integer rows, d) for d the least common denominator of M's entries."""
-    d = lcm(*[x.denominator for row in m.entries for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m.entries], d
 
 
 @dataclass(frozen=True)
@@ -207,56 +202,64 @@ def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """A dense matrix over Q, immutable; rows x cols, row-major entries."""
+    """A dense immutable rows x cols matrix over Q, the value `ints` / `den`.
+
+    `den` is positive and coprime to the entries taken together, so equal
+    matrices have equal fields; `entries` is the Fraction view.  The column
+    span and determinant are cached on first use, outside `==` and `hash`.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
-        rows = [tuple(Fraction(x) for x in r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            for r in rows:
-                if len(r) != ncols:
-                    raise DimensionMismatch("ragged matrix rows")
-        else:
-            ncols = 0
-        return RatMatrix(len(rows), ncols, tuple(rows))
+        """The matrix with these rows of ints, Fractions or anything Fraction() takes."""
+        rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in r] for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged matrix rows")
+        # the lcm of denominators in lowest terms leaves the rows coprime to it
+        d = lcm(*[x.denominator for r in rows for x in r])
+        return RatMatrix(len(rows), ncols, tuple(
+            tuple(x.numerator * (d // x.denominator) for x in r) for r in rows), d)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, tuple(tuple(Fraction(1 if i == j else 0)
-                                           for j in range(n)) for i in range(n)))
+        return RatMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     def int_rows(self):
-        return [[int(x) for x in row] for row in self.entries]
+        if self.den != 1:
+            raise ValueError("matrix has non-integer entries")
+        return [list(row) for row in self.ints]
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        # (d_a A)(d_b B) = d_a d_b AB: integer dot products, one Fraction per entry
-        a, da = _int_matrix(self)
-        b, db = _int_matrix(other)
-        d = da * db
-        cols = list(zip(*b)) if b else [()] * other.cols
-        ents = tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col)), d) for col in cols)
-                     for row in a)
-        return RatMatrix(self.rows, other.cols, ents)
+        cols = list(zip(*other.ints)) if other.ints else [()] * other.cols
+        return _lowest(self.rows, other.cols,
+                       [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                        for row in self.ints], self.den * other.den)
 
     def rank(self) -> int:
-        return len(_echelon(self.entries)[0])
+        return self.column_span().dim
 
     def det(self) -> Fraction:
-        """Bareiss's fraction-free elimination on d * M, then divided by d^n."""
+        return self._det
+
+    @cached_property
+    def _det(self) -> Fraction:
+        """Bareiss's fraction-free elimination on the integer rows, over den^n."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
         n = self.rows
-        m, d = _int_matrix(self)
+        m = [list(row) for row in self.ints]
         sign, prev = 1, 1
         for k in range(n):
             if not m[k][k]:
@@ -270,47 +273,53 @@ class RatMatrix:
                 f = m[i][k]
                 m[i] = [(x * pk - f * y) // prev for x, y in zip(m[i], m[k])]
             prev = pk
-        return Fraction(sign * prev, d ** n)
+        return Fraction(sign * prev, self.den ** n)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-               for i, r in enumerate(self.entries)]
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.ints)]
         reduced, pivots = _echelon(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix(n, n, tuple(tuple(Fraction(x, row[i]) for x in row[n:])
-                                     for i, row in enumerate(reduced)))
+        # row i reads p_i x_i = rhs_i, and (A / den)^-1 = den * A^-1
+        d = lcm(*[row[i] for i, row in enumerate(reduced)])
+        return _lowest(n, n, [[self.den * x * (d // row[i]) for x in row[n:]]
+                              for i, row in enumerate(reduced)], d)
 
     def column_span(self) -> RationalSubspace:
-        return canonicalize([col for col in zip(*self.entries)] if self.entries else [],
-                            self.rows)
+        return self._span
+
+    @cached_property
+    def _span(self) -> RationalSubspace:
+        return canonicalize(list(zip(*self.ints)), self.rows)
+
+
+def _lowest(rows: int, cols: int, ints, den: int) -> RatMatrix:
+    """The matrix ints / den for a positive den, in lowest terms."""
+    g = gcd(den, *[x for row in ints for x in row])
+    return RatMatrix(rows, cols, tuple(tuple(x // g for x in row) for row in ints), den // g)
 
 
 def image(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
     """Canonical span of {M x : x in s}, a subspace of Q^rows."""
     if s.ambient_dim != m.cols:
-        raise DimensionMismatch(
-            f"image: matrix has {m.cols} columns, subspace lives in Q^{s.ambient_dim}"
-        )
-    ints, _ = _int_matrix(m)
-    return canonicalize([[sum(x * y for x, y in zip(row, v)) for row in ints]
+        raise DimensionMismatch(f"image: matrix has {m.cols} columns, "
+                                f"subspace lives in Q^{s.ambient_dim}")
+    return canonicalize([[sum(x * y for x, y in zip(row, v)) for row in m.ints]
                          for v in s.basis], m.rows)
 
 
 def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
     """Canonical {v in Q^cols : M v in s}."""
     if s.ambient_dim != m.rows:
-        raise DimensionMismatch(
-            f"preimage: matrix has {m.rows} rows, subspace lives in Q^{s.ambient_dim}"
-        )
+        raise DimensionMismatch(f"preimage: matrix has {m.rows} rows, "
+                                f"subspace lives in Q^{s.ambient_dim}")
     ann = annihilator(s).basis
     if not ann:
         return full_space(m.cols)
-    ints, _ = _int_matrix(m)
-    constraint = [[sum(y * row[c] for y, row in zip(u, ints)) for c in range(m.cols)]
+    constraint = [[sum(y * row[c] for y, row in zip(u, m.ints)) for c in range(m.cols)]
                   for u in ann]
     return canonicalize(kernel_vectors(constraint, m.cols), m.cols)
 
@@ -325,14 +334,13 @@ def carry(m_in: RatMatrix, m_out: RatMatrix, s: RationalSubspace) -> RationalSub
     if s.ambient_dim != m_in.rows or m_in.cols != m_out.cols:
         raise DimensionMismatch("carry: the shapes of m_in, m_out and s do not fit")
     k = m_in.cols
-    ints_in, _ = _int_matrix(m_in)
-    reduced, pivots = _echelon([row + [v[r] for v in s.basis]
-                                for r, row in enumerate(ints_in)])
+    # scaling either matrix by its denominator leaves every span unchanged
+    reduced, pivots = _echelon([list(row) + [v[r] for v in s.basis]
+                                for r, row in enumerate(m_in.ints)])
     if pivots != list(range(k)):
         raise ValueError("carry: m_in is not injective or s is outside its column span")
     # row r reads p_r x_r = rhs_r; scale every x_r to the common denominator
     d = lcm(*[row[r] for r, row in enumerate(reduced)])
     xs = [[x * (d // row[r]) for x in row[k:]] for r, row in enumerate(reduced)]
-    ints_out, _ = _int_matrix(m_out)
-    return canonicalize([[sum(a * x[j] for a, x in zip(row, xs)) for row in ints_out]
+    return canonicalize([[sum(a * x[j] for a, x in zip(row, xs)) for row in m_out.ints]
                          for j in range(s.dim)], m_out.rows)

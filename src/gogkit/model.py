@@ -13,7 +13,11 @@ All values are immutable after construction; operations elsewhere in the
 package are pure functions over them.  A graph builds its id and incidence
 index, and its oracle, on first use; both are caches, not part of the value.
 The incidence index lists each vertex's edge ends sorted by (edge id, end
-index), so every walk over them sees one order.
+index), so every walk over them sees one order.  An edge matrix caches its
+own column span and determinant the same way, so `validate`'s injectivity
+check, the oracle's end classes and indices, and every graph `collapse`
+returns with that matrix share one elimination and one determinant; the
+abelian oracle itself caches only transport results.
 """
 
 from __future__ import annotations
@@ -284,11 +288,12 @@ def validate(g: GraphOfGroups) -> ValidationReport:
                     bad(f"edge {e.id} end {i}: matrix shape {m.rows}x{m.cols}, "
                         f"expected {nv}x{e.rank}")
                     continue
-                if not m.is_integer():
+                if m.den != 1:
                     bad(f"edge {e.id} end {i}: matrix entries must be integers")
-                if m.rank() != e.rank:
+                rank = m.rank()     # the cached column span that class_of reads
+                if rank != e.rank:
                     bad(f"edge {e.id} end {i}: non-injective edge map "
-                        f"(rank {m.rank()} < {e.rank})")
+                        f"(rank {rank} < {e.rank})")
     if g.vertices and not _connected(g):
         bad("underlying graph is not connected")
     if g.oracle_mode == "table":
@@ -317,6 +322,18 @@ def _int_strict(x, where):
     return x
 
 
+def _array(x, where):
+    if not isinstance(x, list):
+        raise GraphLoadError(f"{where}: expected an array, got {x!r}")
+    return x
+
+
+def _object(x, where):
+    if not isinstance(x, dict):
+        raise GraphLoadError(f"{where}: expected an object, got {x!r}")
+    return x
+
+
 def int_rows(m, where):
     """`m` as a list of equal-length rows of exact integers; GraphLoadError if not."""
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
@@ -335,12 +352,12 @@ def graph_from_dict(doc) -> GraphOfGroups:
     if mode not in ("abelian", "table"):
         raise GraphLoadError(f'oracle must be "abelian" or "table", got {mode!r}')
     verts = []
-    for i, v in enumerate(doc.get("vertices", [])):
+    for i, v in enumerate(_array(doc.get("vertices", []), "vertices")):
         if not isinstance(v, dict) or "id" not in v:
             raise GraphLoadError(f"vertices[{i}]: need an object with id and rank")
         verts.append(VertexSpec(str(v["id"]), _int_strict(v.get("rank"), f"vertices[{i}].rank")))
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
+    for i, e in enumerate(_array(doc.get("edges", []), "edges")):
         if not isinstance(e, dict) or "id" not in e:
             raise GraphLoadError(f"edges[{i}]: need an object with id, rank, ends")
         ends_doc = e.get("ends")
@@ -371,18 +388,23 @@ def graph_from_dict(doc) -> GraphOfGroups:
         for vid, c in classes.items():
             if not isinstance(c, dict) or "labels" not in c or "top" not in c:
                 raise GraphLoadError(f"classes[{vid}]: need labels and top")
-            labels[vid] = tuple(str(x) for x in c["labels"])
+            labels[vid] = tuple(str(x) for x in _array(c["labels"], f"classes[{vid}].labels"))
             top[vid] = str(c["top"])
         order = {}
-        for vid, pairs in doc.get("order", {}).items():
+        for vid, pairs in _object(doc.get("order", {}), "order").items():
+            for k, pair in enumerate(_array(pairs, f"order[{vid}]")):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise GraphLoadError(f"order[{vid}][{k}]: need a pair of labels")
             order[vid] = tuple((str(a), str(b)) for a, b in pairs)
         transport = {}
-        for eid, maps in doc.get("transport", {}).items():
+        for eid, maps in _object(doc.get("transport", {}), "transport").items():
             if not isinstance(maps, list) or len(maps) != 2:
                 raise GraphLoadError(f"transport[{eid}]: need one map per end")
-            transport[eid] = tuple({str(k): str(v) for k, v in mp.items()} for mp in maps)
+            transport[eid] = tuple({str(k): str(v) for k, v in
+                                    _object(mp, f"transport[{eid}][{j}]").items()}
+                                   for j, mp in enumerate(maps))
         indices = {}
-        for eid, pair in doc.get("indices", {}).items():
+        for eid, pair in _object(doc.get("indices", {}), "indices").items():
             if not isinstance(pair, list) or len(pair) != 2:
                 raise GraphLoadError(f"indices[{eid}]: need a pair")
             vals = []
@@ -393,8 +415,8 @@ def graph_from_dict(doc) -> GraphOfGroups:
                     vals.append(_int_strict(x, f"indices[{eid}]"))
             indices[eid] = tuple(vals)
         pd_flags = {}
-        for vid, flags in doc.get("pd_flags", {}).items():
-            pd_flags[vid] = dict(flags)
+        for vid, flags in _object(doc.get("pd_flags", {}), "pd_flags").items():
+            pd_flags[vid] = dict(_object(flags, f"pd_flags[{vid}]"))
         table = TableData(labels, top, order, transport, indices, pd_flags)
     return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
 
@@ -443,7 +465,14 @@ def graph_to_dict(g: GraphOfGroups) -> dict:
     return doc
 
 
+def write_text(path, body):
+    """Write `body` to the file at `path`; GraphLoadError when unwritable."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    except OSError as e:
+        raise GraphLoadError(f"cannot write {path}: {e}") from e
+
+
 def dump_graph(g: GraphOfGroups, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n")

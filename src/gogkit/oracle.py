@@ -20,6 +20,8 @@ span of larger dimension than the entered end class never crosses, and one of
 equal dimension crosses only when it is that class, which lands on the
 opposite end class with no elimination.  Only a smaller span is tested with
 `contains`, and it crosses by `carry`: one elimination solving M_eta X = V.
+End classes and indices are read off the edge matrices, which cache their
+spans and determinants, so the abelian oracle caches only transports.
 """
 
 from __future__ import annotations
@@ -37,22 +39,15 @@ class UnsupportedOracle(ValueError):
 class AbelianOracle:
     """Classes are rational spans at a vertex, compared by span inclusion."""
 
-    mode = "abelian"
-
     def __init__(self, g: GraphOfGroups):
         self.g = g
-        self._cls = {}
-        self._index = {}
         self._moved = {}
 
     def top_class(self, vid: str) -> RationalSubspace:
         return full_space(self.g.vertex(vid).rank)
 
     def class_of(self, eid: str, end: int) -> RationalSubspace:
-        key = (eid, end)
-        if key not in self._cls:
-            self._cls[key] = self.g.edge(eid).ends[end].matrix.column_span()
-        return self._cls[key]
+        return self.g.edge(eid).ends[end].matrix.column_span()
 
     def leq(self, vid: str, a: RationalSubspace, b: RationalSubspace) -> bool:
         return contains(b, a)
@@ -71,10 +66,7 @@ class AbelianOracle:
     def index_value(self, eid: str, end: int) -> int:
         if not self.finite_index_end(eid, end):
             raise ValueError(f"edge {eid} end {end} has infinite index image")
-        key = (eid, end)
-        if key not in self._index:
-            self._index[key] = abs(int(self.g.edge(eid).ends[end].matrix.det()))
-        return self._index[key]
+        return abs(int(self.g.edge(eid).ends[end].matrix.det()))
 
     def transport(self, eid: str, entered_end: int, cls: RationalSubspace):
         """cls carried across the edge, or None when it is not below the entered end class."""
@@ -99,8 +91,6 @@ class AbelianOracle:
 
 class TableOracle:
     """Classes are declared labels; order, transport and indices are tables."""
-
-    mode = "table"
 
     def __init__(self, g: GraphOfGroups):
         if g.table is None:

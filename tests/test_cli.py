@@ -1,15 +1,17 @@
 """Exit-code contract and deterministic report emission."""
 
 import argparse
+import copy
 import json
 import pathlib
+import random
 import re
 
 import pytest
 
 from gogkit.cli import build_parser, main
 
-from conftest import NO_RAFT_TABLE, RANK0_PROBE, fixture_path
+from conftest import FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -297,6 +299,85 @@ def test_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--output", target)
     assert code == 0 and out == ""
     assert "verdict: Finite(2)" in target.read_text()
+
+
+def _table(**changes):
+    """NO_RAFT_TABLE with some of its sections replaced."""
+    doc = copy.deepcopy(NO_RAFT_TABLE)
+    doc.update(changes)
+    return doc
+
+
+MALFORMED_SECTIONS = {
+    "vertices-number": ({"vertices": 5}, "vertices: expected an array"),
+    "vertices-null": ({"vertices": None}, "vertices: expected an array"),
+    "edges-number": ({"vertices": [{"id": "v", "rank": 1}], "edges": 7},
+                     "edges: expected an array"),
+    "labels-number": (_table(classes={**NO_RAFT_TABLE["classes"],
+                                      "v": {"labels": 5, "top": "Tv"}}),
+                      "classes[v].labels: expected an array"),
+    "order-triple": (_table(order={"v": [["Cv", "Tv", "Tv"]]}),
+                     "order[v][0]: need a pair of labels"),
+    "order-array": (_table(order=[]), "order: expected an object"),
+    "transport-map-number": (_table(transport={**NO_RAFT_TABLE["transport"],
+                                               "e1": [5, {"Cw": "Tv"}]}),
+                             "transport[e1][0]: expected an object"),
+    "pd-flags-number": (_table(pd_flags={"v": 5}), "pd_flags[v]: expected an object"),
+}
+
+
+@pytest.mark.parametrize("doc,needle", MALFORMED_SECTIONS.values(), ids=MALFORMED_SECTIONS)
+def test_malformed_sections_exit_two(capsys, tmp_path, doc, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", bad)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(needle)
+
+
+def _value_paths(doc, prefix=()):
+    """The key path of every value under the top level of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
+    """Replace one value of the fixture at a time; validate and depth never crash."""
+    doc = json.loads(fixture_path(name).read_text())
+    rng = random.Random(f"mutate {name}")
+    paths = list(_value_paths(doc))
+    target = tmp_path / "mutated.json"
+    for path in rng.sample(paths, min(12, len(paths))):
+        mutated = copy.deepcopy(doc)
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = rng.choice([5, None, [], {}, "x"])
+        target.write_text(json.dumps(mutated))
+        for command in ("validate", "depth"):
+            code, _, err = run(capsys, command, target)
+            assert type(code) is int and 0 <= code <= 5, (path, node[path[-1]])
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", fixture_path("arc3"), "--output", "{missing}/r.txt"],
+    ["reduce", fixture_path("heis"), "-o", "{missing}/g.json"],
+    ["ball", fixture_path("z2hnn"), "--format", "dot", "--output", "{missing}/x.dot"],
+], ids=["depth-output", "reduce-output-graph", "ball-dot-output"])
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    missing = tmp_path / "no_such_dir"
+    argv = [str(a).format(missing=missing) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"cannot write {missing}/")
+    assert not missing.exists()
 
 
 def test_bad_bounds_rejected(capsys):

@@ -395,18 +395,22 @@ def test_inverse_of_singular_matrix_raises():
         RatMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).inverse()
 
 
+def fraction_matrix(rows, cols, entries):
+    # from_rows cannot express a 0-row matrix with columns
+    return RatMatrix.from_rows(entries) if rows else RatMatrix(0, cols, ())
+
+
 def ref_mul(a, b):
     """The product as sums of Fraction products, entry by entry."""
     cols = list(zip(*b.entries)) if b.entries else [()] * b.cols
-    return RatMatrix(a.rows, b.cols, tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
-        for row in a.entries))
+    return fraction_matrix(a.rows, b.cols, [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+        for row in a.entries])
 
 
 def rat_matrix(draw, rows, cols):
-    # built directly: from_rows cannot express a 0-row matrix with columns
-    return RatMatrix(rows, cols, tuple(tuple(Fraction(draw(rationals)) for _ in range(cols))
-                                       for _ in range(rows)))
+    return fraction_matrix(rows, cols, [[Fraction(draw(rationals)) for _ in range(cols)]
+                                        for _ in range(rows)])
 
 
 @given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -420,6 +424,39 @@ def test_mul_matches_fraction_reference(data, n, k, m):
     k2 = data.draw(st.integers(0, 3).filter(lambda j: j != k))
     with pytest.raises(DimensionMismatch):
         a.mul(rat_matrix(data.draw, k2, m))
+
+
+def _written_out(x, k):
+    """The rational x written with k times its denominator, as a Fraction() string."""
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_from_rows_stores_one_lowest_terms_denominator(data, n, k):
+    entries = [[Fraction(data.draw(rationals)) for _ in range(k)] for _ in range(n)]
+    m = RatMatrix.from_rows(entries)
+    other = RatMatrix.from_rows([[_written_out(x, data.draw(st.integers(1, 6))) for x in row]
+                                 for row in entries])
+    assert m == other and hash(m) == hash(other)
+    assert m.den > 0 and math.gcd(m.den, *[x for row in m.ints for x in row]) == 1
+    assert all(type(x) is int for row in m.ints for x in row)
+    assert m.entries == tuple(map(tuple, entries))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert (m.rows, m.cols) == ((n, k) if n else (0, 0))
+    assert (m.den == 1) == all(x.denominator == 1 for row in entries for x in row)
+
+
+def test_from_rows_accepts_ints_fractions_and_strings():
+    m = RatMatrix.from_rows([[1, Fraction(1, 2)], ["3/4", 0.25]])
+    assert (m.ints, m.den) == (((4, 2), (3, 1)), 4)
+    assert RatMatrix.from_rows([[2, 4], [6, 8]]).den == 1
+    assert RatMatrix.from_rows([[0, 0]]) == RatMatrix(1, 2, ((0, 0),))
+    assert RatMatrix.from_rows([[2, -1]]).int_rows() == [[2, -1]]
+    with pytest.raises(ValueError, match="non-integer"):
+        m.int_rows()
+    with pytest.raises(DimensionMismatch):
+        RatMatrix.from_rows([[1, 2], ["1/2"]])
 
 
 # -- carry: one elimination in place of image(preimage(...)) -------------------

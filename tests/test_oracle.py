@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gogkit import GraphOfGroups, VertexSpec, contains, explore, graph_from_dict, validate
+from gogkit import (GraphOfGroups, VertexSpec, collapse, contains, explore, graph_from_dict,
+                    validate)
 from gogkit import exactlin, oracle
 from gogkit.exactlin import DimensionMismatch, canonicalize, full_space, image, preimage
 
@@ -194,6 +195,39 @@ def test_transport_of_an_end_class_runs_no_elimination(graph, monkeypatch, name)
     for (eid, i), cls in own.items():
         assert orc.transport(eid, i, cls) == own[(eid, 1 - i)]
     assert guards == [] and eliminations == []
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "invalid_rank_deficient",
+                                  "shear_unknown", "thm14", "z2hnn"])
+def test_end_classes_reuse_the_elimination_of_validate(graph, monkeypatch, name):
+    g = graph(name)
+    validate(g)
+    orc = g.oracle()
+    eliminations = _count_calls(monkeypatch, exactlin, "_echelon")
+    for e in g.edges:
+        for i in (0, 1):
+            orc.class_of(e.id, i)
+    assert eliminations == []
+
+
+def test_collapse_keeps_the_classes_of_edges_it_carries_over(monkeypatch):
+    g = graph_from_dict({
+        "vertices": [{"id": "a", "rank": 2}, {"id": "b", "rank": 2}, {"id": "c", "rank": 3}],
+        "edges": [
+            {"id": "e", "rank": 2, "ends": [{"vertex": "a", "matrix": [[1, 0], [0, 1]]},
+                                            {"vertex": "b", "matrix": [[1, 1], [0, 1]]}]},
+            {"id": "f", "rank": 2, "ends": [{"vertex": "b", "matrix": [[2, 0], [0, 1]]},
+                                            {"vertex": "c", "matrix": [[1, 0], [0, 1], [1, 1]]}]},
+        ],
+    })
+    orc = g.oracle()
+    before = [orc.class_of("f", 0), orc.class_of("f", 1), orc.index_value("f", 0)]
+    out = collapse(g, "e", 0)
+    assert out.edge("f") is g.edge("f")
+    eliminations = _count_calls(monkeypatch, exactlin, "_echelon")
+    after = out.oracle()
+    assert [after.class_of("f", 0), after.class_of("f", 1), after.index_value("f", 0)] == before
+    assert eliminations == []
 
 
 def test_transport_of_a_larger_class_makes_no_containment_test(graph, monkeypatch):
