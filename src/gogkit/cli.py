@@ -2,9 +2,10 @@
 
 Exit codes form a disjoint contract: 0 success / all-pass, 1 analysis-level
 negative, 2 input error, 3 infinite depth, 4 unknown verdict, 5 analysis
-unsupported for the oracle mode.  Reports are deterministic: ids are sorted,
-randomized internals are reseeded from a fixed default seed (overridable by
-GOG_SEED or --seed), and the seed is printed in every report.
+unsupported for the oracle mode, 6 internal error (a fault in gogkit itself,
+reported on one stderr line, not as a traceback).  Reports are deterministic:
+ids are sorted, randomized internals are reseeded from a fixed default seed
+(overridable by GOG_SEED or --seed), and the seed is printed in every report.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_INPUT = 2
 EXIT_INFINITE = 3
 EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
+EXIT_INTERNAL = 6
 
 
 class _Emitter:
@@ -406,6 +408,8 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_UNSUPPORTED)
     except (GraphLoadError, MustReduceFirst, WrongVertex, DimensionMismatch, UnknownId) as e:
         return _fail(str(e), EXIT_INPUT)
+    except Exception as e:      # last resort: never let a fault pass for a verdict
+        return _fail(f"internal error: {e!r}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,19 @@ tree translates of an edge end share one span, so connectivity of the
 tree-level crossing graph collapses to a finite criterion: the graph is
 empty when no incident end has corank one, and otherwise connected precisely
 when the incident end spans together span the whole vertex group.  Two
-distinct corank-one spans always cross; copies of a single span H are joined
-exactly when some incident span escapes H.
+distinct corank-one spans always cross, and together they already span Q^n;
+copies of a single span H are joined exactly when some incident span escapes
+H.  So the verdict is read off the hyperplane nodes with no span sums: two or
+more nodes mean connected, and one node H takes one cached `contains` test
+per incident span.  Every adjacency entry equals the verdict, and the witness
+of a disconnected graph is H itself, which holds every incident span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import RationalSubspace, contains, subspace_sum, zero_space
+from .exactlin import RationalSubspace, contains
 from .depth import DepthAssignment, depth_filtration
 from .oracle import UnsupportedOracle
 from .reduce import complete_reduce, reducible_edges
@@ -68,26 +72,15 @@ def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
     if not nodes:
         return CrossingGraph(vid, (), (), "empty", None)
 
-    total = zero_space(n)
-    for span, _ in spans:
-        total = subspace_sum(total, span)
-    # A corank-one node's span lies in `total`, so a proper `total` is
-    # itself the hyperplane that holds every incident span.
-    if total.is_full():
-        verdict, witness = "connected", None
+    if len(nodes) > 1:
+        connected = True    # two distinct corank-one spans already span Q^n
     else:
-        verdict, witness = "disconnected", total
-
-    adj = []
-    for a in nodes:
-        row = []
-        for b in nodes:
-            if a.span != b.span:
-                row.append(True)   # distinct corank-one spans cross
-            else:
-                row.append(any(not contains(a.span, s) for s, _ in spans))
-        adj.append(tuple(row))
-    return CrossingGraph(vid, nodes, tuple(adj), verdict, witness)
+        # one hyperplane H: the incident spans span Q^n iff one escapes H
+        connected = any(not contains(nodes[0].span, s) for s, _ in spans)
+    adj = ((connected,) * len(nodes),) * len(nodes)
+    if connected:
+        return CrossingGraph(vid, nodes, adj, "connected", None)
+    return CrossingGraph(vid, nodes, adj, "disconnected", nodes[0].span)
 
 
 HYPOTHESIS_NAMES = {

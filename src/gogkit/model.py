@@ -18,6 +18,12 @@ own column span and determinant the same way, so `validate`'s injectivity
 check, the oracle's end classes and indices, and every graph `collapse`
 returns with that matrix share one elimination and one determinant; the
 abelian oracle itself caches only transport results.
+
+Loading checks types as it reads.  Vertex ids, edge ids, end vertex
+references and end class labels must be JSON strings, and matrix entries
+exact integers; anything else raises GraphLoadError naming its JSON path.
+Checked integer rows are already a matrix in lowest terms over denominator
+1, so each edge matrix is built from them directly, with no Fraction pass.
 """
 
 from __future__ import annotations
@@ -312,13 +318,20 @@ def validate(g: GraphOfGroups) -> ValidationReport:
 #             "ends": [{"vertex": ..., "matrix": [[...], ...]}, {...}]}, ...],
 #  ... table mode adds "classes", "order", "transport", "indices",
 #      optional "pd_flags"; ends then carry "class" instead of "matrix"}
-# Matrices are exact integers; floats are rejected outright.
+# Ids, end vertices and end classes are strings; matrices are exact
+# integers; floats are rejected outright.
 # ---------------------------------------------------------------------------
 
 
 def _int_strict(x, where):
     if isinstance(x, bool) or not isinstance(x, int):
         raise GraphLoadError(f"{where}: expected an exact integer, got {x!r}")
+    return x
+
+
+def _string(x, where):
+    if not isinstance(x, str):
+        raise GraphLoadError(f"{where}: expected a string, got {x!r}")
     return x
 
 
@@ -355,11 +368,13 @@ def graph_from_dict(doc) -> GraphOfGroups:
     for i, v in enumerate(_array(doc.get("vertices", []), "vertices")):
         if not isinstance(v, dict) or "id" not in v:
             raise GraphLoadError(f"vertices[{i}]: need an object with id and rank")
-        verts.append(VertexSpec(str(v["id"]), _int_strict(v.get("rank"), f"vertices[{i}].rank")))
+        verts.append(VertexSpec(_string(v["id"], f"vertices[{i}].id"),
+                                _int_strict(v.get("rank"), f"vertices[{i}].rank")))
     edges = []
     for i, e in enumerate(_array(doc.get("edges", []), "edges")):
         if not isinstance(e, dict) or "id" not in e:
             raise GraphLoadError(f"edges[{i}]: need an object with id, rank, ends")
+        eid = _string(e["id"], f"edges[{i}].id")
         ends_doc = e.get("ends")
         if not isinstance(ends_doc, list) or len(ends_doc) != 2:
             raise GraphLoadError(f"edges[{i}]: ends must be a two-element array")
@@ -368,16 +383,19 @@ def graph_from_dict(doc) -> GraphOfGroups:
             where = f"edges[{i}].ends[{j}]"
             if not isinstance(end, dict) or "vertex" not in end:
                 raise GraphLoadError(f"{where}: need an object with a vertex field")
+            vid = _string(end["vertex"], f"{where}.vertex")
             if mode == "abelian":
                 if "matrix" not in end:
                     raise GraphLoadError(f"{where}: abelian mode requires a matrix")
-                ends.append(EdgeEnd(str(end["vertex"]),
-                                    matrix=RatMatrix.from_rows(int_rows(end["matrix"], where))))
+                rows = int_rows(end["matrix"], where)
+                matrix = RatMatrix(len(rows), len(rows[0]) if rows else 0,
+                                   tuple(map(tuple, rows)))
+                ends.append(EdgeEnd(vid, matrix=matrix))
             else:
                 if "class" not in end:
                     raise GraphLoadError(f"{where}: table mode requires a class label")
-                ends.append(EdgeEnd(str(end["vertex"]), class_label=str(end["class"])))
-        edges.append(EdgeSpec(str(e["id"]), _int_strict(e.get("rank"), f"edges[{i}].rank"),
+                ends.append(EdgeEnd(vid, class_label=_string(end["class"], f"{where}.class")))
+        edges.append(EdgeSpec(eid, _int_strict(e.get("rank"), f"edges[{i}].rank"),
                               (ends[0], ends[1])))
     table = None
     if mode == "table":

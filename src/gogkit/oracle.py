@@ -21,7 +21,13 @@ equal dimension crosses only when it is that class, which lands on the
 opposite end class with no elimination.  Only a smaller span is tested with
 `contains`, and it crosses by `carry`: one elimination solving M_eta X = V.
 End classes and indices are read off the edge matrices, which cache their
-spans and determinants, so the abelian oracle caches only transports.
+spans and determinants, so the abelian oracle caches only transports.  When
+`carry` moves V across an edge to W, the cache also records the way back, W
+entering at the opposite end goes to V: the edge map is an isomorphism
+between the two end classes and canonical forms are unique, so this is
+exactly what the reverse `contains` and `carry` would compute, and a walk
+that tries the arc back (every `explore` does) pays one elimination per pair.
+Table transports are not cached this way; their arcs can be one-way.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ class AbelianOracle:
             if contains(end_cls, cls):
                 ends = self.g.edge(eid).ends
                 moved = carry(ends[entered_end].matrix, ends[1 - entered_end].matrix, cls)
+                self._moved[(eid, 1 - entered_end, moved)] = cls   # the way back
         elif cls == end_cls:
             moved = self.class_of(eid, 1 - entered_end)
         self._moved[key] = moved

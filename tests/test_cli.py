@@ -212,15 +212,15 @@ def test_compare_decodes_each_graph_file_once(capsys, monkeypatch):
     assert decoded == [str(fixture_path("f2xz"))] * 2
 
 
-def test_key_error_inside_an_analysis_is_not_an_input_error(monkeypatch):
+def test_key_error_inside_an_analysis_is_not_an_input_error(capsys, monkeypatch):
     import gogkit.cli as cli_mod
 
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
     monkeypatch.setattr(cli_mod, "depth_filtration", broken)
-    with pytest.raises(KeyError, match="internal"):
-        main(["depth", str(fixture_path("arc3"))])
+    code, out, err = run(capsys, "depth", fixture_path("arc3"))
+    assert (code, out, err) == (6, "", "internal error: KeyError('internal')\n")
 
 
 def test_compare_rank_zero_vertex_with_itself(capsys, tmp_path):
@@ -363,6 +363,46 @@ def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
             code, _, err = run(capsys, command, target)
             assert type(code) is int and 0 <= code <= 5, (path, node[path[-1]])
             assert "Traceback" not in err
+
+
+NON_STRING_IDS = {   # case -> (fixture, paths set to the bad value, the path reported)
+    "vertex-id": ("arc3", [("vertices", 0, "id")], "vertices[0].id"),
+    "vertex-id-and-references": (
+        "arc3", [("vertices", 0, "id"), ("edges", 0, "ends", 0, "vertex")], "vertices[0].id"),
+    "edge-id": ("arc3", [("edges", 1, "id")], "edges[1].id"),
+    "end-vertex": ("arc3", [("edges", 0, "ends", 1, "vertex")], "edges[0].ends[1].vertex"),
+    "end-class": ("nonex", [("edges", 0, "ends", 0, "class")], "edges[0].ends[0].class"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "depth"])
+@pytest.mark.parametrize("value", [None, 5], ids=["null", "number"])
+@pytest.mark.parametrize("case", sorted(NON_STRING_IDS))
+def test_non_string_ids_exit_two(capsys, tmp_path, command, value, case):
+    name, paths, where = NON_STRING_IDS[case]
+    doc = json.loads(fixture_path(name).read_text())
+    for path in paths:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, target)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err == f"{where}: expected a string, got {value!r}\n"
+
+
+def test_internal_error_exits_six(capsys, monkeypatch):
+    import gogkit.cli as cli
+
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+    monkeypatch.setattr(cli, "cmd_depth", broken)
+    code, out, err = run(capsys, "depth", fixture_path("arc3"))
+    assert (code, out) == (6, "")
+    assert err == "internal error: RuntimeError('broken on purpose')\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,17 @@
 """Crossing graphs and the five-hypothesis checklist."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gogkit import check_hypotheses, crossing_graph, depth_filtration, graph_from_dict
-from gogkit.crossing import WrongVertex
-from gogkit.exactlin import canonicalize, contains
+from gogkit import check_hypotheses, crossing_graph, depth_filtration, graph_from_dict, validate
+from gogkit import exactlin
+from gogkit.crossing import CrossingGraph, CrossingNode, WrongVertex
+from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors, subspace_sum,
+                             zero_space)
 from gogkit.oracle import UnsupportedOracle
 
 from conftest import fixture_path
@@ -168,3 +173,141 @@ def test_quotient_criterion_matches_ball_on_random_loops():
             ball = build_ball(g, "v", 2, branch_cap=3)
             assert ball_crossing_check(ball, g) == quotient
             tested += 1
+
+
+def _old_crossing_graph(g, vid):
+    """The crossing graph by the fold-and-scan rule: the verdict from the sum of
+    every incident span, and each adjacency entry from its own scan."""
+    n = g.vertex(vid).rank
+    orc = g.oracle()
+    spans = [(orc.class_of(e.id, i), (e.id, i)) for (e, i) in g.ends_at(vid)]
+    by_span = {}
+    for span, end in spans:
+        if span.dim == n - 1:
+            by_span.setdefault(span, []).append(end)
+    nodes = tuple(CrossingNode(s, tuple(sorted(by_span[s])))
+                  for s in sorted(by_span, key=lambda s: s.basis))
+    if not nodes:
+        return CrossingGraph(vid, (), (), "empty", None)
+    total = zero_space(n)
+    for span, _ in spans:
+        total = subspace_sum(total, span)
+    verdict, witness = ("connected", None) if total.is_full() else ("disconnected", total)
+    adj = tuple(tuple(a.span != b.span or any(not contains(a.span, s) for s, _ in spans)
+                      for b in nodes) for a in nodes)
+    return CrossingGraph(vid, nodes, adj, verdict, witness)
+
+
+def _raft_at(vid):
+    """A depth assignment whose one depth-zero raft is the vertex alone;
+    `crossing_graph` reads nothing else of it."""
+    return SimpleNamespace(levels=(SimpleNamespace(rafts=(SimpleNamespace(core=(vid,)),)),))
+
+
+def _hyperplane(normal):
+    return canonicalize(kernel_vectors([normal], len(normal)), len(normal))
+
+
+@st.composite
+def _matrix_for(draw, span):
+    """An integer matrix with column span `span`: its basis mixed by an
+    upper-triangular matrix with a nonzero diagonal."""
+    k, n = span.dim, span.ambient_dim
+    mix = [[draw(st.sampled_from([-2, -1, 1, 2])) if i == j else
+            draw(st.integers(-2, 2)) if i < j else 0 for j in range(k)] for i in range(k)]
+    return [[sum(mix[i][j] * span.basis[i][r] for i in range(k)) for j in range(k)]
+            for r in range(n)]
+
+
+FAMILIES = {   # family -> (smallest rank it exists in, verdicts it may reach)
+    "repeated": (1, {"disconnected"}),
+    "crossed": (1, {"connected", "disconnected"}),
+    "two": (2, {"connected"}),
+    "finite": (1, {"connected"}),
+    "rank0": (1, {"disconnected"}),
+    "empty": (1, {"empty"}),
+}
+
+
+@st.composite
+def star_vertices(draw, family):
+    """A rank-n vertex v (n = 1..4) joined to one leaf per incident span.
+
+    Each leaf has the edge's rank and an identity end, so v's incident spans
+    are exactly the drawn ones: copies of one hyperplane H, plus per family a
+    line inside H or anywhere, a second hyperplane, a finite-index end or a
+    rank-0 end; the empty family draws no span of corank one.
+    """
+    n = draw(st.integers(FAMILIES[family][0], 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    h = _hyperplane(draw(vec))
+    spans = [h] * draw(st.integers(1, 3))
+    if family == "crossed":
+        inside = [sum(c * b[r] for c, b in zip(draw(st.lists(
+            st.integers(-2, 2), min_size=h.dim, max_size=h.dim)), h.basis)) for r in range(n)]
+        line = draw(st.sampled_from([inside, draw(vec)]))
+        assume(any(line))
+        spans.append(canonicalize([line], n))
+    elif family == "two":
+        other = _hyperplane(draw(vec))
+        assume(other != h)
+        spans.append(other)
+    elif family == "finite":
+        spans.append(full_space(n))
+    elif family == "rank0":
+        spans.append(zero_space(n))
+    elif family == "empty":
+        dims = [d for d in range(n + 1) if d != n - 1]
+        spans = [canonicalize(draw(st.lists(vec, min_size=d, max_size=d)), n)
+                 for d in draw(st.lists(st.sampled_from(dims), max_size=3))]
+        assume(all(s.dim != n - 1 for s in spans))
+    spans = draw(st.permutations(spans))
+    vertices = [{"id": "v", "rank": n}]
+    edges = []
+    for k, span in enumerate(spans):
+        d = span.dim
+        vertices.append({"id": f"w{k}", "rank": d})
+        leaf = [[int(i == j) for j in range(d)] for i in range(d)]
+        edges.append({"id": f"e{k}", "rank": d, "ends": [
+            {"vertex": "v", "matrix": draw(_matrix_for(span))},
+            {"vertex": f"w{k}", "matrix": leaf}]})
+    g = graph_from_dict({"oracle": "abelian", "vertices": vertices, "edges": edges})
+    assert validate(g).ok, validate(g).violations
+    return g
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_hyperplane_criterion_matches_fold_and_scan(family, data):
+    g = data.draw(star_vertices(family))
+    cg = crossing_graph(g, "v", _raft_at("v"))
+    assert cg == _old_crossing_graph(g, "v")
+    assert cg.verdict in FAMILIES[family][1]
+
+
+def test_one_hyperplane_crossed_by_a_line_is_connected():
+    g = graph_from_dict({"oracle": "abelian", "vertices": [
+        {"id": "v", "rank": 3}, {"id": "a", "rank": 2}, {"id": "b", "rank": 1}], "edges": [
+        {"id": "h", "rank": 2, "ends": [{"vertex": "v", "matrix": [[1, 0], [0, 1], [0, 0]]},
+                                        {"vertex": "a", "matrix": [[1, 0], [0, 1]]}]},
+        {"id": "l", "rank": 1, "ends": [{"vertex": "v", "matrix": [[1], [1], [1]]},
+                                        {"vertex": "b", "matrix": [[1]]}]}]})
+    cg = crossing_graph(g, "v", _raft_at("v"))
+    assert (cg.verdict, cg.adjacency, cg.witness) == ("connected", ((True,),), None)
+    assert cg.nodes == (CrossingNode(canonicalize([(1, 0, 0), (0, 1, 0)]), (("h", 0),)),)
+    assert cg == _old_crossing_graph(g, "v")
+
+
+def test_two_hyperplanes_need_no_elimination_once_classes_are_warm(graph, monkeypatch):
+    g = graph("thm14")
+    da = depth_filtration(g)
+    orc = g.oracle()
+    for (e, i) in g.ends_at("a"):
+        orc.class_of(e.id, i)
+    calls = []
+    real = exactlin._echelon
+    monkeypatch.setattr(exactlin, "_echelon", lambda rows: calls.append(rows) or real(rows))
+    cg = crossing_graph(g, "a", da)
+    assert (cg.verdict, len(cg.nodes)) == ("connected", 2)
+    assert calls == []

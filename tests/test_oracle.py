@@ -174,6 +174,59 @@ def test_abelian_transport_matches_guarded_image_of_preimage(g, data):
             assert orc.transport("e", i, cls) == _old_transport(orc, "e", i, cls)
 
 
+@given(one_edge_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_carried_class_comes_back_from_the_cache(g, data):
+    for i in (0, 1):
+        orc = GraphOfGroups(g.vertices, g.edges).oracle()
+        cls = data.draw(classes_near(orc.class_of("e", i)))
+        moved = orc.transport("e", i, cls)
+        if moved is None:
+            continue
+        fresh = GraphOfGroups(g.vertices, g.edges).oracle()
+        assert fresh.transport("e", 1 - i, moved) == cls
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "carry", lambda *args: calls.append(args))
+            assert orc.transport("e", 1 - i, moved) == cls
+        assert calls == []
+
+
+class _OneWayOracle(oracle.AbelianOracle):
+    """The abelian oracle with transports cached one way only."""
+
+    def transport(self, eid, entered_end, cls):
+        key = (eid, entered_end, cls)
+        if key not in self._moved:
+            moved = None
+            end_cls = self.class_of(eid, entered_end)
+            if cls.dim < end_cls.dim and contains(end_cls, cls):
+                ends = self.g.edge(eid).ends
+                moved = oracle.carry(ends[entered_end].matrix,
+                                     ends[1 - entered_end].matrix, cls)
+            elif cls == end_cls:
+                moved = self.class_of(eid, 1 - entered_end)
+            self._moved[key] = moved
+        return self._moved[key]
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "shear_unknown", "thm14"])
+def test_recorded_way_back_keeps_explore_and_saves_carries(graph, monkeypatch, name):
+    g = graph(name)
+    starts = []
+    for vid, cls in spans_at(g, g.oracle()):
+        starts += [(vid, cls)] + [(vid, canonicalize([b], cls.ambient_dim)) for b in cls.basis]
+    carries = _count_calls(monkeypatch, oracle, "carry")
+    runs = []
+    for orc in (_OneWayOracle(g), oracle.AbelianOracle(g)):
+        carries.clear()
+        runs.append(([explore(orc, vid, cls, max_steps=4) for vid, cls in starts],
+                     len(carries)))
+    (one_way, one_way_carries), (placed, two_way_carries) = runs
+    assert placed == one_way
+    assert 0 < two_way_carries < one_way_carries
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
