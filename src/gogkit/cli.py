@@ -4,16 +4,14 @@ Exit codes form a disjoint contract: 0 success / all-pass, 1 analysis-level
 negative, 2 input error, 3 infinite depth, 4 unknown verdict, 5 analysis
 unsupported for the oracle mode, 6 internal error (a fault in gogkit itself,
 reported on one stderr line, not as a traceback).  Reports are deterministic:
-ids are sorted, randomized internals are reseeded from a fixed default seed
-(overridable by GOG_SEED or --seed), and the seed is printed in every report.
+ids are sorted and every analysis, pattern equivalence included, is exact, so
+no seed exists to set or print and reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 
 from . import __version__
@@ -23,9 +21,8 @@ from .exactlin import DimensionMismatch, canonicalize
 from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, graph_to_dict,
                     int_rows, load_graph, read_json, validate, write_text)
 from .oracle import UnsupportedOracle
-from .patterns import (DEFAULT_SEED, LinearPattern, UnderdeterminedSlopes,
-                       patterns_equivalent, rigidity_check, slope_invariant,
-                       vertex_edge_pattern)
+from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
+                       rigidity_check, slope_invariant, vertex_edge_pattern)
 from .reduce import comm_classes, complete_reduce, reducible_edges
 from .treeball import annotate_depth, build_ball, to_dot
 
@@ -42,7 +39,7 @@ class _Emitter:
     def __init__(self, args):
         self.args = args
         self.lines = []
-        self.payload = {"seed": args.seed}
+        self.payload = {}
 
     def text(self, line):
         self.lines.append(line)
@@ -54,7 +51,7 @@ class _Emitter:
         if self.args.format == "json":
             body = json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
         else:
-            body = "\n".join(self.lines + [f"seed: {self.args.seed}"]) + "\n"
+            body = "\n".join(self.lines) + "\n"
         _write(body, self.args.output)
 
 
@@ -284,7 +281,7 @@ def _load_pattern(path, vertex):
 def cmd_compare(args) -> int:
     pa = _load_pattern(args.file_a, args.vertex_a)
     pb = _load_pattern(args.file_b, args.vertex_b)
-    same, witness = patterns_equivalent(pa, pb, rng=random.Random(args.seed))
+    same, witness = patterns_equivalent(pa, pb)
     em = _Emitter(args)
     em.text(f"equivalent: {'yes' if same else 'no'}")
     em.put("equivalent", same)
@@ -364,7 +361,6 @@ def build_parser():
             sp.add_argument("--horizon", type=_at_least(1), default=None)
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--output", default=None)
-        sp.add_argument("--seed", type=int, default=None)
         return sp
 
     command("validate", cmd_validate, "check the structural invariants", walks=False)
@@ -395,12 +391,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:     # usage errors exit 2, --help and --version 0
         return e.code
-    if args.seed is None:       # --seed wins, so GOG_SEED is read only without it
-        env = os.environ.get("GOG_SEED")
-        try:
-            args.seed = DEFAULT_SEED if env is None else int(env)
-        except ValueError:
-            return _fail(f"GOG_SEED must be an integer, got {env!r}", EXIT_INPUT)
     # The one table from exceptions to exit codes.
     try:
         return args.run(args)

@@ -19,9 +19,10 @@ check, the oracle's end classes and indices, and every graph `collapse`
 returns with that matrix share one elimination and one determinant; the
 abelian oracle itself caches only transport results.
 
-Loading checks types as it reads.  Vertex ids, edge ids, end vertex
-references and end class labels must be JSON strings, and matrix entries
-exact integers; anything else raises GraphLoadError naming its JSON path.
+Loading checks types as it reads.  Ids, end vertex references and every
+class label (of ends, classes, order pairs and transport maps) must be JSON
+strings, matrix entries and `coarse_dim` exact integers and `is_coarse_pd` a
+bool; anything else raises GraphLoadError naming its JSON path.
 Checked integer rows are already a matrix in lowest terms over denominator
 1, so each edge matrix is built from them directly, with no Fraction pass.
 """
@@ -318,8 +319,8 @@ def validate(g: GraphOfGroups) -> ValidationReport:
 #             "ends": [{"vertex": ..., "matrix": [[...], ...]}, {...}]}, ...],
 #  ... table mode adds "classes", "order", "transport", "indices",
 #      optional "pd_flags"; ends then carry "class" instead of "matrix"}
-# Ids, end vertices and end classes are strings; matrices are exact
-# integers; floats are rejected outright.
+# Ids, end vertices and every class label are strings; matrices are exact
+# integers; PD flags are a bool and an int; floats are rejected outright.
 # ---------------------------------------------------------------------------
 
 
@@ -333,6 +334,11 @@ def _string(x, where):
     if not isinstance(x, str):
         raise GraphLoadError(f"{where}: expected a string, got {x!r}")
     return x
+
+
+def _strings(x, where):
+    """The JSON array `x` of strings as a tuple; element k is checked at where[k]."""
+    return tuple(_string(s, f"{where}[{k}]") for k, s in enumerate(_array(x, where)))
 
 
 def _array(x, where):
@@ -406,19 +412,20 @@ def graph_from_dict(doc) -> GraphOfGroups:
         for vid, c in classes.items():
             if not isinstance(c, dict) or "labels" not in c or "top" not in c:
                 raise GraphLoadError(f"classes[{vid}]: need labels and top")
-            labels[vid] = tuple(str(x) for x in _array(c["labels"], f"classes[{vid}].labels"))
-            top[vid] = str(c["top"])
+            labels[vid] = _strings(c["labels"], f"classes[{vid}].labels")
+            top[vid] = _string(c["top"], f"classes[{vid}].top")
         order = {}
         for vid, pairs in _object(doc.get("order", {}), "order").items():
-            for k, pair in enumerate(_array(pairs, f"order[{vid}]")):
-                if not isinstance(pair, list) or len(pair) != 2:
+            order[vid] = tuple(_strings(pair, f"order[{vid}][{k}]")
+                               for k, pair in enumerate(_array(pairs, f"order[{vid}]")))
+            for k, pair in enumerate(order[vid]):
+                if len(pair) != 2:
                     raise GraphLoadError(f"order[{vid}][{k}]: need a pair of labels")
-            order[vid] = tuple((str(a), str(b)) for a, b in pairs)
         transport = {}
         for eid, maps in _object(doc.get("transport", {}), "transport").items():
             if not isinstance(maps, list) or len(maps) != 2:
                 raise GraphLoadError(f"transport[{eid}]: need one map per end")
-            transport[eid] = tuple({str(k): str(v) for k, v in
+            transport[eid] = tuple({k: _string(v, f"transport[{eid}][{j}][{k}]") for k, v in
                                     _object(mp, f"transport[{eid}][{j}]").items()}
                                    for j, mp in enumerate(maps))
         indices = {}
@@ -435,6 +442,11 @@ def graph_from_dict(doc) -> GraphOfGroups:
         pd_flags = {}
         for vid, flags in _object(doc.get("pd_flags", {}), "pd_flags").items():
             pd_flags[vid] = dict(_object(flags, f"pd_flags[{vid}]"))
+            if not isinstance(flags.get("is_coarse_pd"), bool):
+                raise GraphLoadError(f"pd_flags[{vid}].is_coarse_pd: expected true or false, "
+                                     f"got {flags.get('is_coarse_pd')!r}")
+            if "coarse_dim" in flags:
+                _int_strict(flags["coarse_dim"], f"pd_flags[{vid}].coarse_dim")
         table = TableData(labels, top, order, transport, indices, pd_flags)
     return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
 

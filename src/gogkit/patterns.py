@@ -7,13 +7,13 @@ hyperplanes in general position, so the linear-equivalence class of the
 pattern is the meaningful invariant.  For patterns of lines in the plane the
 slope multiset up to Mobius transformations is a complete invariant; it is
 canonicalized here by minimizing over all frames sending three of the slopes
-to (0, oo, 1).
+to (0, oo, 1).  Linear equivalence itself is decided exactly in every
+dimension by one fixed, finite search, with no sampling and no seed.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,12 +22,6 @@ from math import gcd
 from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, _echelon,
                        annihilator, image, kernel_vectors)
 from .oracle import UnsupportedOracle
-
-DEFAULT_SEED = 94301
-# Random points tried per bijection before the exact grid, and their coefficient range.
-SAMPLES = 20
-COEFF_BOUND = 10 ** 6
-
 
 class UnderdeterminedSlopes(ValueError):
     """Fewer than three distinct slopes: no canonical frame exists."""
@@ -237,29 +231,48 @@ def _constraint_rows(v_space: RationalSubspace, w_space: RationalSubspace, n: in
 
 
 def _as_matrix(coeffs, basis, n):
-    ents = [[Fraction(0)] * n for _ in range(n)]
-    for c, vec in zip(coeffs, basis):
-        if c:
-            for a in range(n):
-                for b in range(n):
-                    ents[a][b] += c * vec[a * n + b]
-    return RatMatrix.from_rows(ents)
+    return RatMatrix.from_rows([[sum(c * vec[a * n + b] for c, vec in zip(coeffs, basis) if c)
+                                 for b in range(n)] for a in range(n)])
 
 
-def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None):
+@lru_cache(maxsize=None)
+def _points(n: int, k: int):
+    """Points t of N^k on which a form of degree n vanishes only if it is zero.
+
+    The simplex lattice {t : sum t = n}, C(n+k-1, n) points by stars and bars,
+    each divided by the gcd of its coordinates.  For k >= 2 a probe with
+    distinct prime coordinates comes first, to find an invertible map at once
+    when there is one: lattice points are mostly zero, and (1, 2, ..., k)
+    would fill a block of free entries as [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    which is singular.  The probe changes no answer, only which witness is found.
+    """
+    lattice = []
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        cuts = (-1, *bars, n + k - 1)
+        t = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+        lattice.append(tuple(x // gcd(*t) for x in t))
+    primes = (c for c in itertools.count(2) if all(c % d for d in range(2, c)))
+    probe = [tuple(itertools.islice(primes, k))] if k >= 2 else []
+    return tuple(dict.fromkeys(probe + lattice))
+
+
+def patterns_equivalent(p: LinearPattern, q: LinearPattern):
     """Decide whether an invertible rational matrix carries one pattern to the other.
 
     First the ranks of every set of hyperplane normals are compared: an
     invertible map preserves them, so a difference decides "no" exactly, in
-    every dimension, before any bijection is tried or any random sample drawn.
-    Otherwise, for each dimension-respecting bijection, the matrices sending
-    each member into its target form a linear space; the question is whether
-    it contains an invertible element.  Random evaluations give a fast
-    certificate of existence.  For ambient dimension at most 3 a nonexistence
-    certificate is exact: the determinant is a polynomial of degree <= n in
-    each parameter, so it vanishes identically iff it vanishes on the grid
-    {0..n}^k.  Returns (answer, witness matrix or None); deterministic for a
-    fixed seed, with the lexicographically least bijection found first.
+    every dimension, before any bijection is tried.  Otherwise, for each
+    dimension-respecting bijection, the matrices sending each member into its
+    target form a space with basis B_1..B_k, and det(sum t_i B_i) is a form of
+    degree n in t.  A form vanishing on the simplex lattice {t in N^k : sum t
+    = n} is zero: with t_k = n - sum_{i<k} t_i it becomes a polynomial of
+    degree <= n vanishing on the principal lattice of a simplex, which is
+    unisolvent for that degree, so the form vanishes where sum t = n, hence by
+    homogeneity wherever sum t != 0, hence everywhere.  Scaling a point scales
+    the determinant by a nonzero factor, so the points of `_points` decide
+    exactly.  An invertible member of the space maps each member onto its
+    target.  Returns (answer, witness matrix or None); deterministic, with the
+    lexicographically least bijection found first.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("patterns in different ambient spaces")
@@ -270,63 +283,21 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern, *, rng=None):
         return True, RatMatrix.identity(0)     # the empty map is invertible
     if _normal_ranks(p) != _normal_ranks(q):
         return False, None
-    rng = rng if rng is not None else random.Random(DEFAULT_SEED)
 
-    by_dim = {}
-    for j, s in enumerate(q.subspaces):
-        by_dim.setdefault(s.dim, []).append(j)
-    dim_blocks = []
-    for d in sorted(by_dim):
-        block_p = [i for i, s in enumerate(p.subspaces) if s.dim == d]
-        dim_blocks.append((block_p, by_dim[d]))
-
+    dim_blocks = [([i for i, s in enumerate(p.subspaces) if s.dim == d],
+                   [j for j, s in enumerate(q.subspaces) if s.dim == d])
+                  for d in sorted(set(q.dims()))]
+    constraints = {(i, j): _constraint_rows(p.subspaces[i], q.subspaces[j], n)
+                   for block_p, targets in dim_blocks for i in block_p for j in targets}
     want = sorted(q.subspaces, key=lambda s: (s.dim, s.basis))
-
-    def verified(t: RatMatrix):
-        if t.det() == 0:
-            return False
-        got = sorted((image(t, s) for s in p.subspaces),
-                     key=lambda s: (s.dim, s.basis))
-        return want == got
-
-    row_cache = {}
-
-    def rows_for(i, j):
-        if (i, j) not in row_cache:
-            row_cache[(i, j)] = _constraint_rows(p.subspaces[i], q.subspaces[j], n)
-        return row_cache[(i, j)]
-
     for perm_combo in itertools.product(
             *[itertools.permutations(targets) for _, targets in dim_blocks]):
-        sigma = {}
-        for (block_p, _), perm in zip(dim_blocks, perm_combo):
-            for i, j in zip(block_p, perm):
-                sigma[i] = j
-        rows = []
-        for i in sorted(sigma):
-            rows.extend(rows_for(i, sigma[i]))
-        basis = kernel_vectors(rows, n * n)
-        if not basis:
-            continue
-        if len(basis) == 1:
-            # one-parameter family: invertibility is scale-invariant
-            t = _as_matrix([Fraction(1)], basis, n)
-            if verified(t):
+        sigma = dict(pair for (block_p, _), perm in zip(dim_blocks, perm_combo)
+                     for pair in zip(block_p, perm))
+        basis = kernel_vectors([r for i in sorted(sigma) for r in constraints[i, sigma[i]]], n * n)
+        for point in _points(n, len(basis)) if basis else ():
+            t = _as_matrix(point, basis, n)
+            if t.det() != 0 and want == sorted((image(t, s) for s in p.subspaces),
+                                               key=lambda s: (s.dim, s.basis)):
                 return True, t
-            if n <= 3:
-                continue
-        grid_size = (n + 1) ** len(basis)
-        if n > 3 or grid_size > SAMPLES:
-            for _ in range(SAMPLES):
-                coeffs = [Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND))
-                          for _ in basis]
-                t = _as_matrix(coeffs, basis, n)
-                if verified(t):
-                    return True, t
-        if n <= 3:
-            for point in itertools.product(range(n + 1), repeat=len(basis)):
-                t = _as_matrix([Fraction(c) for c in point], basis, n)
-                if verified(t):
-                    return True, t
-            continue  # exact: no invertible solution under this bijection
     return False, None

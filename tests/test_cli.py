@@ -257,7 +257,7 @@ def test_json_format(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == {"kind": "finite", "depth": 2, "rendered": "Finite(2)"}
     assert doc["depth"]["f"] == 2
-    assert doc["seed"] == 94301
+    assert "seed" not in doc
 
 
 def test_dot_format_rejected_outside_ball(capsys):
@@ -275,23 +275,41 @@ def test_byte_identical_reruns(capsys):
     assert a == b
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GOG_SEED", "7")
-    code, out, _ = run(capsys, "depth", fixture_path("arc3"))
-    assert code == 0
-    assert "seed: 7" in out
+SUBCOMMAND_ARGV = {   # subcommand -> a valid argument list for it
+    "validate": [fixture_path("arc3")],
+    "depth": [fixture_path("arc3")],
+    "rafts": [fixture_path("arc3")],
+    "crossing": [fixture_path("arc3"), "--vertex", "v"],
+    "check": [fixture_path("arc3")],
+    "reduce": [fixture_path("arc3")],
+    "invariants": [fixture_path("arc3"), "--vertex", "v"],
+    "compare": [fixture_path("pattern_0inf12"), fixture_path("pattern_0inf12_shifted")],
+    "ball": [fixture_path("arc3")],
+}
+
+
+def test_subcommand_argv_covers_the_parser():
+    assert sorted(SUBCOMMAND_ARGV) == sorted(_own_flags())
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_seed_flag_exits_two(capsys, command):
+    """No analysis is sampled, so no subcommand takes a seed."""
+    argv = [command, *SUBCOMMAND_ARGV[command]]
+    assert run(capsys, *argv)[0] in (0, 1)
+    code, out, err = run(capsys, *argv, "--seed", "11")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed 11" in err
+
+
+@pytest.mark.parametrize("command", ["depth", "compare"])
+def test_gog_seed_env_is_ignored(capsys, monkeypatch, command):
+    argv = [command, *SUBCOMMAND_ARGV[command]]
+    monkeypatch.delenv("GOG_SEED", raising=False)
+    plain = run(capsys, *argv)
     monkeypatch.setenv("GOG_SEED", "junk")
-    assert run(capsys, "depth", fixture_path("arc3"))[0] == 2
-
-
-def test_seed_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("GOG_SEED", "7")
-    code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--seed", "11")
-    assert "seed: 11" in out
-    monkeypatch.setenv("GOG_SEED", "junk")     # not read when the flag is given
-    code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--seed", "11")
-    assert code == 0
-    assert "seed: 11" in out
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0 and plain[2] == ""
 
 
 def test_output_file(capsys, tmp_path):
@@ -372,6 +390,10 @@ NON_STRING_IDS = {   # case -> (fixture, paths set to the bad value, the path re
     "edge-id": ("arc3", [("edges", 1, "id")], "edges[1].id"),
     "end-vertex": ("arc3", [("edges", 0, "ends", 1, "vertex")], "edges[0].ends[1].vertex"),
     "end-class": ("nonex", [("edges", 0, "ends", 0, "class")], "edges[0].ends[0].class"),
+    "class-label": ("nonex", [("classes", "v", "labels", 0)], "classes[v].labels[0]"),
+    "class-top": ("nonex", [("classes", "v", "top")], "classes[v].top"),
+    "order-label": ("nonex", [("order", "v", 2, 1)], "order[v][2][1]"),
+    "transport-target": ("nonex", [("transport", "e", 0, "F1")], "transport[e][0][F1]"),
 }
 
 
@@ -392,6 +414,39 @@ def test_non_string_ids_exit_two(capsys, tmp_path, command, value, case):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert err == f"{where}: expected a string, got {value!r}\n"
+
+
+PD_FLAGS = {   # case -> (flag, bad value, stderr)
+    "pd-string": ("is_coarse_pd", "yes",
+                  "pd_flags[v].is_coarse_pd: expected true or false, got 'yes'"),
+    "pd-null": ("is_coarse_pd", None,
+                "pd_flags[v].is_coarse_pd: expected true or false, got None"),
+    "pd-number": ("is_coarse_pd", 1,
+                  "pd_flags[v].is_coarse_pd: expected true or false, got 1"),
+    "dim-bool": ("coarse_dim", True, "pd_flags[v].coarse_dim: expected an exact integer, got True"),
+    "dim-string": ("coarse_dim", "3", "pd_flags[v].coarse_dim: expected an exact integer, got '3'"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("case", sorted(PD_FLAGS))
+def test_mistyped_pd_flags_exit_two(capsys, tmp_path, command, case):
+    """A PD declaration that is not a bool (or a dimension not an int) is an input error."""
+    flag, value, message = PD_FLAGS[case]
+    doc = json.loads(fixture_path("nonex").read_text())
+    doc["pd_flags"]["v"][flag] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    assert run(capsys, command, target) == (2, "", message + "\n")
+
+
+def test_pd_flags_without_a_declaration_exit_two(capsys, tmp_path):
+    doc = json.loads(fixture_path("nonex").read_text())
+    del doc["pd_flags"]["v"]["is_coarse_pd"]
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    assert run(capsys, "check", target) == (
+        2, "", "pd_flags[v].is_coarse_pd: expected true or false, got None\n")
 
 
 def test_internal_error_exits_six(capsys, monkeypatch):

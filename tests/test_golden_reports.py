@@ -4,7 +4,7 @@ Each case runs `gogkit.cli.main` from the repository root on fixture paths
 relative to it and records the exit code, stdout and stderr.  The goldens in
 fixtures/golden/reports.json pin the byte-identical report contract; a change
 to any of them must be intended and logged.  To rewrite them after such a
-change, run this once from the repository root with GOG_SEED unset:
+change, run this once from the repository root:
 
     PYTHONPATH=src:tests python3 -c "import json, test_golden_reports as t; \\
     t.GOLDEN.write_text(json.dumps({' '.join(c): t.run_case(c) for c in t.CASES}, \\
@@ -14,7 +14,6 @@ change, run this once from the repository root with GOG_SEED unset:
 import contextlib
 import io
 import json
-import os
 import pathlib
 
 import pytest
@@ -65,5 +64,4 @@ def test_golden_covers_every_case(golden):
     pathlib.Path(x).stem for x in c if not x.startswith("-")))
 def test_report_matches_golden(argv, golden, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("GOG_SEED", raising=False)
     assert run_case(argv) == golden[" ".join(argv)]

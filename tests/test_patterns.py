@@ -1,6 +1,9 @@
 """Pattern rigidity, slope invariants, and exact linear equivalence."""
 
+import ast
 import itertools
+import math
+import pathlib
 import random
 
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gogkit import patterns, vertex_edge_pattern
-from gogkit.exactlin import DimensionMismatch, RatMatrix, annihilator, canonicalize, image
+from gogkit.exactlin import (DimensionMismatch, RatMatrix, annihilator, canonicalize, image,
+                             kernel_vectors)
 from gogkit.patterns import (LinearPattern, UnderdeterminedSlopes, line_slope,
                              patterns_equivalent, rigidity_check, slope_invariant)
 
@@ -332,11 +336,6 @@ def test_rigidity_check_matches_determinants():
         assert (verdict.status, verdict.witness) == by_det(p)
 
 
-class _NoSampling(random.Random):
-    def randint(self, a, b):
-        raise AssertionError("the exact grid should decide without sampling")
-
-
 def _record_grid_points(monkeypatch):
     """Coefficient lists `patterns_equivalent` builds candidate maps from."""
     points = []
@@ -361,8 +360,138 @@ def test_grid_certifies_no_in_q3(monkeypatch):
 def test_grid_finds_a_witness_in_q2_without_sampling():
     p = lines((1, 0), (0, 1))
     q = lines((1, 1), (1, 2))
-    same, witness = patterns_equivalent(p, q, rng=_NoSampling())
+    same, witness = patterns_equivalent(p, q)
     assert same
     assert witness.det() != 0
     got = sorted((image(witness, s) for s in p.subspaces), key=lambda s: (s.dim, s.basis))
     assert got == list(q.subspaces)
+
+
+# -- exactness of the lattice search ---------------------------------------------
+
+
+def _proportional(a, b):
+    return all(x * sum(b) == y * sum(a) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_points_are_a_unisolvent_lattice(n, k):
+    points = patterns._points(n, k)
+    lattice = points[1:] if k >= 2 else points
+    assert len(lattice) == math.comb(n + k - 1, n)
+    assert all(min(t) >= 0 and math.gcd(*t) == 1 and n % sum(t) == 0 for t in lattice)
+    assert not any(_proportional(a, b) for a, b in itertools.combinations(points, 2))
+    # a form of degree n vanishing on the lattice is zero: the evaluation
+    # matrix of the degree-n monomials on the lattice is nonsingular
+    monomials = [e for e in itertools.product(range(n + 1), repeat=k) if sum(e) == n]
+    evaluation = [[math.prod(x ** d for x, d in zip(t, e)) for e in monomials] for t in lattice]
+    assert RatMatrix.from_rows(evaluation).det() != 0
+    if k >= 2:
+        assert len(set(points[0])) == k and 0 not in points[0]
+
+
+def _integer_basis(basis):
+    """Each kernel vector scaled to coprime integers: the det form only scales."""
+    out = []
+    for v in basis:
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
+def _det_form(basis, n):
+    """det(sum t_i B_i) expanded by Leibniz into {exponent tuple: coefficient}."""
+    k = len(basis)
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+    def entry(a, b):
+        return {unit[i]: basis[i][a * n + b] for i in range(k) if basis[i][a * n + b]}
+
+    def times(f, g):
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    total = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = {(0,) * k: (-1) ** inversions}
+        for a in range(n):
+            term = times(term, entry(a, perm[a]))
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def _bijection_kernels(p, q):
+    """Kernel basis of the maps sending p onto q, per dimension-respecting bijection."""
+    n = p.ambient_dim
+    for perm in itertools.permutations(range(len(q.subspaces))):
+        if all(p.subspaces[i].dim == q.subspaces[j].dim for i, j in enumerate(perm)):
+            rows = [r for i, j in enumerate(perm)
+                    for r in patterns._constraint_rows(p.subspaces[i], q.subspaces[j], n)]
+            yield kernel_vectors(rows, n * n)
+
+
+def _reference_equivalent(p, q):
+    """Some bijection whose det form is not identically zero, by symbolic expansion."""
+    return any(basis and _det_form(_integer_basis(basis), p.ambient_dim)
+               for basis in _bijection_kernels(p, q))
+
+
+def _sparse_pattern(rng, n, dims):
+    while True:
+        members = [canonicalize([[rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+                                 for _ in range(d)], n) for d in dims]
+        if all(0 < s.dim < n for s in members):
+            return LinearPattern.of(members, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_agrees_with_symbolic_determinants(n):
+    """Seeded pairs whose candidate maps form families of dimension k >= 2."""
+    rng = random.Random(6100 + n)
+    answers = []
+    while len(answers) < 30:
+        dims = [rng.randint(1, n - 1) for _ in range(rng.randint(2, 3))]
+        p = _sparse_pattern(rng, n, dims)
+        q = moved(p, random_invertible(rng, n)) if rng.random() < 0.5 \
+            else _sparse_pattern(rng, n, dims)
+        if min(map(len, _bijection_kernels(p, q)), default=0) < 2:
+            continue
+        same, witness = patterns_equivalent(p, q)
+        assert same == _reference_equivalent(p, q), (p, q)
+        if same:
+            assert witness.det() != 0
+            assert moved(p, witness) == q
+        else:
+            assert witness is None
+        answers.append(same)
+    assert True in answers and False in answers
+
+
+def test_q4_no_tries_every_lattice_point(monkeypatch):
+    """A line inside a hyperplane against a line outside one: k = 10, answer no."""
+    p = LinearPattern.of([canonicalize([(1, 0, 0, 0)]),
+                          canonicalize([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])], 4)
+    q = LinearPattern.of([canonicalize([(0, 0, 0, 1)]),
+                          canonicalize([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])], 4)
+    points = _record_grid_points(monkeypatch)
+    assert patterns_equivalent(p, q) == (False, None)
+    assert len(points) == 1 + math.comb(4 + 10 - 1, 4)
+    assert points == [list(t) for t in patterns._points(4, 10)]
+
+
+def test_no_module_imports_random():
+    src = pathlib.Path(patterns.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "random" not in names, path.name
