@@ -13,7 +13,7 @@ quotient-level algorithms are checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
@@ -189,22 +189,27 @@ class TreeBall:
 
 
 def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
-    """Radius-R portion of the Bass-Serre tree around a lift of `root`."""
+    """Radius-R portion of the Bass-Serre tree around a lift of `root`.
+
+    Nodes are expanded breadth first.  Each expanded node gets one child per
+    coset of every incident edge end, except the coset it was arrived on;
+    the coset labels of an edge end are computed once per (edge, end,
+    skip_zero) and shared by every node that expands that end.
+    """
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("tree balls need the abelian oracle")
     if radius < 0 or branch_cap < 1:
         raise ValueError("radius must be >= 0 and branch cap >= 1")
     g.vertex(root)
     orc = g.oracle()
-    cosets = {}
-    for e in g.edges:
-        for i in (0, 1):
-            cosets[(e.id, i)] = CosetSystem(e.ends[i].matrix)
+    cosets = {(e.id, i): CosetSystem(e.ends[i].matrix) for e in g.edges for i in (0, 1)}
 
-    nodes = {}
-    edges = []
-    to_root = {}   # address -> list of (edge id, end entered when walking up)
+    @cache
+    def labels(eid, i, skip_zero):
+        sys = cosets[(eid, i)]
+        return sys.labels(cap=None if sys.finite else branch_cap, skip_zero=skip_zero)
 
+    @cache
     def true_valence(vid):
         total = 0
         for (e, i) in g.ends_at(vid):
@@ -214,30 +219,26 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
             total += c
         return total
 
+    nodes = {}
+    edges = []
+    to_root = {}   # address -> list of (edge id, end entered when walking up)
     queue = [((), root, None, 0)]
-    while queue:
-        address, vid, arrived, dist = queue.pop(0)
+    for address, vid, arrived, dist in queue:   # appended to while read: breadth first
         expanded = dist < radius
         truncated = False
         if expanded:
+            up_path = to_root.get(address, [])
             for (e, i) in g.ends_at(vid):
-                sys = cosets[(e.id, i)]
-                skip_zero = arrived == (e.id, i)
-                if sys.finite:
-                    labs = sys.labels(skip_zero=skip_zero)
-                else:
-                    labs = sys.labels(cap=branch_cap, skip_zero=skip_zero)
-                    truncated = True
+                truncated = truncated or not cosets[(e.id, i)].finite
                 child_vid = e.ends[1 - i].vertex
-                for lab in labs:
+                for lab in labels(e.id, i, arrived == (e.id, i)):
                     caddr = address + ((e.id, i, lab),)
                     span = orc.class_of(e.id, i)
                     edges.append(BallEdge(address, caddr, e.id, i, span,
-                                          _to_root_span(orc, span, to_root.get(address, []))))
-                    to_root[caddr] = [(e.id, 1 - i)] + to_root.get(address, [])
+                                          _to_root_span(orc, span, up_path)))
+                    to_root[caddr] = [(e.id, 1 - i)] + up_path
                     queue.append((caddr, child_vid, (e.id, 1 - i), dist + 1))
-        nodes[address] = BallNode(address, vid, expanded, truncated and expanded,
-                                  true_valence(vid))
+        nodes[address] = BallNode(address, vid, expanded, truncated, true_valence(vid))
     return TreeBall(root, radius, branch_cap, nodes, tuple(edges))
 
 
@@ -255,29 +256,42 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
 
     Within the ball, a strict inclusion of transported edge spans must raise
     the depth label; a violation means the assignment and the tree disagree.
+    The check screens by span: a violation exists exactly when some root span
+    lies strictly inside another and the least label on the inner span is at
+    most the greatest label on the outer one.  Only then does the loop over
+    pairs of edges run, to name the first violating pair in ball order.
     """
     if da.verdict.kind == "infinite":
         raise ValueError("no total depth labeling exists for an infinite-depth graph")
+    depth = da.depth
     orbits = {n.vertex for n in ball.nodes.values()} | {e.edge for e in ball.edges}
-    missing = sorted(o for o in orbits if o not in da.depth)
+    missing = sorted(o for o in orbits if o not in depth)
     if missing:
         raise ValueError(f"depth assignment is from a different graph: no label for {missing[0]}")
-    nodes = {a: replace(n, depth_label=da.depth[n.vertex]) for a, n in ball.nodes.items()}
-    edges = tuple(replace(e, depth_label=da.depth[e.edge]) for e in ball.edges)
+    nodes = {a: BallNode(a, n.vertex, n.expanded, n.truncated, n.true_valence, depth[n.vertex])
+             for a, n in ball.nodes.items()}
+    edges = tuple(BallEdge(e.parent, e.child, e.edge, e.end_at_parent, e.local_span,
+                           e.root_span, depth[e.edge]) for e in ball.edges)
     index = {}
     of_edge = [None if e.root_span is None else index.setdefault(e.root_span, len(index))
                for e in edges]
     spans = list(index)
+    low, high = {}, {}
+    for e, i in zip(edges, of_edge):
+        if i is not None:
+            low[i] = min(low.get(i, e.depth_label), e.depth_label)
+            high[i] = max(high.get(i, e.depth_label), e.depth_label)
     # inside[i][j]: span i lies strictly inside span j
-    inside = [[contains(t, s) and not contains(s, t) for t in spans] for s in spans]
-    for a, i in zip(edges, of_edge):
-        for b, j in zip(edges, of_edge):
-            if i is None or j is None:
-                continue
-            if inside[i][j] and a.depth_label <= b.depth_label:
-                raise ValueError(
-                    f"depth labels not monotone: {a.edge} (depth {a.depth_label}) "
-                    f"sits strictly inside {b.edge} (depth {b.depth_label})")
+    inside = [[s.dim < t.dim and contains(t, s) for t in spans] for s in spans]
+    if any(inside[i][j] and low[i] <= high[j] for i in low for j in high):
+        for a, i in zip(edges, of_edge):
+            for b, j in zip(edges, of_edge):
+                if i is None or j is None:
+                    continue
+                if inside[i][j] and a.depth_label <= b.depth_label:
+                    raise ValueError(
+                        f"depth labels not monotone: {a.edge} (depth {a.depth_label}) "
+                        f"sits strictly inside {b.edge} (depth {b.depth_label})")
     return TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
 
 
@@ -356,12 +370,21 @@ def ball_chain_depths(ball: TreeBall, g):
     """Longest-strict-chain depth per orbit, by exhaustive search in the ball.
 
     Objects with the same anchor (node address, span) are coarsely equal, so
-    the search runs over the K distinct anchors.  From each anchor one walk
-    of the tree carries its span outward, crossing an edge only where the
-    span lies inside the edge class entered, as `coarse_le` does on a single
-    path; a failed guard prunes the subtree beyond it.  The walks make
-    O(K*N) guarded steps for a ball of N nodes, against `coarse_le`'s path
-    walk for each of the N^2 pairs of objects, and each guard, transport and
+    the search runs over distinct anchors.  A walk of the tree carries an
+    anchor's span outward, crossing an edge only where the span lies inside
+    the edge class entered, as `coarse_le` does on a single path; a failed
+    guard prunes the subtree beyond it.
+
+    Abelian guarded transport is invertible across an edge, so the (node,
+    carried span) states reachable from an anchor form one connected
+    component of an undirected state graph, with at most one state per node.
+    An anchor that the walk meets carrying exactly its own span lies in that
+    component: it is coarsely equivalent to the start, its own walk would
+    visit the same states, and it needs none.  So the ball is walked once per
+    coarse-equivalence class, each class keeps the anchors it lies under as
+    an int bitset, and the longest-chain search runs over classes.  Two
+    distinct classes are never both below each other, so a strict step
+    between classes is a plain inclusion.  Each guard, transport and
     inclusion test runs once per distinct span, memoised on interned ids.
     """
     orc = g.oracle()
@@ -391,14 +414,20 @@ def ball_chain_depths(ball: TreeBall, g):
     at_node = {}
     for k, (addr, target) in enumerate(anchors):
         at_node.setdefault(addr, []).append((k, intern(target)))
-    le = [[False] * len(anchors) for _ in anchors]
+    class_of = [None] * len(anchors)
+    reps, rows = [], []   # per class: first anchor, bitset of the anchors it lies under
     for k, (addr, span) in enumerate(anchors):
-        row = le[k]
+        if class_of[k] is not None:
+            continue
+        row = 0
         stack = [(addr, intern(span), None)]
         while stack:
             here, cur, came_from = stack.pop()
             for j, t in at_node.get(here, ()):
-                row[j] = inside(t, cur)
+                if t == cur:
+                    class_of[j] = len(reps)
+                if inside(t, cur):
+                    row |= 1 << j
             steps = [(c, c[-1][0], c[-1][1]) for c in ball._children.get(here, ())]
             if here:
                 eid, i, _ = here[-1]
@@ -407,26 +436,33 @@ def ball_chain_depths(ball: TreeBall, g):
                 carried = None if nxt == came_from else cross(eid, entered, cur)
                 if carried is not None:
                     stack.append((nxt, carried, here))
+        reps.append(k)
+        rows.append(row)
 
-    order = range(len(anchors))
-    memo = {}
-
-    def depth_of(i):
-        if i in memo:
-            return memo[i]
-        memo[i] = 0  # cycle guard; strict chains cannot revisit
-        best = 0
-        for j in order:
-            if i != j and le[i][j] and not le[j][i]:
-                best = max(best, depth_of(j) + 1)
-        memo[i] = best
-        return best
+    # Peel the classes top down: a class's height is the round in which no
+    # class still unpeeled lies strictly above it.
+    above = [row & ~(1 << r) for r, row in zip(reps, rows)]
+    height = [None] * len(reps)
+    unpeeled = sum(1 << r for r in reps)
+    level = 0
+    while unpeeled:
+        top = [c for c, h in enumerate(height) if h is None and not above[c] & unpeeled]
+        assert top, "coarse inclusion between classes must be acyclic"
+        for c in top:
+            height[c] = level
+            unpeeled ^= 1 << reps[c]
+        level += 1
 
     out = {}
     for obj, k in zip(objs, of_obj):
         orbit = obj.vertex if isinstance(obj, BallNode) else obj.edge
-        out[orbit] = max(out.get(orbit, 0), depth_of(k))
+        out[orbit] = max(out.get(orbit, 0), height[class_of[k]])
     return out
+
+
+def _quoted(text):
+    """A DOT string: backslash and double quote escaped, so distinct texts stay distinct."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(ball: TreeBall) -> str:
@@ -436,7 +472,7 @@ def to_dot(ball: TreeBall) -> str:
         parts = [f"root:{ball.root_vertex}"]
         for (eid, i, lab) in address:
             parts.append(f"{eid}.{i}." + ",".join(map(str, lab)))
-        return "/".join(parts)
+        return _quoted("/".join(parts))
 
     lines = ["graph {"]
     for address in sorted(ball.nodes):
@@ -444,14 +480,14 @@ def to_dot(ball: TreeBall) -> str:
         label = node.vertex
         if node.depth_label is not None:
             label += f" d{node.depth_label}"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_quoted(label)}"]
         if node.truncated:
             attrs.append("truncated=true")
-        lines.append(f'  "{name(address)}" [{", ".join(attrs)}];')
+        lines.append(f'  {name(address)} [{", ".join(attrs)}];')
     for e in sorted(ball.edges, key=lambda e: (e.child,)):
         label = e.edge
         if e.depth_label is not None:
             label += f" d{e.depth_label}"
-        lines.append(f'  "{name(e.parent)}" -- "{name(e.child)}" [label="{label}"];')
+        lines.append(f"  {name(e.parent)} -- {name(e.child)} [label={_quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -251,6 +251,39 @@ def test_ball_non_monotone_labels_exit_one(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+DOT_QUOTED = r'"(?:[^"\\]|\\.)*"'
+DOT_NODE = re.compile(rf"  ({DOT_QUOTED}) \[label=({DOT_QUOTED})(, truncated=true)?\];")
+DOT_EDGE = re.compile(rf"  ({DOT_QUOTED}) -- ({DOT_QUOTED}) \[label=({DOT_QUOTED})\];")
+
+
+def test_ball_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    doc = {"oracle": "abelian", "vertices": [{"id": 'v"x', "rank": 1}],
+           "edges": [{"id": 't\\"', "rank": 1, "ends": [{"vertex": 'v"x', "matrix": [[1]]},
+                                                       {"vertex": 'v"x', "matrix": [[2]]}]}]}
+    path = tmp_path / "quotes.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "ball", path, "--radius", "2", "--format", "dot")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "graph {" and lines[-1] == "}"
+    names, labels = [], []
+    for line in lines[1:-1]:
+        node, edge = DOT_NODE.fullmatch(line), DOT_EDGE.fullmatch(line)
+        assert node or edge, line
+        if node:
+            names.append(node[1])
+            labels.append(node[2])
+        else:
+            labels.append(edge[3])
+    assert len(names) == len(set(names)) > 1
+    assert _dot_unquote(names[0]) == 'root:v"x'
+    assert {_dot_unquote(lab) for lab in labels} == {'v"x d0', 't\\" d0'}
+
+
+def _dot_unquote(token):
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
 def test_json_format(capsys):
     code, out, _ = run(capsys, "depth", fixture_path("arc3"), "--format", "json")
     assert code == 0
@@ -365,7 +398,7 @@ def _value_paths(doc, prefix=()):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
-    """Replace one value of the fixture at a time; validate and depth never crash."""
+    """Replace one value of the fixture at a time; validate, depth and ball never crash."""
     doc = json.loads(fixture_path(name).read_text())
     rng = random.Random(f"mutate {name}")
     paths = list(_value_paths(doc))
@@ -377,8 +410,8 @@ def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
             node = node[key]
         node[path[-1]] = rng.choice([5, None, [], {}, "x"])
         target.write_text(json.dumps(mutated))
-        for command in ("validate", "depth"):
-            code, _, err = run(capsys, command, target)
+        for argv in (["validate"], ["depth"], ["ball", "--radius", "2"]):
+            code, _, err = run(capsys, *argv[:1], target, *argv[1:])
             assert type(code) is int and 0 <= code <= 5, (path, node[path[-1]])
             assert "Traceback" not in err
 

@@ -1,5 +1,6 @@
 """Tree balls: Smith-form cosets, valences, crossing, chain depths, DOT."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from conftest import RANK0_PROBE
 from gogkit import (BallNode, annotate_depth, ball_chain_depths, ball_crossing_check,
                     build_ball, coarse_le, crossing_graph, depth_filtration,
-                    graph_from_dict, smith_normal_form, to_dot)
-from gogkit.exactlin import RatMatrix
+                    graph_from_dict, reducible_edges, smith_normal_form, to_dot)
+from gogkit.exactlin import RatMatrix, contains
 from gogkit.oracle import UnsupportedOracle
 from gogkit.treeball import CosetSystem
 from test_depth import _random_irreducible_graph
@@ -233,22 +234,60 @@ def test_chain_depths_match_pairwise_coarse_le(graph, name):
 @pytest.mark.parametrize("root", ["v0", "v1"])
 def test_chain_depths_match_pairwise_coarse_le_on_rank0_probe(root):
     g = graph_from_dict(RANK0_PROBE)
-    ball = build_ball(g, root, 2, branch_cap=2)
-    assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g)
+    for radius in (2, 3):
+        ball = build_ball(g, root, radius, branch_cap=2)
+        assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g), radius
+
+
+def _injective_rows(rng, rows, cols):
+    for _ in range(60):
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        if cols == 0 or RatMatrix.from_rows(m).rank() == cols:
+            return m
+    return None
+
+
+def _mixed_rank_graph(rng):
+    """1-3 vertices of rank 0-3 joined by a spanning tree plus one or two extra
+    edges; edges of rank 0 and loops occur, as in the ROADMAP 2a probe."""
+    nv = rng.randint(1, 3)
+    ranks = [rng.randint(0, 3) for _ in range(nv)]
+    pairs = [(rng.randrange(k), k) for k in range(1, nv)]
+    pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(1, 2))]
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        r = rng.randint(0, min(ranks[a], ranks[b]))
+        ma, mb = _injective_rows(rng, ranks[a], r), _injective_rows(rng, ranks[b], r)
+        if ma is None or mb is None:
+            return None
+        edges.append({"id": f"e{k}", "rank": r,
+                      "ends": [{"vertex": f"v{a}", "matrix": ma}, {"vertex": f"v{b}", "matrix": mb}]})
+    return graph_from_dict({"oracle": "abelian", "edges": edges,
+                            "vertices": [{"id": f"v{i}", "rank": n} for i, n in enumerate(ranks)]})
 
 
 def test_chain_depths_match_pairwise_coarse_le_on_random_graphs():
     rng = random.Random(4711)
-    tested = 0
-    while tested < 30:
-        g = _random_irreducible_graph(rng)
-        if g is None:
-            continue
-        ball = build_ball(g, rng.choice(g.vertex_ids()), 3, branch_cap=2)
-        if len(ball.nodes) > 90:
-            continue
-        assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g), ball.root_vertex
-        tested += 1
+    shapes = set()
+    for draw in (_random_irreducible_graph, _mixed_rank_graph):
+        tested = 0
+        while tested < 30:
+            g = draw(rng)
+            if g is None:
+                continue
+            ball = build_ball(g, rng.choice(g.vertex_ids()), 3, branch_cap=2)
+            if len(ball.nodes) > 90:
+                continue
+            assert ball_chain_depths(ball, g) == _pairwise_chain_depths(ball, g), \
+                (draw.__name__, ball.root_vertex)
+            tested += 1
+            if draw is _mixed_rank_graph:
+                for e in g.edges:
+                    if e.rank == 0 and g.vertex(e.ends[0].vertex).rank > 0:
+                        shapes.add("rank-0 edge at a vertex of positive rank")
+                    if e.ends[0].vertex == e.ends[1].vertex:
+                        shapes.add("loop")
+    assert len(shapes) == 2, shapes
 
 
 def test_annotate_depth_names_first_violation_on_rank0_probe():
@@ -256,6 +295,76 @@ def test_annotate_depth_names_first_violation_on_rank0_probe():
     with pytest.raises(ValueError) as err:
         annotate_depth(build_ball(g, "v0", 3, branch_cap=2), depth_filtration(g))
     assert str(err.value) == "depth labels not monotone: e0 (depth 1) sits strictly inside e2 (depth 1)"
+
+
+def _first_violation(ball, depth):
+    """Reference: the message of the first violating pair in the loop over all
+    ordered pairs of ball edges, or None when the labels are monotone."""
+    for a in ball.edges:
+        for b in ball.edges:
+            if a.root_span is None or b.root_span is None:
+                continue
+            strict = contains(b.root_span, a.root_span) and not contains(a.root_span, b.root_span)
+            if strict and depth[a.edge] <= depth[b.edge]:
+                return (f"depth labels not monotone: {a.edge} (depth {depth[a.edge]}) "
+                        f"sits strictly inside {b.edge} (depth {depth[b.edge]})")
+    return None
+
+
+def _assert_annotate_matches_pair_loop(ball, da):
+    expected = _first_violation(ball, da.depth)
+    if expected is None:
+        labelled = annotate_depth(ball, da)
+        assert [e.depth_label for e in labelled.edges] == [da.depth[e.edge] for e in ball.edges]
+    else:
+        with pytest.raises(ValueError) as err:
+            annotate_depth(ball, da)
+        assert str(err.value) == expected
+    return expected is not None
+
+
+def test_annotate_depth_matches_pair_loop_on_fixtures_and_perturbed_labels(graph):
+    rng = random.Random(1717)
+    draws = []
+    while len(draws) < 40:
+        g = (_mixed_rank_graph if len(draws) % 2 else _random_irreducible_graph)(rng)
+        if g is not None:
+            draws.append((g, 2))
+    fixed = [(graph(name), 3) for name in ("arc3", "arc4", "thm14", "f2xz", "z2hnn", "bs22")]
+    outcomes = []
+    for g, radius in fixed + [(graph_from_dict(RANK0_PROBE), 3)] + draws:
+        if reducible_edges(g):
+            continue
+        da = depth_filtration(g)
+        if da.verdict.kind == "infinite":
+            continue
+        for root in g.vertex_ids():
+            ball = build_ball(g, root, radius, branch_cap=2)
+            if len(ball.nodes) > 120:
+                continue
+            outcomes.append(_assert_annotate_matches_pair_loop(ball, da))
+            for _ in range(3):
+                labels = {o: max(0, d + rng.randint(-1, 1)) for o, d in da.depth.items()}
+                perturbed = dataclasses.replace(da, depth=labels)
+                outcomes.append(_assert_annotate_matches_pair_loop(ball, perturbed))
+    # Both answers must occur for the comparison to mean anything.
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20, outcomes.count(True)
+
+
+def test_build_ball_lists_coset_labels_at_most_twice_per_edge_end(graph, monkeypatch):
+    calls = {}
+    labels = CosetSystem.labels
+
+    def counted(self, *args, **kwargs):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return labels(self, *args, **kwargs)
+
+    monkeypatch.setattr(CosetSystem, "labels", counted)
+    for name, vid in (("bs22", "v"), ("f2xz", "v"), ("thm14", "a"), ("arc4", "x")):
+        calls.clear()
+        ball = build_ball(graph(name), vid, 3, branch_cap=2)
+        expanded = sum(n.expanded for n in ball.nodes.values())
+        assert expanded > 2 and max(calls.values()) <= 2, (name, calls)
 
 
 def test_annotate_depth_and_reject_mismatch(graph):
