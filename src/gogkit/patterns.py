@@ -8,7 +8,10 @@ pattern is the meaningful invariant.  For patterns of lines in the plane the
 slope multiset up to Mobius transformations is a complete invariant; it is
 canonicalized here by minimizing over all frames sending three of the slopes
 to (0, oo, 1).  Linear equivalence itself is decided exactly in every
-dimension by one fixed, finite search, with no sampling and no seed.
+dimension by one fixed, finite search, with no sampling and no seed.  When one
+pattern is rigid, the search skips, before any elimination, each bijection
+that breaks the projective frame coordinates of its hyperplanes; no
+equivalence breaks them, so answers and witnesses are those of the full search.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, _echelon,
-                       annihilator, image, kernel_vectors)
+                       _primitive, annihilator, image, kernel_vectors)
 from .oracle import UnsupportedOracle
 
 class UnderdeterminedSlopes(ValueError):
@@ -91,6 +94,7 @@ def _rank(rows) -> int:
     return len(_echelon(rows)[0])
 
 
+@lru_cache(maxsize=1024)
 def _normal_ranks(pattern: LinearPattern):
     """Sorted (k, rank) over every set of k = 2..n hyperplane normals.
 
@@ -221,6 +225,62 @@ def _int_annihilator(s: RationalSubspace):
     return annihilator(s).basis
 
 
+# -- projective frames -----------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _hyperplane_minors(pattern: LinearPattern):
+    """det of every n distinct hyperplane normals, keyed by their indices in order."""
+    n = pattern.ambient_dim
+    hyper = [i for i, s in enumerate(pattern.subspaces) if s.dim == n - 1]
+    normals = {i: _normal_covector(pattern.subspaces[i]) for i in hyper}
+    minors = {}
+    for rows in itertools.combinations(hyper, n):
+        det = int(RatMatrix.from_rows([normals[i] for i in rows]).det())
+        for order in itertools.permutations(rows):
+            odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+            minors[order] = -det if odd else det
+    return minors
+
+
+def _frame_coordinates(minors, frame, others):
+    """Frame coordinates of each member of `others`, or None off general position.
+
+    With frame normals h_0..h_n, H the matrix of rows h_0..h_{n-1} and H_{j<-x}
+    that matrix with row j replaced by x, Cramer's rule makes the ratios
+    det H_{j<-v} / det H_{j<-h_n}, j < n, the coordinates of v.  Rescaling any
+    normal rescales the whole tuple, and an invertible map moves every normal
+    by one matrix, so the tuple up to scale (a primitive integer row, first
+    nonzero entry positive) is kept by every map carrying the frame, in order,
+    onto its image.  The frame is in general position iff det H and every
+    det H_{j<-h_n} are nonzero.
+    """
+    *base, last = frame
+    dens = [minors[(*base[:j], last, *base[j + 1:])] for j in range(len(base))]
+    if 0 in dens or minors[tuple(base)] == 0:
+        return None
+    scale = [prod(dens) // d for d in dens]
+    return tuple(_primitive([minors[(*base[:j], w, *base[j + 1:])] * scale[j]
+                             for j in range(len(base))])
+                 for w in others)
+
+
+@lru_cache(maxsize=1024)
+def _frame(pattern: LinearPattern):
+    """(frame + other hyperplanes, their frame coordinates), or None if not rigid.
+
+    The frame is the general-position (n+1)-set that `rigidity_check` finds.
+    """
+    verdict = rigidity_check(pattern)
+    if verdict.status != "rigid":
+        return None
+    n = pattern.ambient_dim
+    others = tuple(i for i, s in enumerate(pattern.subspaces)
+                   if s.dim == n - 1 and i not in verdict.witness)
+    return (verdict.witness + others,
+            _frame_coordinates(_hyperplane_minors(pattern), verdict.witness, others))
+
+
 def _constraint_rows(v_space: RationalSubspace, w_space: RationalSubspace, n: int):
     """Linear constraints on T (row-major n^2 unknowns) forcing T v in w."""
     rows = []
@@ -261,8 +321,14 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern):
 
     First the ranks of every set of hyperplane normals are compared: an
     invertible map preserves them, so a difference decides "no" exactly, in
-    every dimension, before any bijection is tried.  Otherwise, for each
-    dimension-respecting bijection, the matrices sending each member into its
+    every dimension, before any bijection is tried.  When p is rigid, a
+    bijection sigma is skipped unless sigma sends p's frame (`_frame`) to
+    hyperplanes in general position and every other hyperplane of p to one
+    with the same frame coordinates in that image frame.  An invertible map
+    sending each member onto its target carries the frame onto the image
+    frame and keeps frame coordinates, so a skipped bijection has no witness
+    and the skip changes neither the answer nor which witness comes first.
+    For each bijection left, the matrices sending each member into its
     target form a space with basis B_1..B_k, and det(sum t_i B_i) is a form of
     degree n in t.  A form vanishing on the simplex lattice {t in N^k : sum t
     = n} is zero: with t_k = n - sum_{i<k} t_i it becomes a polynomial of
@@ -290,10 +356,20 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern):
     constraints = {(i, j): _constraint_rows(p.subspaces[i], q.subspaces[j], n)
                    for block_p, targets in dim_blocks for i in block_p for j in targets}
     want = sorted(q.subspaces, key=lambda s: (s.dim, s.basis))
+    frame = _frame(p)
+    if frame is not None:
+        pinned, coords = frame
+        minors, passes = _hyperplane_minors(q), {}
     for perm_combo in itertools.product(
             *[itertools.permutations(targets) for _, targets in dim_blocks]):
         sigma = dict(pair for (block_p, _), perm in zip(dim_blocks, perm_combo)
                      for pair in zip(block_p, perm))
+        if frame is not None:
+            key = tuple(sigma[i] for i in pinned)
+            if key not in passes:
+                passes[key] = _frame_coordinates(minors, key[:n + 1], key[n + 1:]) == coords
+            if not passes[key]:
+                continue
         basis = kernel_vectors([r for i in sorted(sigma) for r in constraints[i, sigma[i]]], n * n)
         for point in _points(n, len(basis)) if basis else ():
             t = _as_matrix(point, basis, n)

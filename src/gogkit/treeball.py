@@ -194,7 +194,9 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
     Nodes are expanded breadth first.  Each expanded node gets one child per
     coset of every incident edge end, except the coset it was arrived on;
     the coset labels of an edge end are computed once per (edge, end,
-    skip_zero) and shared by every node that expands that end.
+    skip_zero) and shared by every node that expands that end.  The span of
+    an end and its transport to the root depend only on (node, end), so they
+    are computed once per expanded node and end that has a child.
     """
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("tree balls need the abelian oracle")
@@ -231,12 +233,16 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
             for (e, i) in g.ends_at(vid):
                 truncated = truncated or not cosets[(e.id, i)].finite
                 child_vid = e.ends[1 - i].vertex
-                for lab in labels(e.id, i, arrived == (e.id, i)):
+                labs = labels(e.id, i, arrived == (e.id, i))
+                if not labs:
+                    continue
+                span = orc.class_of(e.id, i)
+                root_span = _to_root_span(orc, span, up_path)
+                child_path = [(e.id, 1 - i)] + up_path
+                for lab in labs:
                     caddr = address + ((e.id, i, lab),)
-                    span = orc.class_of(e.id, i)
-                    edges.append(BallEdge(address, caddr, e.id, i, span,
-                                          _to_root_span(orc, span, up_path)))
-                    to_root[caddr] = [(e.id, 1 - i)] + up_path
+                    edges.append(BallEdge(address, caddr, e.id, i, span, root_span))
+                    to_root[caddr] = child_path
                     queue.append((caddr, child_vid, (e.id, 1 - i), dist + 1))
         nodes[address] = BallNode(address, vid, expanded, truncated, true_valence(vid))
     return TreeBall(root, radius, branch_cap, nodes, tuple(edges))

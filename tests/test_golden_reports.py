@@ -56,7 +56,7 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert len(CASES) == 272
+    assert len(CASES) == 452
     assert sorted(golden) == sorted(" ".join(c) for c in CASES)
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogkit import patterns, vertex_edge_pattern
+from conftest import fixture_path
+from gogkit import cli, patterns, vertex_edge_pattern
 from gogkit.exactlin import (DimensionMismatch, RatMatrix, annihilator, canonicalize, image,
                              kernel_vectors)
 from gogkit.patterns import (LinearPattern, UnderdeterminedSlopes, line_slope,
@@ -305,12 +306,125 @@ def test_near_miss_answered_without_a_bijection(monkeypatch, normals, near):
     assert calls == []
 
 
-def test_equal_normal_ranks_still_searched(monkeypatch):
+# -- frame coordinates before the elimination ------------------------------------
+
+
+def _search_without_frames(p, q):
+    """Reference: the bijection search with no frame filter and no rank check.
+
+    Every dimension-respecting bijection in lex order, its kernel of maps
+    sending each member into its target, and the lattice points of `_points`;
+    the first invertible map found is the witness.
+    """
+    n = p.ambient_dim
+    if len(p.subspaces) != len(q.subspaces) or sorted(p.dims()) != sorted(q.dims()):
+        return False, None
+    if n == 0:
+        return True, RatMatrix.identity(0)
+    blocks = [([i for i, s in enumerate(p.subspaces) if s.dim == d],
+               [j for j, s in enumerate(q.subspaces) if s.dim == d])
+              for d in sorted(set(q.dims()))]
+    want = sorted(q.subspaces, key=lambda s: (s.dim, s.basis))
+    for combo in itertools.product(*[itertools.permutations(t) for _, t in blocks]):
+        sigma = dict(pair for (block, _), perm in zip(blocks, combo)
+                     for pair in zip(block, perm))
+        basis = kernel_vectors([r for i in sorted(sigma) for r in patterns._constraint_rows(
+            p.subspaces[i], q.subspaces[sigma[i]], n)], n * n)
+        for point in patterns._points(n, len(basis)) if basis else ():
+            t = patterns._as_matrix(point, basis, n)
+            if t.det() != 0 and want == sorted((image(t, s) for s in p.subspaces),
+                                               key=lambda s: (s.dim, s.basis)):
+                return True, t
+    return False, None
+
+
+def test_equal_normal_ranks_answered_by_frame_coordinates(monkeypatch):
+    """0inf12 against 0inf13: equal normal ranks, different cross-ratios."""
     p, r = slopes_pattern(0, "inf", 1, 2), slopes_pattern(0, "inf", 1, 3)
     assert patterns._normal_ranks(p) == patterns._normal_ranks(r)
     calls = count_kernels(monkeypatch)
     assert patterns_equivalent(p, r) == (False, None)
-    assert calls
+    assert calls == []
+    assert _search_without_frames(p, r) == (False, None)
+
+
+def _member(rng, n, d):
+    while True:
+        s = canonicalize([[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)], n)
+        if s.dim == d:
+            return s
+
+
+def _random_pair(rng):
+    """A pattern and a GL-moved copy of it or of a copy with one member replaced.
+
+    Rigid patterns hold n+1 or n+2 hyperplanes in general position; the others
+    hold 1..n random hyperplanes.  Either kind may get members of lower
+    dimension and, below six members, a repeated member.
+    """
+    n = rng.choice((2, 2, 3, 3, 4))
+    if rng.random() < 0.6:
+        normals = general_position_normals(rng, n, n + 1 + (n < 4 and rng.random() < 0.4))
+    else:
+        normals = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n))
+                               for _ in range(rng.randint(1, n))) if any(v)] or [(1,) * n]
+    members = [annihilator(canonicalize([v], n)) for v in normals]
+    if n > 2:
+        members += [_member(rng, n, rng.randint(1, n - 2))
+                    for _ in range(rng.randint(0, 2 if n == 3 else 1))]
+    if rng.random() < 0.3 and len(members) < 6:
+        members.append(rng.choice(members))
+    p = LinearPattern.of(members, n)
+    if rng.random() < 0.5:
+        k = rng.randrange(len(members))
+        members[k] = _member(rng, n, members[k].dim)
+    return p, moved(LinearPattern.of(members, n), random_invertible(rng, n))
+
+
+def test_frame_filter_keeps_answers_and_witnesses():
+    rng = random.Random(1812)
+    seen = {"rigid": 0, "other": 0, "yes": 0, "no": 0, "mixed": 0, "repeated": 0,
+            "Q^2": 0, "Q^3": 0, "Q^4": 0}
+    for n_pair in range(120):
+        p, q = _random_pair(rng)
+        got = patterns_equivalent(p, q)
+        assert got == _search_without_frames(p, q), (n_pair, p, q)
+        seen[f"Q^{p.ambient_dim}"] += 1
+        seen["rigid" if rigidity_check(p).status == "rigid" else "other"] += 1
+        seen["yes" if got[0] else "no"] += 1
+        seen["mixed"] += len(set(p.dims())) > 1
+        seen["repeated"] += len(set(p.subspaces)) < len(p.subspaces)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_frame_coordinates_survive_invertible_maps():
+    """Coordinates of a pattern in its frame equal those of T p in the image frame."""
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        members = [annihilator(canonicalize([v], n))
+                   for v in general_position_normals(rng, n, n + 1 + rng.randint(1, 2))]
+        p = LinearPattern(n, tuple(members))
+        pinned, coords = patterns._frame(p)
+        frame, others = pinned[:n + 1], pinned[n + 1:]
+        assert others
+        order = rng.sample(range(len(members)), len(members))   # q member k is p member order[k]
+        t = random_invertible(rng, n)
+        q = LinearPattern(n, tuple(image(t, members[i]) for i in order))
+        where = {i: k for k, i in enumerate(order)}
+        assert patterns._frame_coordinates(patterns._hyperplane_minors(q),
+                                           [where[i] for i in frame],
+                                           [where[i] for i in others]) == coords
+
+
+def test_frame_pins_the_q3_fixture_to_one_bijection(monkeypatch):
+    p, q, near = (cli._load_pattern(fixture_path(f"pattern_q3_planes{suffix}"), None)
+                  for suffix in ("", "_moved", "_near"))
+    calls = count_kernels(monkeypatch)
+    assert patterns_equivalent(p, q) == _search_without_frames(p, q)
+    assert patterns_equivalent(p, q)[0] and len(calls) == 2   # one per call
+    assert patterns_equivalent(p, near) == (False, None) == _search_without_frames(p, near)
+    assert len(calls) == 2
 
 
 def test_rigidity_check_matches_determinants():

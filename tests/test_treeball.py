@@ -11,6 +11,7 @@ from gogkit import (BallNode, annotate_depth, ball_chain_depths, ball_crossing_c
                     graph_from_dict, reducible_edges, smith_normal_form, to_dot)
 from gogkit.exactlin import RatMatrix, contains
 from gogkit.oracle import UnsupportedOracle
+from gogkit import treeball
 from gogkit.treeball import CosetSystem
 from test_depth import _random_irreducible_graph
 
@@ -365,6 +366,21 @@ def test_build_ball_lists_coset_labels_at_most_twice_per_edge_end(graph, monkeyp
         ball = build_ball(graph(name), vid, 3, branch_cap=2)
         expanded = sum(n.expanded for n in ball.nodes.values())
         assert expanded > 2 and max(calls.values()) <= 2, (name, calls)
+
+
+def test_build_ball_transports_each_expanded_edge_end_once(graph, monkeypatch):
+    calls = []
+    to_root = treeball._to_root_span
+    monkeypatch.setattr(treeball, "_to_root_span",
+                        lambda *args: calls.append(args) or to_root(*args))
+    shared = 0
+    for name, vid in (("bs22", "v"), ("f2xz", "v"), ("thm14", "a"), ("arc4", "x")):
+        calls.clear()
+        ball = build_ball(graph(name), vid, 3, branch_cap=2)
+        ends = {(e.parent, e.edge, e.end_at_parent) for e in ball.edges}
+        assert len(calls) == len(ends), name
+        shared += len(ball.edges) - len(ends)
+    assert shared > 0    # some (node, edge end) has several cosets
 
 
 def test_annotate_depth_and_reject_mismatch(graph):
