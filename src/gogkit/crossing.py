@@ -9,9 +9,10 @@ when the incident end spans together span the whole vertex group.  Two
 distinct corank-one spans always cross, and together they already span Q^n;
 copies of a single span H are joined exactly when some incident span escapes
 H.  So the verdict is read off the hyperplane nodes with no span sums: two or
-more nodes mean connected, and one node H takes one cached `contains` test
-per incident span.  Every adjacency entry equals the verdict, and the witness
-of a disconnected graph is H itself, which holds every incident span.
+more nodes mean connected, and one node H takes one `contains` test, dot
+products with H's one cached normal, per incident span.  Every adjacency
+entry equals the verdict, and the witness of a disconnected graph is H
+itself, which holds every incident span.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ class CrossingGraph:
 
 
 def _one_vertex_raft(da: DepthAssignment, vid: str) -> bool:
-    for raft in da.levels[0].rafts if da.levels else ():
-        if set(raft.core) == {vid}:
-            return True
-    return False
+    return any(raft.core == (vid,) for raft in (da.levels[0].rafts if da.levels else ()))
 
 
 def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:

@@ -39,7 +39,7 @@ class WrongRaftLevel(ValueError):
 @dataclass(frozen=True)
 class Raft:
     level: int
-    core: tuple[str, ...]        # orbits whose depth equals the level
+    core: tuple[str, ...]        # sorted orbits whose depth equals the level
     absorbed: tuple[str, ...]    # members of absorbed lower flotillas
     kind: str | None = None      # point | line | bushy, level 0 only
 
@@ -139,12 +139,11 @@ def raft_kind(g, raft: Raft) -> str:
     if raft.level != 0:
         raise WrongRaftLevel("kind is defined for depth-zero rafts only")
     orc = g.oracle()
-    members = set(raft.core)
-    edge_ids = set(g.edge_ids())
-    if not members & edge_ids:
+    members, edges = set(raft.core), g.edge_index
+    if not any(m in edges for m in raft.core):
         return "point"
     for vid in raft.core:
-        if vid in edge_ids:
+        if vid in edges:
             continue
         valence = 0
         for (e, i) in g.ends_at(vid):

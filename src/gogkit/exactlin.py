@@ -8,10 +8,11 @@ so subspace equality is plain data equality and results are hashable.
 A matrix is integer rows over one positive denominator, and caches its column
 span and determinant.  Everything is exact and runs on Python ints: one
 fraction-free Gauss-Jordan elimination (`_echelon`) serves canonical forms,
-containment, kernels, inverse and `carry`, and determinants use Bareiss's
-integer-preserving elimination.  fractions.Fraction appears only where a
-public value is rational: RatMatrix entries, determinants and kernel vectors.
-No floating point is used anywhere.
+kernels, inverse and `carry`, and determinants use Bareiss's
+integer-preserving elimination.  Containment is integer dot products with
+normals that each subspace caches on first use.  fractions.Fraction appears
+only where a public value is rational: RatMatrix entries, determinants and
+kernel vectors.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -95,6 +97,20 @@ class RationalSubspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
+    @cached_property
+    def _normals(self) -> tuple[tuple[int, ...], ...]:
+        """Integer covectors spanning the annihilator: per non-pivot column fc, m at
+        fc and -row[fc] * (m // row[p]) at each pivot p, m the lcm of the pivots."""
+        pivots = [next(c for c, x in enumerate(row) if x) for row in self.basis]
+        m = lcm(*[row[p] for row, p in zip(self.basis, pivots)])
+        n, out = self.ambient_dim, []
+        for fc in [c for c in range(n) if c not in pivots]:
+            u = [m if c == fc else 0 for c in range(n)]
+            for row, p in zip(self.basis, pivots):
+                u[p] = -row[fc] * (m // row[p])
+            out.append(tuple(u))
+        return tuple(out)
+
     def __repr__(self):
         rows = ",".join("(" + ",".join(map(str, r)) + ")" for r in self.basis)
         return f"<{rows}> in Q^{self.ambient_dim}" if rows else f"0 in Q^{self.ambient_dim}"
@@ -146,7 +162,7 @@ def contains(a: RationalSubspace, b: RationalSubspace) -> bool:
     _check_same_ambient(a, b)
     if b.dim > a.dim:
         return False
-    return len(_echelon(a.basis + b.basis)[0]) == a.dim
+    return not any(sum(map(mul, u, row)) for u in a._normals for row in b.basis)
 
 
 def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
@@ -176,7 +192,7 @@ def kernel_vectors(rows, ncols):
 
 def annihilator(s: RationalSubspace) -> RationalSubspace:
     """The subspace of covectors y with y . x = 0 for all x in s."""
-    return canonicalize(kernel_vectors(s.basis, s.ambient_dim), s.ambient_dim)
+    return canonicalize(s._normals, s.ambient_dim)
 
 
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:

@@ -124,6 +124,10 @@ class GraphOfGroups:
             raise UnknownId(f"no edge {eid!r}")
         return e
 
+    @property
+    def edge_index(self):   # edge id -> edge, first match wins
+        return self._index[1]
+
     def vertex_ids(self):
         return [v.id for v in self.vertices]
 

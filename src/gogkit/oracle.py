@@ -19,7 +19,8 @@ The abelian guard looks at dimensions first.  Edge maps are injective, so a
 span of larger dimension than the entered end class never crosses, and one of
 equal dimension crosses only when it is that class, which lands on the
 opposite end class with no elimination.  Only a smaller span is tested with
-`contains`, and it crosses by `carry`: one elimination solving M_eta X = V.
+`contains` (dot products with the end class's cached normals), and it
+crosses by `carry`: one elimination solving M_eta X = V.
 End classes and indices are read off the edge matrices, which cache their
 spans and determinants, so the abelian oracle caches only transports.  When
 `carry` moves V across an edge to W, the cache also records the way back, W
@@ -169,10 +170,12 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
     (`max_steps` rounds or MAX_STATES states) cut the search while new states
     were still appearing, in which case the result is a lower bound.  Each
     state tries the edge ends at its vertex in (edge id, end index) order.
+    The pool is checked against the edge index once, by one set difference.
     """
     g = oracle.g
-    # g.edge raises KeyError on an id the graph does not have.
-    allowed = None if edge_ids is None else {g.edge(eid).id for eid in edge_ids}
+    allowed = None if edge_ids is None else set(edge_ids)
+    if allowed and allowed - g.edge_index.keys():
+        g.edge(next(eid for eid in edge_ids if eid not in g.edge_index))   # raises UnknownId
     arcs = {}   # vertex -> its allowed (edge, end index) pairs, in order
 
     def arcs_at(vid):

@@ -1,13 +1,15 @@
 """Crossing graphs and the five-hypothesis checklist."""
 
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gogkit import check_hypotheses, crossing_graph, depth_filtration, graph_from_dict, validate
+from gogkit import (check_hypotheses, complete_reduce, crossing_graph, depth_filtration,
+                    graph_from_dict, raft_kind, reducible_edges, validate)
 from gogkit import exactlin
 from gogkit.crossing import CrossingGraph, CrossingNode, WrongVertex
 from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors, subspace_sum,
@@ -15,6 +17,7 @@ from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors,
 from gogkit.oracle import UnsupportedOracle
 
 from conftest import fixture_path
+from test_treeball import _mixed_rank_graph
 
 
 def test_two_spanning_hyperplanes_connected(graph):
@@ -311,3 +314,48 @@ def test_two_hyperplanes_need_no_elimination_once_classes_are_warm(graph, monkey
     cg = crossing_graph(g, "a", da)
     assert (cg.verdict, len(cg.nodes)) == ("connected", 2)
     assert calls == []
+
+
+def _old_raft_kind(g, raft):
+    """raft_kind as it was, with a fresh set of every edge id per raft."""
+    orc = g.oracle()
+    members = set(raft.core)
+    edge_ids = set(g.edge_ids())
+    if not members & edge_ids:
+        return "point"
+    for vid in raft.core:
+        if vid in edge_ids:
+            continue
+        valence = sum(orc.index_value(e.id, i) for (e, i) in g.ends_at(vid) if e.id in members)
+        if valence != 2:
+            return "bushy"
+    return "line"
+
+
+def _old_one_vertex_raft(da, vid):
+    return any(set(raft.core) == {vid} for raft in (da.levels[0].rafts if da.levels else ()))
+
+
+def test_raft_kind_and_crossing_graph_match_old_rules_on_mixed_rank_graphs():
+    rng = random.Random(1414)
+    kinds, verdicts, tested = set(), set(), 0
+    while tested < 40:
+        g = _mixed_rank_graph(rng)
+        if g is None or not validate(g).ok:
+            continue
+        g = complete_reduce(g) if reducible_edges(g) else g
+        da = depth_filtration(g)
+        for raft in da.levels[0].rafts if da.levels else ():
+            assert raft_kind(g, raft) == raft.kind == _old_raft_kind(g, raft)
+            kinds.add(raft.kind)
+        for vid in g.vertex_ids():
+            if _old_one_vertex_raft(da, vid):
+                cg = crossing_graph(g, vid, da)
+                assert cg == _old_crossing_graph(g, vid)
+                verdicts.add(cg.verdict)
+            else:
+                with pytest.raises(WrongVertex):
+                    crossing_graph(g, vid, da)
+        tested += 1
+    assert kinds == {"point", "line", "bushy"}
+    assert verdicts == {"empty", "connected", "disconnected"}

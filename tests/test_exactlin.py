@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gogkit.exactlin import (DimensionMismatch, RatMatrix, canonicalize, carry, contains,
-                             full_space, image, intersect, kernel_vectors, preimage,
+from gogkit import exactlin
+from gogkit.exactlin import (DimensionMismatch, RatMatrix, annihilator, canonicalize, carry,
+                             contains, full_space, image, intersect, kernel_vectors, preimage,
                              subspace_sum, zero_space)
 
 
@@ -191,13 +192,74 @@ def test_lattice_containments(pair):
     assert contains(join, a) and contains(join, b)
 
 
-@given(subspace_pairs())
-@settings(max_examples=150, deadline=None)
+def subspaces(n):
+    """Zero, full or spanned subspaces of Q^n, the extremes drawn often."""
+    return st.one_of(st.just(zero_space(n)), st.just(full_space(n)),
+                     spanning_sets(n).map(lambda rows: canonicalize(rows, n)))
+
+
+@st.composite
+def extreme_subspace_pairs(draw):
+    n = draw(st.integers(0, 5))
+    return draw(subspaces(n)), draw(subspaces(n))
+
+
+def rank_contains(a, b):
+    return ff_rank(list(a.basis) + list(b.basis)) == ff_rank(a.basis)
+
+
+@given(extreme_subspace_pairs())
+@settings(max_examples=300, deadline=None)
 def test_contains_matches_rank_oracle(pair):
     a, b = pair
-    stacked_rank = ff_rank(list(a.basis) + list(b.basis))
-    assert contains(a, b) == (stacked_rank == ff_rank(a.basis))
+    assert contains(a, b) == rank_contains(a, b)
+    assert contains(b, a) == rank_contains(b, a)
     assert ff_rank(a.basis) == a.dim
+
+
+def ref_annihilator(s):
+    """The annihilator through Fraction kernel vectors of the basis, the way it
+    was computed before subspaces cached their normals."""
+    return canonicalize(kernel_vectors(s.basis, s.ambient_dim), s.ambient_dim)
+
+
+@given(extreme_subspace_pairs())
+@settings(max_examples=300, deadline=None)
+def test_annihilator_matches_fraction_kernel_reference(pair):
+    for s in pair:
+        ann = annihilator(s)
+        assert ann == ref_annihilator(s)
+        assert ann.dim == s.ambient_dim - s.dim
+        assert annihilator(ann) == s
+        assert all(type(x) is int for u in s._normals for x in u)
+
+
+@given(extreme_subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_cached_normals_leave_no_elimination_to_contains(pair):
+    a, b = pair
+    expected = rank_contains(a, b), rank_contains(b, a)
+    a._normals, b._normals    # first use caches the normals
+
+    def refuse(rows):
+        raise AssertionError(f"_echelon called on {rows}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_echelon", refuse)
+        # __wrapped__ skips the lru_cache, so the check itself runs
+        assert (contains.__wrapped__(a, b), contains.__wrapped__(b, a)) == expected
+    # annihilator's one elimination brings its normals to canonical form; the
+    # basis itself is never eliminated again
+    eliminated, real = [], exactlin._echelon
+
+    def record(rows):
+        eliminated.append(list(rows))
+        return real(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_echelon", record)
+        annihilator(a)
+    assert eliminated == [list(a._normals)]
 
 
 @st.composite

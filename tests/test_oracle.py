@@ -10,6 +10,7 @@ from gogkit import (GraphOfGroups, VertexSpec, collapse, contains, explore, grap
                     validate)
 from gogkit import exactlin, oracle
 from gogkit.exactlin import DimensionMismatch, canonicalize, full_space, image, preimage
+from gogkit.model import UnknownId
 
 from conftest import NO_RAFT_TABLE, RANK0_PROBE
 
@@ -374,6 +375,31 @@ def test_explore_rejects_unknown_edge_ids(graph):
     orc = graph("arc3").oracle()
     with pytest.raises(KeyError, match="no edge 'nope'"):
         explore(orc, "u", full_space(3), edge_ids=["nope"])
+    # the first unknown id in pool order is the one named
+    with pytest.raises(UnknownId, match="no edge 'zz'"):
+        explore(orc, "u", full_space(3), edge_ids=["e", "zz", "f", "aa"])
+
+
+@pytest.mark.parametrize("name", ["arc4", "bs22", "thm14"])
+def test_explore_edge_lookups_do_not_grow_with_the_pool(graph, monkeypatch, name):
+    calls = []
+    lookup = GraphOfGroups.edge
+
+    def counted(self, eid):
+        calls.append(eid)
+        return lookup(self, eid)
+
+    monkeypatch.setattr(GraphOfGroups, "edge", counted)
+    counts = []
+    for copies in (None, 1, 50):
+        g = graph(name)     # a fresh graph, so the oracle's caches start cold
+        cls = g.oracle().top_class(g.vertex_ids()[0])
+        pool = None if copies is None else g.edge_ids() * copies
+        calls.clear()
+        res = explore(g.oracle(), g.vertex_ids()[0], cls, edge_ids=pool, max_steps=4)
+        counts.append((len(calls), res))
+    assert counts[0][0] > 0
+    assert counts[0] == counts[1] == counts[2]
 
 
 @st.composite
