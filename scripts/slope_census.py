@@ -2,14 +2,16 @@
 """Census of random four-line patterns under the slope invariant.
 
 Generates random patterns of four distinct lines in the plane, buckets them
-by canonical slope invariant, and double-checks a sample of buckets against
-the exact linear-equivalence decision.  Useful for eyeballing how many
-equivalence classes small slope ranges produce.  The seed fixes only the
-pattern draw; the equivalence decision itself is exact and takes none.
+by canonical slope invariant, and checks the buckets against the exact
+linear-equivalence decision: every member must be equivalent to its bucket's
+first member, and no two bucket representatives may be equivalent.  Exits 1
+on any disagreement.  The seed fixes only the pattern draw; the equivalence
+decision itself is exact and takes none.
 
     python3 scripts/slope_census.py [count] [seed]
 """
 
+import itertools
 import pathlib
 import random
 import sys
@@ -43,20 +45,13 @@ def main():
     print(f"{count} patterns, {len(buckets)} invariant classes")
     for size in sorted(sizes):
         print(f"  classes of size {size}: {sizes[size]}")
-    # spot-check: members of one multi-element bucket really are equivalent,
-    # and representatives of different buckets really are not
-    multi = next((v for v in buckets.values() if len(v) > 1), None)
-    if multi:
-        same, _ = patterns_equivalent(multi[0], multi[1])
-        print("spot-check same-bucket pair equivalent:", same)
-    reps = [v[0] for v in buckets.values()][:8]
-    bad = 0
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            same, _ = patterns_equivalent(reps[i], reps[j])
-            bad += same
-    print(f"spot-check cross-bucket equivalences among {len(reps)} reps: {bad}")
+    reps = [v[0] for v in buckets.values()]
+    split = sum(not patterns_equivalent(v[0], p)[0] for v in buckets.values() for p in v[1:])
+    merged = sum(patterns_equivalent(a, b)[0] for a, b in itertools.combinations(reps, 2))
+    print(f"same-bucket members not equivalent to their first: {split}")
+    print(f"equivalent pairs among {len(reps)} representatives: {merged}")
+    return 1 if split or merged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -238,8 +238,7 @@ def cmd_invariants(args) -> int:
                         "witness": list(rv.witness) if rv.witness else None})
     em.text(f"rigidity: {rv.status}"
             + (f" (hyperplanes {list(rv.witness)})" if rv.witness else ""))
-    if pattern.ambient_dim == 2 and pattern.subspaces and all(
-            s.dim == 1 for s in pattern.subspaces):
+    if pattern.ambient_dim == 2 and pattern.subspaces:
         try:
             inv = slope_invariant(pattern)
             em.put("slope_invariant", inv.render())

@@ -4,14 +4,17 @@ The incident edge ends at a vertex of rank n cut out a finite multiset of
 proper nonzero subspaces of Q^n.  Quasi-isometries that respect such a
 pattern are boundedly close to affine maps once the pattern contains n+1
 hyperplanes in general position, so the linear-equivalence class of the
-pattern is the meaningful invariant.  For patterns of lines in the plane the
-slope multiset up to Mobius transformations is a complete invariant; it is
-canonicalized here by minimizing over all frames sending three of the slopes
-to (0, oo, 1).  Linear equivalence itself is decided exactly in every
-dimension by one fixed, finite search, with no sampling and no seed.  When one
-pattern is rigid, the search skips, before any elimination, each bijection
-that breaks the projective frame coordinates of its hyperplanes; no
-equivalence breaks them, so answers and witnesses are those of the full search.
+pattern is the meaningful invariant.  The slope invariant and the equivalence
+search read one thing: the projective frame coordinates of hyperplanes,
+computed from the minors of their cached integer normals.  For patterns of
+lines in the plane the slope multiset up to Mobius transformations is a
+complete invariant; it is the n = 2 reading of frame coordinates, minimized
+over all frames, each sent to the slopes (0, oo, 1).  Linear equivalence
+itself is decided exactly in every dimension by one fixed, finite search,
+with no sampling and no seed.  When one pattern is rigid, the search skips,
+before any elimination, each bijection that breaks the frame coordinates of
+its hyperplanes; no equivalence breaks them, so answers and witnesses are
+those of the full search.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, prod
 
 from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, _echelon,
-                       _primitive, annihilator, image, kernel_vectors)
+                       _primitive, image, kernel_vectors)
 from .oracle import UnsupportedOracle
 
 class UnderdeterminedSlopes(ValueError):
@@ -86,10 +89,6 @@ class RigidityVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def _normal_covector(s: RationalSubspace):
-    return _int_annihilator(s)[0]
-
-
 def _rank(rows) -> int:
     return len(_echelon(rows)[0])
 
@@ -103,7 +102,7 @@ def _normal_ranks(pattern: LinearPattern):
     patterns with different normal ranks are never linearly equivalent.
     """
     n = pattern.ambient_dim
-    normals = [_normal_covector(s) for s in pattern.subspaces if s.dim == n - 1]
+    normals = [s._normals[0] for s in pattern.subspaces if s.dim == n - 1]
     return tuple(sorted((k, _rank(rows))
                         for k in range(2, n + 1)
                         for rows in itertools.combinations(normals, k)))
@@ -121,7 +120,7 @@ def rigidity_check(pattern: LinearPattern) -> RigidityVerdict:
     hyper = [i for i, s in enumerate(pattern.subspaces) if s.dim == n - 1]
     if len(hyper) < n + 1:
         return RigidityVerdict("inconclusive")
-    normals = {i: _normal_covector(pattern.subspaces[i]) for i in hyper}
+    normals = {i: pattern.subspaces[i]._normals[0] for i in hyper}
     for combo in itertools.combinations(hyper, n + 1):
         if all(_rank([normals[i] for i in subset]) == n
                for subset in itertools.combinations(combo, n)):
@@ -133,10 +132,7 @@ def rigidity_check(pattern: LinearPattern) -> RigidityVerdict:
 #
 # A line through the origin of Q^2 is recorded by its slope as a normalized
 # integer pair (p, q) ~ p/q with gcd 1, q >= 0, and (1, 0) for the vertical
-# line.  Mobius maps act by integer 2x2 determinants, which keeps the whole
-# computation in exact integer arithmetic.
-
-INF = (1, 0)
+# line.
 
 
 def _norm_slope(p: int, q: int):
@@ -154,27 +150,6 @@ def line_slope(s: RationalSubspace):
         raise DimensionMismatch("slopes are defined for lines in Q^2")
     x, y = s.basis[0]
     return _norm_slope(y, x)
-
-
-def _frame_images(frame, slopes):
-    """Images of all slopes under the frame map, sorted with their keys."""
-    (pp, pq), (qp, qq), (rp, rq) = frame
-    c_rq = rp * qq - rq * qp
-    c_rp = rp * pq - rq * pp
-    out = []
-    for (sp, sq) in slopes:
-        num = (sp * pq - sq * pp) * c_rq
-        den = (sp * qq - sq * qp) * c_rp
-        g = gcd(abs(num), abs(den))
-        if g:
-            num //= g
-            den //= g
-        if den < 0 or (den == 0 and num < 0):
-            num, den = -num, -den
-        key = (1, Fraction(0)) if den == 0 else (0, Fraction(num, den))
-        out.append((key, (num, den)))
-    out.sort()
-    return out
 
 
 def _slope_key(s):
@@ -195,34 +170,28 @@ class SlopeInvariant:
 def slope_invariant(pattern: LinearPattern) -> SlopeInvariant:
     """Invariant of a plane line pattern under invertible linear maps.
 
-    Every ordered triple of distinct slopes is sent to (0, oo, 1) by its
-    unique Mobius map; the lexicographically least resulting multiset (with
-    oo sorting above every rational) is the invariant.  Linear maps of Q^2
-    act on slopes precisely by rational Mobius maps, so equal invariants
-    characterize linearly equivalent 4-line patterns.
+    The n = 2 reading of projective frame coordinates: for every ordered frame
+    (a, b, c) of distinct lines, a, b and c go to the slopes 0, oo and 1, and
+    each other line, with frame coordinates (c0, c1), to c1/c0.  That is the
+    unique Mobius map sending the frame there.  The lexicographically least
+    resulting multiset (with oo sorting above every rational) is the
+    invariant.  Linear maps of Q^2 act on slopes precisely by rational Mobius
+    maps, so equal invariants characterize linearly equivalent 4-line patterns.
     """
     if pattern.ambient_dim != 2 or any(s.dim != 1 for s in pattern.subspaces):
         raise DimensionMismatch("slope invariant needs a pattern of lines in Q^2")
-    slopes = [line_slope(s) for s in pattern.subspaces]
-    distinct = sorted(set(slopes), key=_slope_key)
-    if len(distinct) < 3:
-        raise UnderdeterminedSlopes(
-            f"need at least 3 distinct slopes, got {len(distinct)}")
-    best = None
-    for frame in itertools.permutations(distinct, 3):
-        keyed = _frame_images(frame, slopes)
-        key = tuple(k for k, _ in keyed)
-        if best is None or key < best[0]:
-            best = (key, tuple(s for _, s in keyed))
-    return SlopeInvariant(best[1])
-
-
-# -- exact pattern equivalence -------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _int_annihilator(s: RationalSubspace):
-    return annihilator(s).basis
+    distinct = len(set(pattern.subspaces))
+    if distinct < 3:
+        raise UnderdeterminedSlopes(f"need at least 3 distinct slopes, got {distinct}")
+    subs, minors = pattern.subspaces, _hyperplane_minors(pattern)
+    members = range(len(subs))
+    images = []
+    # distinct lines in the plane are in general position: every frame has coordinates
+    for frame in itertools.permutations([i for i in members if subs[i] not in subs[:i]], 3):
+        others = _frame_coordinates(minors, frame, [i for i in members if i not in frame])
+        slopes = [(0, 1), (1, 0), (1, 1)] + [_norm_slope(c1, c0) for c0, c1 in others]
+        images.append(sorted((_slope_key(s), s) for s in slopes))
+    return SlopeInvariant(tuple(s for _, s in min(images)))
 
 
 # -- projective frames -----------------------------------------------------------
@@ -233,7 +202,7 @@ def _hyperplane_minors(pattern: LinearPattern):
     """det of every n distinct hyperplane normals, keyed by their indices in order."""
     n = pattern.ambient_dim
     hyper = [i for i, s in enumerate(pattern.subspaces) if s.dim == n - 1]
-    normals = {i: _normal_covector(pattern.subspaces[i]) for i in hyper}
+    normals = {i: pattern.subspaces[i]._normals[0] for i in hyper}
     minors = {}
     for rows in itertools.combinations(hyper, n):
         det = int(RatMatrix.from_rows([normals[i] for i in rows]).det())
@@ -281,10 +250,13 @@ def _frame(pattern: LinearPattern):
             _frame_coordinates(_hyperplane_minors(pattern), verdict.witness, others))
 
 
+# -- exact pattern equivalence -------------------------------------------------
+
+
 def _constraint_rows(v_space: RationalSubspace, w_space: RationalSubspace, n: int):
     """Linear constraints on T (row-major n^2 unknowns) forcing T v in w."""
     rows = []
-    for u in _int_annihilator(w_space):
+    for u in w_space._normals:
         for v in v_space.basis:
             rows.append([u[a] * v[b] for a in range(n) for b in range(n)])
     return rows
@@ -353,8 +325,8 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern):
     dim_blocks = [([i for i, s in enumerate(p.subspaces) if s.dim == d],
                    [j for j, s in enumerate(q.subspaces) if s.dim == d])
                   for d in sorted(set(q.dims()))]
-    constraints = {(i, j): _constraint_rows(p.subspaces[i], q.subspaces[j], n)
-                   for block_p, targets in dim_blocks for i in block_p for j in targets}
+    # built on first use, by a bijection that the frame filter keeps
+    constraints = cache(lambda i, j: _constraint_rows(p.subspaces[i], q.subspaces[j], n))
     want = sorted(q.subspaces, key=lambda s: (s.dim, s.basis))
     frame = _frame(p)
     if frame is not None:
@@ -370,7 +342,7 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern):
                 passes[key] = _frame_coordinates(minors, key[:n + 1], key[n + 1:]) == coords
             if not passes[key]:
                 continue
-        basis = kernel_vectors([r for i in sorted(sigma) for r in constraints[i, sigma[i]]], n * n)
+        basis = kernel_vectors([r for i in sorted(sigma) for r in constraints(i, sigma[i])], n * n)
         for point in _points(n, len(basis)) if basis else ():
             t = _as_matrix(point, basis, n)
             if t.det() != 0 and want == sorted((image(t, s) for s in p.subspaces),

@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,65 @@ def test_cross_ratio_separates():
 def test_underdetermined_slopes_rejected():
     with pytest.raises(UnderdeterminedSlopes):
         slope_invariant(slopes_pattern(0, 0, "inf"))
+
+
+def _frame_images(frame, slopes):
+    """Reference: images of all slopes under the Mobius map sending frame to (0, oo, 1)."""
+    (pp, pq), (qp, qq), (rp, rq) = frame
+    c_rq = rp * qq - rq * qp
+    c_rp = rp * pq - rq * pp
+    out = []
+    for (sp, sq) in slopes:
+        num = (sp * pq - sq * pp) * c_rq
+        den = (sp * qq - sq * qp) * c_rp
+        g = math.gcd(num, den)
+        if g:
+            num //= g
+            den //= g
+        if den < 0 or (den == 0 and num < 0):
+            num, den = -num, -den
+        key = (1, Fraction(0)) if den == 0 else (0, Fraction(num, den))
+        out.append((key, (num, den)))
+    out.sort()
+    return out
+
+
+def _mobius_slope_invariant(pattern):
+    """Reference: the slope invariant by explicit Mobius maps on slope pairs."""
+    slopes = [line_slope(s) for s in pattern.subspaces]
+    distinct = set(slopes)
+    if len(distinct) < 3:
+        raise UnderdeterminedSlopes(f"need at least 3 distinct slopes, got {len(distinct)}")
+    best = min(_frame_images(frame, slopes) for frame in itertools.permutations(distinct, 3))
+    return patterns.SlopeInvariant(tuple(s for _, s in best))
+
+
+def test_slope_invariant_matches_mobius_maps():
+    """Frame coordinates and explicit Mobius maps give one invariant and one error."""
+    rng = random.Random(5)
+    seen = {"defined": 0, "underdetermined": 0, "repeated": 0, "vertical": 0}
+    for _ in range(2000):
+        vecs = []
+        for _ in range(rng.randint(3, 6)):
+            if vecs and rng.random() < 0.2:
+                vecs.append(rng.choice(vecs))
+            elif rng.random() < 0.1:
+                vecs.append((0, 1))
+            else:
+                vecs.append((rng.randint(1, 4), rng.randint(-4, 4)))
+        pattern = lines(*vecs)
+        results = []
+        for invariant in (slope_invariant, _mobius_slope_invariant):
+            try:
+                inv = invariant(pattern)
+                results.append((inv, inv.render()))
+            except UnderdeterminedSlopes as e:
+                results.append(str(e))
+        assert results[0] == results[1], vecs
+        seen["underdetermined" if isinstance(results[0], str) else "defined"] += 1
+        seen["repeated"] += len(set(pattern.subspaces)) < len(pattern.subspaces)
+        seen["vertical"] += (0, 1) in vecs
+    assert min(seen.values()) >= 200, seen
 
 
 def test_equivalent_patterns_with_witness():
@@ -427,11 +487,23 @@ def test_frame_pins_the_q3_fixture_to_one_bijection(monkeypatch):
     assert len(calls) == 2
 
 
+def test_constraint_rows_built_only_for_kept_bijections(monkeypatch):
+    """The Q^3 fixture pairs: 5 of 25 (member, target) pairs built for _moved, none for _near."""
+    p, q, near = (cli._load_pattern(fixture_path(f"pattern_q3_planes{suffix}"), None)
+                  for suffix in ("", "_moved", "_near"))
+    built = []
+    real = patterns._constraint_rows
+    monkeypatch.setattr(patterns, "_constraint_rows",
+                        lambda *args: built.append(args) or real(*args))
+    assert patterns_equivalent(p, q)[0] and len(built) == 5
+    assert patterns_equivalent(p, near) == (False, None) and len(built) == 5
+
+
 def test_rigidity_check_matches_determinants():
     def by_det(pattern):
         n = pattern.ambient_dim
         hyper = [i for i, s in enumerate(pattern.subspaces) if s.dim == n - 1]
-        normals = {i: patterns._normal_covector(pattern.subspaces[i]) for i in hyper}
+        normals = {i: annihilator(pattern.subspaces[i]).basis[0] for i in hyper}
         for combo in itertools.combinations(hyper, n + 1):
             if all(RatMatrix.from_rows([normals[i] for i in c]).det() != 0
                    for c in itertools.combinations(combo, n)):
