@@ -294,7 +294,7 @@ def cmd_compare(args) -> int:
 
 def cmd_ball(args) -> int:
     g = _load(args.file)
-    root = args.vertex or sorted(g.vertex_ids())[0]
+    root = sorted(g.vertex_ids())[0] if args.vertex is None else args.vertex
     ball = build_ball(g, root, args.radius, args.branch_cap)
     if not reducible_edges(g):
         da = depth_filtration(g, args.horizon)

@@ -53,9 +53,9 @@ def _one_vertex_raft(da: DepthAssignment, vid: str) -> bool:
 def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("crossing graphs need the abelian oracle")
+    n = g.vertex(vid).rank      # an unknown id is named as such, not as a wrong raft
     if not _one_vertex_raft(da, vid):
         raise WrongVertex(f"{vid} is not a one-vertex depth-zero raft")
-    n = g.vertex(vid).rank
     orc = g.oracle()
     spans = []
     for (e, i) in g.ends_at(vid):

@@ -13,7 +13,7 @@ quotient-level algorithms are checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
@@ -166,23 +166,40 @@ class BallEdge:
 
 @dataclass(frozen=True)
 class TreeBall:
+    """A ball whose node ids are positions in `nodes`: edge k leads to node k + 1.
+
+    `parent_ids[k]` is the id of node k's parent, -1 at the root; it is the
+    ball's one adjacency.  `build_ball` records it while expanding; a ball
+    built from the five other fields alone rebuilds it from the addresses.
+    `dataclasses.replace` copies it, so pass `parent_ids=None` with new edges.
+    """
     root_vertex: str
     radius: int
     branch_cap: int
     nodes: dict
     edges: tuple[BallEdge, ...]
+    parent_ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.parent_ids is None:
+            ids = {a: k for k, a in enumerate(self.nodes)}
+            if len(ids) != len(self.edges) + 1 or any(
+                    ids.get(e.child) != k for k, e in enumerate(self.edges, 1)):
+                raise ValueError("edge k of a ball must lead to node k + 1")
+            object.__setattr__(self, "parent_ids",
+                               (-1,) + tuple(ids[e.parent] for e in self.edges))
 
     def node(self, address) -> BallNode:
         return self.nodes[address]
 
     @cached_property
     def _children(self):
-        """Node address -> sorted child addresses; the ball's one adjacency."""
+        """Node address -> child addresses in sorted order, read off the parent ids."""
+        addresses = list(self.nodes)
         out = {}
-        for a in sorted(self.nodes):
-            if a:
-                out.setdefault(a[:-1], []).append(a)
-        return out
+        for k, parent in enumerate(self.parent_ids[1:], 1):
+            out.setdefault(addresses[parent], []).append(addresses[k])
+        return {a: sorted(kids) for a, kids in out.items()}
 
     def children(self, address):
         return list(self._children.get(address, ()))
@@ -191,12 +208,14 @@ class TreeBall:
 def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
     """Radius-R portion of the Bass-Serre tree around a lift of `root`.
 
-    Nodes are expanded breadth first.  Each expanded node gets one child per
-    coset of every incident edge end, except the coset it was arrived on;
-    the coset labels of an edge end are computed once per (edge, end,
-    skip_zero) and shared by every node that expands that end.  The span of
-    an end and its transport to the root depend only on (node, end), so they
-    are computed once per expanded node and end that has a child.
+    Nodes are expanded breadth first and numbered in that order, so node k
+    is reached by edge k - 1, and each records its parent's id as it is
+    queued.  Each expanded node gets one child per coset of every incident
+    edge end, except the coset it was arrived on; the coset labels of an
+    edge end are computed once per (edge, end, skip_zero) and shared by every
+    node that expands that end.  The span of an end and its transport to the
+    root depend only on (node, end), so they are computed once per expanded
+    node and end that has a child; the transport follows the parent ids.
     """
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("tree balls need the abelian oracle")
@@ -223,13 +242,12 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
 
     nodes = {}
     edges = []
-    to_root = {}   # address -> list of (edge id, end entered when walking up)
+    parent_ids = [-1]
     queue = [((), root, None, 0)]
-    for address, vid, arrived, dist in queue:   # appended to while read: breadth first
+    for k, (address, vid, arrived, dist) in enumerate(queue):   # appended to while read
         expanded = dist < radius
         truncated = False
         if expanded:
-            up_path = to_root.get(address, [])
             for (e, i) in g.ends_at(vid):
                 truncated = truncated or not cosets[(e.id, i)].finite
                 child_vid = e.ends[1 - i].vertex
@@ -237,24 +255,45 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
                 if not labs:
                     continue
                 span = orc.class_of(e.id, i)
-                root_span = _to_root_span(orc, span, up_path)
-                child_path = [(e.id, 1 - i)] + up_path
+                root_span = _to_root_span(orc, span, k, parent_ids, edges)
                 for lab in labs:
                     caddr = address + ((e.id, i, lab),)
                     edges.append(BallEdge(address, caddr, e.id, i, span, root_span))
-                    to_root[caddr] = child_path
+                    parent_ids.append(k)
                     queue.append((caddr, child_vid, (e.id, 1 - i), dist + 1))
         nodes[address] = BallNode(address, vid, expanded, truncated, true_valence(vid))
-    return TreeBall(root, radius, branch_cap, nodes, tuple(edges))
+    return TreeBall(root, radius, branch_cap, nodes, tuple(edges), tuple(parent_ids))
 
 
-def _to_root_span(orc, span, up_path):
+def _to_root_span(orc, span, k, parent_ids, edges):
+    """The span at node k carried up to the root, or None where a guard fails."""
     cur = span
-    for (eid, entered) in up_path:
-        cur = orc.transport(eid, entered, cur)
+    while k:
+        e = edges[k - 1]
+        cur = orc.transport(e.edge, 1 - e.end_at_parent, cur)   # walking up enters at the child side
         if cur is None:
             return None
+        k = parent_ids[k]
     return cur
+
+
+def _interner(spans):
+    """A function giving each distinct span its position in `spans`, appending new ones.
+
+    An object seen before is found by id(), without hashing its basis; the
+    table holds every object it has seen, so no id() is reused while it lives.
+    """
+    ids, seen = {}, {}
+
+    def intern(span):
+        hit = seen.get(id(span))
+        if hit is None:
+            k = ids.setdefault(span, len(spans))
+            if k == len(spans):
+                spans.append(span)
+            hit = seen[id(span)] = (k, span)
+        return hit[0]
+    return intern
 
 
 def annotate_depth(ball: TreeBall, da) -> TreeBall:
@@ -278,10 +317,9 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
              for a, n in ball.nodes.items()}
     edges = tuple(BallEdge(e.parent, e.child, e.edge, e.end_at_parent, e.local_span,
                            e.root_span, depth[e.edge]) for e in ball.edges)
-    index = {}
-    of_edge = [None if e.root_span is None else index.setdefault(e.root_span, len(index))
-               for e in edges]
-    spans = list(index)
+    spans = []
+    intern = _interner(spans)
+    of_edge = [None if e.root_span is None else intern(e.root_span) for e in edges]
     low, high = {}, {}
     for e, i in zip(edges, of_edge):
         if i is not None:
@@ -298,7 +336,7 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
                     raise ValueError(
                         f"depth labels not monotone: {a.edge} (depth {a.depth_label}) "
                         f"sits strictly inside {b.edge} (depth {b.depth_label})")
-    return TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
+    return TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges, ball.parent_ids)
 
 
 def ball_crossing_check(ball: TreeBall, g) -> str:
@@ -375,8 +413,8 @@ def coarse_le(ball: TreeBall, g, obj_a, obj_b) -> bool:
 def ball_chain_depths(ball: TreeBall, g):
     """Longest-strict-chain depth per orbit, by exhaustive search in the ball.
 
-    Objects with the same anchor (node address, span) are coarsely equal, so
-    the search runs over distinct anchors.  A walk of the tree carries an
+    Objects with the same anchor (node id, span) are coarsely equal, so the
+    search runs over distinct anchors.  A walk of the tree carries an
     anchor's span outward, crossing an edge only where the span lies inside
     the edge class entered, as `coarse_le` does on a single path; a failed
     guard prunes the subtree beyond it.
@@ -390,22 +428,20 @@ def ball_chain_depths(ball: TreeBall, g):
     coarse-equivalence class, each class keeps the anchors it lies under as
     an int bitset, and the longest-chain search runs over classes.  Two
     distinct classes are never both below each other, so a strict step
-    between classes is a plain inclusion.  Each guard, transport and
-    inclusion test runs once per distinct span, memoised on interned ids.
+    between classes is a plain inclusion.  The walk runs on node ids and
+    interned span ids, and each guard, transport and inclusion test runs
+    once per distinct span.
     """
     orc = g.oracle()
-    objs = list(ball.nodes.values()) + list(ball.edges)
+    nodes, edges, parent_ids = list(ball.nodes.values()), ball.edges, ball.parent_ids
+    spans = []
+    intern = _interner(spans)
+    top = {v: intern(orc.top_class(v)) for v in dict.fromkeys(n.vertex for n in nodes)}
+    keys = ([(k, top[n.vertex]) for k, n in enumerate(nodes)]
+            + [(parent_ids[k], intern(e.local_span)) for k, e in enumerate(edges, 1)])
     index = {}
-    of_obj = [index.setdefault(_anchor(obj, g), len(index)) for obj in objs]
+    of_obj = [index.setdefault(key, len(index)) for key in keys]
     anchors = list(index)
-    # Walks carry span ids, so memo keys hash small tuples, not subspaces.
-    spans, ids = [], {}
-
-    def intern(span):
-        if span not in ids:
-            ids[span] = len(spans)
-            spans.append(span)
-        return ids[span]
 
     @cache
     def inside(t, k):
@@ -417,28 +453,28 @@ def ball_chain_depths(ball: TreeBall, g):
         moved = orc.transport(eid, entered, spans[k])
         return None if moved is None else intern(moved)
 
-    at_node = {}
-    for k, (addr, target) in enumerate(anchors):
-        at_node.setdefault(addr, []).append((k, intern(target)))
+    arcs = [[] for _ in nodes]   # node id -> (neighbour id, edge id, end entered)
+    for k, e in enumerate(edges, 1):
+        arcs[parent_ids[k]].append((k, e.edge, e.end_at_parent))
+        arcs[k].append((parent_ids[k], e.edge, 1 - e.end_at_parent))
+    at_node = [[] for _ in nodes]
+    for j, (here, t) in enumerate(anchors):
+        at_node[here].append((j, t))
     class_of = [None] * len(anchors)
     reps, rows = [], []   # per class: first anchor, bitset of the anchors it lies under
-    for k, (addr, span) in enumerate(anchors):
+    for k, (start, span) in enumerate(anchors):
         if class_of[k] is not None:
             continue
         row = 0
-        stack = [(addr, intern(span), None)]
+        stack = [(start, span, -1)]
         while stack:
             here, cur, came_from = stack.pop()
-            for j, t in at_node.get(here, ()):
+            for j, t in at_node[here]:
                 if t == cur:
                     class_of[j] = len(reps)
                 if inside(t, cur):
                     row |= 1 << j
-            steps = [(c, c[-1][0], c[-1][1]) for c in ball._children.get(here, ())]
-            if here:
-                eid, i, _ = here[-1]
-                steps.append((here[:-1], eid, 1 - i))   # walking up enters at the child side
-            for nxt, eid, entered in steps:
+            for nxt, eid, entered in arcs[here]:
                 carried = None if nxt == came_from else cross(eid, entered, cur)
                 if carried is not None:
                     stack.append((nxt, carried, here))
@@ -460,8 +496,7 @@ def ball_chain_depths(ball: TreeBall, g):
         level += 1
 
     out = {}
-    for obj, k in zip(objs, of_obj):
-        orbit = obj.vertex if isinstance(obj, BallNode) else obj.edge
+    for orbit, k in zip([n.vertex for n in nodes] + [e.edge for e in edges], of_obj):
         out[orbit] = max(out.get(orbit, 0), height[class_of[k]])
     return out
 

@@ -13,7 +13,9 @@ from gogkit.cli import build_parser, main
 
 from conftest import FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+CI_SMOKE = json.loads((ROOT / "tests" / "ci_smoke.json").read_text())
 
 
 def run(capsys, *argv):
@@ -551,7 +553,9 @@ EXIT_TABLE = (
     [(_argv(c, "no_such_file.json"), 2, "no_such_file") for c in COMMANDS]
     + [(_argv(c, fixture_path("nonex")), 5, "abelian oracle")
        for c in ("crossing", "invariants", "ball")]
-    + [([c, THM14, "--vertex", "nope"], 2, "nope") for c in ("crossing", "invariants", "ball")]
+    + [([c, THM14, "--vertex", "nope"], 2, "no vertex 'nope'")
+       for c in ("crossing", "invariants", "ball")]
+    + [(["ball", THM14, "--vertex", ""], 2, "no vertex ''")]
     + [(["compare", THM14, THM14, "--vertex-a", "a", "--vertex-b", "nope"], 2, "nope")]
     + [(_argv(c, THM14, flag, "3"), 2, USAGE)
        for c in COMMANDS for flag in ("--radius", "--branch-cap") if c != "ball"]
@@ -585,3 +589,11 @@ def test_exit_code_table(capsys, argv, code, needle):
 def test_help_and_version_return_zero(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "depth", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("row", CI_SMOKE, ids=lambda row: "-".join(
+    pathlib.Path(a).stem for a in row["argv"]))
+def test_ci_smoke_table(capsys, monkeypatch, row):
+    # CI runs the same rows with the installed `gog` script
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, *row["argv"])[0] == row["exit"]

@@ -1,4 +1,5 @@
-"""Golden `gog` reports: every subcommand on every fixture, in text and json.
+"""Golden `gog` reports: every subcommand on every fixture, in text and json,
+and `gog ball` in dot as well.
 
 Each case runs `gogkit.cli.main` from the repository root on fixture paths
 relative to it and records the exit code, stdout and stderr.  The goldens in
@@ -36,7 +37,8 @@ def _cases():
         for v in json.loads(p.read_text()).get("vertices", []):
             base += [[cmd, path, "--vertex", v["id"]] for cmd in ("crossing", "invariants")]
     base += [["compare", a, b] for a in patterns for b in patterns]
-    return [argv + ["--format", fmt] for argv in base for fmt in ("text", "json")]
+    dot = [["ball", str(FIXTURES / p.name), "--format", "dot"] for p in graphs]
+    return [argv + ["--format", fmt] for argv in base for fmt in ("text", "json")] + dot
 
 
 CASES = _cases()
@@ -56,7 +58,7 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert len(CASES) == 452
+    assert len(CASES) == 470
     assert sorted(golden) == sorted(" ".join(c) for c in CASES)
 
 

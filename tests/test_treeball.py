@@ -12,7 +12,7 @@ from gogkit import (BallNode, annotate_depth, ball_chain_depths, ball_crossing_c
 from gogkit.exactlin import RatMatrix, contains
 from gogkit.oracle import UnsupportedOracle
 from gogkit import treeball
-from gogkit.treeball import CosetSystem
+from gogkit.treeball import CosetSystem, TreeBall
 from test_depth import _random_irreducible_graph
 
 
@@ -120,6 +120,23 @@ def test_children_match_address_scan(graph):
             scan = sorted(a for a in ball.nodes
                           if a[:-1] == addr and len(a) == len(addr) + 1)
             assert ball.children(addr) == scan, (name, addr)
+
+
+def test_ball_built_from_its_public_fields_rebuilds_parent_ids(graph):
+    for name, vid in (("arc3", "u"), ("thm14", "a"), ("f2xz", "v"), ("bs22", "v")):
+        g = graph(name)
+        da = depth_filtration(g)
+        ball = build_ball(g, vid, 3, branch_cap=2)
+        bare = TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, ball.nodes, ball.edges)
+        assert bare == ball and bare.parent_ids == ball.parent_ids, name
+        assert ball_chain_depths(bare, g) == ball_chain_depths(ball, g), name
+        labelled = annotate_depth(bare, da)
+        assert labelled == annotate_depth(ball, da) and labelled.parent_ids == ball.parent_ids
+        assert all(bare.children(a) == ball.children(a) for a in ball.nodes), name
+    shuffled = dict(reversed(ball.nodes.items()))
+    for nodes, edges in ((shuffled, ball.edges), (ball.nodes, ball.edges[:-1])):
+        with pytest.raises(ValueError, match="must lead to node"):
+            TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
 
 
 def test_sibling_cosets_distinct(graph):
