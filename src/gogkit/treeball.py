@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
 from .oracle import UnsupportedOracle
@@ -143,8 +144,8 @@ class CosetSystem:
 # -- the ball itself -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallNode:
+class BallNode(NamedTuple):
+    """A node of a ball: an immutable record, copied with `_replace`."""
     address: tuple          # steps (edge id, end index at parent, coset label)
     vertex: str
     expanded: bool
@@ -153,8 +154,8 @@ class BallNode:
     depth_label: int | None = None
 
 
-@dataclass(frozen=True)
-class BallEdge:
+class BallEdge(NamedTuple):
+    """A ball edge from node `parent` to node `child`: an immutable record, copied with `_replace`."""
     parent: tuple
     child: tuple
     edge: str
@@ -211,11 +212,11 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
     Nodes are expanded breadth first and numbered in that order, so node k
     is reached by edge k - 1, and each records its parent's id as it is
     queued.  Each expanded node gets one child per coset of every incident
-    edge end, except the coset it was arrived on; the coset labels of an
-    edge end are computed once per (edge, end, skip_zero) and shared by every
-    node that expands that end.  The span of an end and its transport to the
-    root depend only on (node, end), so they are computed once per expanded
-    node and end that has a child; the transport follows the parent ids.
+    edge end, except the coset it was arrived on.  All of a node's expansion
+    but its address and root spans depends only on its vertex and arrival
+    end, so `plan` computes it once per such pair; coset labels are computed
+    once per (edge, end, skip_zero).  The transport of an end's span to the
+    root follows the parent ids, once per expanded node and end with a child.
     """
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("tree balls need the abelian oracle")
@@ -240,6 +241,20 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
             total += c
         return total
 
+    @cache
+    def plan(vid, arrived):
+        """(truncated, steps) for a node over `vid` arrived on end `arrived`: one step
+        (edge id, end, labels, span, child vertex, child arrival) per end with labels."""
+        truncated = False
+        steps = []
+        for (e, i) in g.ends_at(vid):
+            truncated = truncated or not cosets[(e.id, i)].finite
+            labs = labels(e.id, i, arrived == (e.id, i))
+            if labs:
+                steps.append((e.id, i, labs, orc.class_of(e.id, i),
+                              e.ends[1 - i].vertex, (e.id, 1 - i)))
+        return truncated, tuple(steps)
+
     nodes = {}
     edges = []
     parent_ids = [-1]
@@ -248,19 +263,14 @@ def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:
         expanded = dist < radius
         truncated = False
         if expanded:
-            for (e, i) in g.ends_at(vid):
-                truncated = truncated or not cosets[(e.id, i)].finite
-                child_vid = e.ends[1 - i].vertex
-                labs = labels(e.id, i, arrived == (e.id, i))
-                if not labs:
-                    continue
-                span = orc.class_of(e.id, i)
+            truncated, steps = plan(vid, arrived)
+            for eid, i, labs, span, child_vid, child_arrived in steps:
                 root_span = _to_root_span(orc, span, k, parent_ids, edges)
                 for lab in labs:
-                    caddr = address + ((e.id, i, lab),)
-                    edges.append(BallEdge(address, caddr, e.id, i, span, root_span))
-                    parent_ids.append(k)
-                    queue.append((caddr, child_vid, (e.id, 1 - i), dist + 1))
+                    caddr = address + ((eid, i, lab),)
+                    edges.append(BallEdge(address, caddr, eid, i, span, root_span))
+                    queue.append((caddr, child_vid, child_arrived, dist + 1))
+                parent_ids.extend([k] * len(labs))
         nodes[address] = BallNode(address, vid, expanded, truncated, true_valence(vid))
     return TreeBall(root, radius, branch_cap, nodes, tuple(edges), tuple(parent_ids))
 
@@ -299,12 +309,14 @@ def _interner(spans):
 def annotate_depth(ball: TreeBall, da) -> TreeBall:
     """Copy per-orbit depth labels onto the ball and cross-check monotonicity.
 
+    Each labelled record is its unlabelled one's first fields plus the label.
     Within the ball, a strict inclusion of transported edge spans must raise
     the depth label; a violation means the assignment and the tree disagree.
     The check screens by span: a violation exists exactly when some root span
     lies strictly inside another and the least label on the inner span is at
-    most the greatest label on the outer one.  Only then does the loop over
-    pairs of edges run, to name the first violating pair in ball order.
+    most the greatest label on the outer one, both read off the span's
+    distinct edge orbits.  Only then does the loop over pairs of edges run,
+    to name the first violating pair in ball order.
     """
     if da.verdict.kind == "infinite":
         raise ValueError("no total depth labeling exists for an infinite-depth graph")
@@ -313,18 +325,17 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
     missing = sorted(o for o in orbits if o not in depth)
     if missing:
         raise ValueError(f"depth assignment is from a different graph: no label for {missing[0]}")
-    nodes = {a: BallNode(a, n.vertex, n.expanded, n.truncated, n.true_valence, depth[n.vertex])
-             for a, n in ball.nodes.items()}
-    edges = tuple(BallEdge(e.parent, e.child, e.edge, e.end_at_parent, e.local_span,
-                           e.root_span, depth[e.edge]) for e in ball.edges)
+    nodes = {a: BallNode._make(n[:5] + (depth[n.vertex],)) for a, n in ball.nodes.items()}
+    edges = tuple(BallEdge._make(e[:6] + (depth[e.edge],)) for e in ball.edges)
     spans = []
     intern = _interner(spans)
     of_edge = [None if e.root_span is None else intern(e.root_span) for e in edges]
     low, high = {}, {}
-    for e, i in zip(edges, of_edge):
+    for i, orbit in set(zip(of_edge, (e.edge for e in edges))):
         if i is not None:
-            low[i] = min(low.get(i, e.depth_label), e.depth_label)
-            high[i] = max(high.get(i, e.depth_label), e.depth_label)
+            d = depth[orbit]
+            low[i] = min(low.get(i, d), d)
+            high[i] = max(high.get(i, d), d)
     # inside[i][j]: span i lies strictly inside span j
     inside = [[s.dim < t.dim and contains(t, s) for t in spans] for s in spans]
     if any(inside[i][j] and low[i] <= high[j] for i in low for j in high):

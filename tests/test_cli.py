@@ -9,9 +9,11 @@ import re
 
 import pytest
 
+from gogkit import dump_graph
 from gogkit.cli import build_parser, main
 
 from conftest import FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
+from test_treeball import _mixed_rank_graph
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -416,6 +418,41 @@ def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
             code, _, err = run(capsys, *argv[:1], target, *argv[1:])
             assert type(code) is int and 0 <= code <= 5, (path, node[path[-1]])
             assert "Traceback" not in err
+
+
+def _readme_exit_codes():
+    """The codes of the README's exit-code table."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("Exit codes are a disjoint contract"):].split("\n\n")[1]
+    return {int(c) for c in re.findall(r"^\| (\d+) +\|", table, re.M)}
+
+
+def test_random_valid_graphs_stay_in_the_exit_contract(capsys, tmp_path):
+    """Seeded valid graphs of rank 0-3 through every one-graph command: no internal error."""
+    contract = _readme_exit_codes()
+    assert contract == set(range(7))
+    rng = random.Random(2929)
+    target = tmp_path / "g.json"
+    seen = set()
+    drawn = 0
+    while drawn < 200:
+        g = _mixed_rank_graph(rng)
+        if g is None:
+            continue
+        drawn += 1
+        dump_graph(g, target)
+        vertex = rng.choice(g.vertex_ids())
+        for argv in (["validate"], ["depth"], ["rafts"], ["check"], ["reduce"],
+                     ["crossing", "--vertex", vertex], ["invariants", "--vertex", vertex],
+                     ["ball", "--vertex", vertex, "--radius", rng.randint(0, 3),
+                      "--branch-cap", rng.randint(1, 2)]):
+            code, _, err = run(capsys, argv[0], target, *argv[1:])
+            assert code in contract and code != 6, (argv, target.read_text(), err)
+            assert "Traceback" not in err
+            assert code == 0 or argv[0] != "validate", err
+            seen.add((argv[0], code))
+    # The draws reach both answers of check and crossing, and an Unknown depth.
+    assert {("check", 0), ("check", 1), ("crossing", 0), ("crossing", 1), ("depth", 4)} <= seen
 
 
 NON_STRING_IDS = {   # case -> (fixture, paths set to the bad value, the path reported)

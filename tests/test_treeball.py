@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import RANK0_PROBE
-from gogkit import (BallNode, annotate_depth, ball_chain_depths, ball_crossing_check,
+from gogkit import (BallEdge, BallNode, annotate_depth, ball_chain_depths, ball_crossing_check,
                     build_ball, coarse_le, crossing_graph, depth_filtration,
                     graph_from_dict, reducible_edges, smith_normal_form, to_dot)
 from gogkit.exactlin import RatMatrix, contains
@@ -137,6 +137,29 @@ def test_ball_built_from_its_public_fields_rebuilds_parent_ids(graph):
     for nodes, edges in ((shuffled, ball.edges), (ball.nodes, ball.edges[:-1])):
         with pytest.raises(ValueError, match="must lead to node"):
             TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
+
+
+# Generated by the frozen-dataclass records; the tuple records must print the same.
+ARC3_NODE_REPR = ("BallNode(address=(('e', 0, (0, 0, 0)),), vertex='v', expanded=False, "
+                  "truncated=False, true_valence=None, depth_label=None)")
+ARC3_EDGE_REPR = ("BallEdge(parent=(), child=(('e', 0, (0, 0, 0)),), edge='e', end_at_parent=0, "
+                  "local_span=<(1,0,0),(0,1,0)> in Q^3, root_span=<(1,0,0),(0,1,0)> in Q^3, "
+                  "depth_label=None)")
+
+
+def test_ball_records_are_immutable_and_print_as_before(graph):
+    ball = build_ball(graph("arc3"), "u", 1)
+    address = (("e", 0, (0, 0, 0)),)
+    node = ball.node(address)
+    edge = next(e for e in ball.edges if e.child == address)
+    assert repr(node) == ARC3_NODE_REPR and repr(edge) == ARC3_EDGE_REPR
+    for record, name in ((node, "truncated"), (node, "depth_label"),
+                         (edge, "root_span"), (edge, "depth_label")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    labelled = edge._replace(depth_label=2)
+    assert type(labelled) is BallEdge and labelled.depth_label == 2 and edge.depth_label is None
+    assert hash(node) == hash(ball.node(address)) and node != edge
 
 
 def test_sibling_cosets_distinct(graph):
@@ -329,11 +352,24 @@ def _first_violation(ball, depth):
     return None
 
 
+def _relabelled(ball, depth):
+    """Reference: the labelled ball rebuilt field by field, one record at a time."""
+    nodes = {a: BallNode(n.address, n.vertex, n.expanded, n.truncated, n.true_valence,
+                         depth[n.vertex]) for a, n in ball.nodes.items()}
+    edges = tuple(BallEdge(e.parent, e.child, e.edge, e.end_at_parent, e.local_span,
+                           e.root_span, depth[e.edge]) for e in ball.edges)
+    return TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
+
+
 def _assert_annotate_matches_pair_loop(ball, da):
     expected = _first_violation(ball, da.depth)
     if expected is None:
         labelled = annotate_depth(ball, da)
-        assert [e.depth_label for e in labelled.edges] == [da.depth[e.edge] for e in ball.edges]
+        reference = _relabelled(ball, da.depth)
+        assert labelled == reference and labelled.parent_ids == reference.parent_ids
+        assert list(labelled.nodes) == list(reference.nodes)
+        assert all(type(n) is BallNode for n in labelled.nodes.values())
+        assert all(type(e) is BallEdge for e in labelled.edges)
     else:
         with pytest.raises(ValueError) as err:
             annotate_depth(ball, da)
