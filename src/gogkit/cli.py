@@ -19,7 +19,7 @@ from .crossing import WrongVertex, check_hypotheses, crossing_graph
 from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts
 from .exactlin import DimensionMismatch, canonicalize
 from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, graph_to_dict,
-                    int_rows, load_graph, read_json, validate, write_text)
+                    int_rows, load_graph, read_json, typed, validate, write_text)
 from .oracle import UnsupportedOracle
 from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
@@ -255,19 +255,14 @@ def _load_pattern(path, vertex):
     if isinstance(doc, dict) and "pattern" in doc:
         if vertex:
             raise GraphLoadError(f"{path} is a pattern file; --vertex does not apply")
-        body = doc["pattern"]
-        if not isinstance(body, dict):
-            raise GraphLoadError(f"{path}: pattern must be an object")
-        n = body.get("ambient_dim")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise GraphLoadError(f"{path}: pattern.ambient_dim must be a positive integer")
-        members = body.get("subspaces", [])
-        if not isinstance(members, list):
-            raise GraphLoadError(f"{path}: pattern.subspaces must be lists of integer rows")
         try:
+            body = typed(doc["pattern"], dict, "pattern")
+            n = typed(body.get("ambient_dim"), int, "pattern.ambient_dim")
+            if n < 1:
+                raise GraphLoadError(f"pattern.ambient_dim: expected a positive integer, got {n}")
             return LinearPattern.of(
-                [canonicalize(int_rows(rows, f"pattern.subspaces[{k}]"), n)
-                 for k, rows in enumerate(members)], n)
+                [canonicalize(int_rows(rows, f"pattern.subspaces[{k}]"), n) for k, rows
+                 in enumerate(typed(body.get("subspaces", []), list, "pattern.subspaces"))], n)
         except ValueError as e:   # GraphLoadError and DimensionMismatch included
             raise GraphLoadError(f"{path}: {e}") from e
     g = _valid(graph_from_dict(doc))

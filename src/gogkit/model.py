@@ -19,12 +19,14 @@ check, the oracle's end classes and indices, and every graph `collapse`
 returns with that matrix share one elimination and one determinant; the
 abelian oracle itself caches only transport results.
 
-Loading checks types as it reads.  Ids, end vertex references and every
-class label (of ends, classes, order pairs and transport maps) must be JSON
-strings, matrix entries and `coarse_dim` exact integers and `is_coarse_pd` a
-bool; anything else raises GraphLoadError naming its JSON path.
-Checked integer rows are already a matrix in lowest terms over denominator
-1, so each edge matrix is built from them directly, with no Fraction pass.
+Loading reads every field of both oracle modes through one typed reader:
+`typed(x, kind, where)` returns a value of its declared JSON type (an exact
+integer, a string, true or false, an array or an object) or raises
+GraphLoadError as "<JSON path>: expected <type>, got <value>", and `pair`
+adds the two-element check of ends, order pairs, transport maps and index
+pairs.  A missing field reads as null, so it is named by its path the same
+way.  Checked integer rows are already a matrix in lowest terms over
+denominator 1, so each edge matrix is built from them directly.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .exactlin import RatMatrix
 
@@ -323,134 +326,98 @@ def validate(g: GraphOfGroups) -> ValidationReport:
 #             "ends": [{"vertex": ..., "matrix": [[...], ...]}, {...}]}, ...],
 #  ... table mode adds "classes", "order", "transport", "indices",
 #      optional "pd_flags"; ends then carry "class" instead of "matrix"}
-# Ids, end vertices and every class label are strings; matrices are exact
-# integers; PD flags are a bool and an int; floats are rejected outright.
 # ---------------------------------------------------------------------------
 
 
-def _int_strict(x, where):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise GraphLoadError(f"{where}: expected an exact integer, got {x!r}")
-    return x
+_KINDS = {int: "an exact integer", str: "a string", bool: "true or false",
+          list: "an array", dict: "an object"}
 
 
-def _string(x, where):
-    if not isinstance(x, str):
-        raise GraphLoadError(f"{where}: expected a string, got {x!r}")
-    return x
+def typed(x, kind, where):
+    """`x` when it has the JSON type `kind` (an int is never a bool); else
+    GraphLoadError naming the JSON path `where`."""
+    if isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
+        return x
+    raise GraphLoadError(f"{where}: expected {_KINDS[kind]}, got {x!r}")
 
 
-def _strings(x, where):
-    """The JSON array `x` of strings as a tuple; element k is checked at where[k]."""
-    return tuple(_string(s, f"{where}[{k}]") for k, s in enumerate(_array(x, where)))
-
-
-def _array(x, where):
-    if not isinstance(x, list):
-        raise GraphLoadError(f"{where}: expected an array, got {x!r}")
-    return x
-
-
-def _object(x, where):
-    if not isinstance(x, dict):
-        raise GraphLoadError(f"{where}: expected an object, got {x!r}")
+def pair(x, where, of):
+    """`x` as a JSON array of exactly two `of`; GraphLoadError if not."""
+    if len(typed(x, list, where)) != 2:
+        raise GraphLoadError(f"{where}: need a pair of {of}")
     return x
 
 
 def int_rows(m, where):
-    """`m` as a list of equal-length rows of exact integers; GraphLoadError if not."""
-    if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
-        raise GraphLoadError(f"{where}: matrix must be an array of arrays")
-    rows = [[_int_strict(x, where) for x in r] for r in m]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
+    """`m` as a list of equal-length rows of exact integers; GraphLoadError if not.
+    One pass over exact types accepts a decoded matrix; only a matrix that fails
+    it is walked again by `typed`, so no path is formatted for a good one."""
+    if not (type(m) is list and {*map(type, m)} <= {list}
+            and {*map(type, chain.from_iterable(m))} <= {int}):
+        for i, r in enumerate(typed(m, list, where)):
+            for j, x in enumerate(typed(r, list, f"{where}[{i}]")):
+                typed(x, int, f"{where}[{i}][{j}]")
+    if len({*map(len, m)}) > 1:
         raise GraphLoadError(f"{where}: ragged matrix")
-    return rows
+    return m
 
 
 def graph_from_dict(doc) -> GraphOfGroups:
-    if not isinstance(doc, dict):
-        raise GraphLoadError("top level must be a JSON object")
-    mode = doc.get("oracle", "abelian")
+    mode = typed(doc, dict, "top level").get("oracle", "abelian")
     if mode not in ("abelian", "table"):
         raise GraphLoadError(f'oracle must be "abelian" or "table", got {mode!r}')
     verts = []
-    for i, v in enumerate(_array(doc.get("vertices", []), "vertices")):
-        if not isinstance(v, dict) or "id" not in v:
-            raise GraphLoadError(f"vertices[{i}]: need an object with id and rank")
-        verts.append(VertexSpec(_string(v["id"], f"vertices[{i}].id"),
-                                _int_strict(v.get("rank"), f"vertices[{i}].rank")))
+    for i, v in enumerate(typed(doc.get("vertices", []), list, "vertices")):
+        v = typed(v, dict, f"vertices[{i}]")
+        verts.append(VertexSpec(typed(v.get("id"), str, f"vertices[{i}].id"),
+                                typed(v.get("rank"), int, f"vertices[{i}].rank")))
     edges = []
-    for i, e in enumerate(_array(doc.get("edges", []), "edges")):
-        if not isinstance(e, dict) or "id" not in e:
-            raise GraphLoadError(f"edges[{i}]: need an object with id, rank, ends")
-        eid = _string(e["id"], f"edges[{i}].id")
-        ends_doc = e.get("ends")
-        if not isinstance(ends_doc, list) or len(ends_doc) != 2:
-            raise GraphLoadError(f"edges[{i}]: ends must be a two-element array")
+    for i, e in enumerate(typed(doc.get("edges", []), list, "edges")):
+        e = typed(e, dict, f"edges[{i}]")
+        eid = typed(e.get("id"), str, f"edges[{i}].id")
         ends = []
-        for j, end in enumerate(ends_doc):
+        for j, end in enumerate(pair(e.get("ends"), f"edges[{i}].ends", "ends")):
             where = f"edges[{i}].ends[{j}]"
-            if not isinstance(end, dict) or "vertex" not in end:
-                raise GraphLoadError(f"{where}: need an object with a vertex field")
-            vid = _string(end["vertex"], f"{where}.vertex")
+            end = typed(end, dict, where)
+            vid = typed(end.get("vertex"), str, f"{where}.vertex")
             if mode == "abelian":
-                if "matrix" not in end:
-                    raise GraphLoadError(f"{where}: abelian mode requires a matrix")
-                rows = int_rows(end["matrix"], where)
-                matrix = RatMatrix(len(rows), len(rows[0]) if rows else 0,
-                                   tuple(map(tuple, rows)))
-                ends.append(EdgeEnd(vid, matrix=matrix))
+                rows = int_rows(end.get("matrix"), f"{where}.matrix")
+                ends.append(EdgeEnd(vid, matrix=RatMatrix(
+                    len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))))
             else:
-                if "class" not in end:
-                    raise GraphLoadError(f"{where}: table mode requires a class label")
-                ends.append(EdgeEnd(vid, class_label=_string(end["class"], f"{where}.class")))
-        edges.append(EdgeSpec(eid, _int_strict(e.get("rank"), f"edges[{i}].rank"),
-                              (ends[0], ends[1])))
+                ends.append(EdgeEnd(vid, class_label=typed(end.get("class"), str,
+                                                           f"{where}.class")))
+        edges.append(EdgeSpec(eid, typed(e.get("rank"), int, f"edges[{i}].rank"), tuple(ends)))
     table = None
     if mode == "table":
-        classes = doc.get("classes")
-        if not isinstance(classes, dict):
-            raise GraphLoadError("table mode requires a classes object")
         labels, top = {}, {}
-        for vid, c in classes.items():
-            if not isinstance(c, dict) or "labels" not in c or "top" not in c:
-                raise GraphLoadError(f"classes[{vid}]: need labels and top")
-            labels[vid] = _strings(c["labels"], f"classes[{vid}].labels")
-            top[vid] = _string(c["top"], f"classes[{vid}].top")
+        for vid, c in typed(doc.get("classes"), dict, "classes").items():
+            c = typed(c, dict, f"classes[{vid}]")
+            labels[vid] = tuple(typed(s, str, f"classes[{vid}].labels[{k}]") for k, s in
+                                enumerate(typed(c.get("labels"), list, f"classes[{vid}].labels")))
+            top[vid] = typed(c.get("top"), str, f"classes[{vid}].top")
         order = {}
-        for vid, pairs in _object(doc.get("order", {}), "order").items():
-            order[vid] = tuple(_strings(pair, f"order[{vid}][{k}]")
-                               for k, pair in enumerate(_array(pairs, f"order[{vid}]")))
-            for k, pair in enumerate(order[vid]):
-                if len(pair) != 2:
-                    raise GraphLoadError(f"order[{vid}][{k}]: need a pair of labels")
+        for vid, pairs in typed(doc.get("order", {}), dict, "order").items():
+            order[vid] = tuple(
+                tuple(typed(s, str, f"order[{vid}][{k}][{j}]")
+                      for j, s in enumerate(pair(ab, f"order[{vid}][{k}]", "labels")))
+                for k, ab in enumerate(typed(pairs, list, f"order[{vid}]")))
         transport = {}
-        for eid, maps in _object(doc.get("transport", {}), "transport").items():
-            if not isinstance(maps, list) or len(maps) != 2:
-                raise GraphLoadError(f"transport[{eid}]: need one map per end")
-            transport[eid] = tuple({k: _string(v, f"transport[{eid}][{j}][{k}]") for k, v in
-                                    _object(mp, f"transport[{eid}][{j}]").items()}
-                                   for j, mp in enumerate(maps))
+        for eid, maps in typed(doc.get("transport", {}), dict, "transport").items():
+            transport[eid] = tuple(
+                {k: typed(v, str, f"transport[{eid}][{j}][{k}]")
+                 for k, v in typed(mp, dict, f"transport[{eid}][{j}]").items()}
+                for j, mp in enumerate(pair(maps, f"transport[{eid}]", "maps")))
         indices = {}
-        for eid, pair in _object(doc.get("indices", {}), "indices").items():
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise GraphLoadError(f"indices[{eid}]: need a pair")
-            vals = []
-            for x in pair:
-                if x == INFINITE:
-                    vals.append(INFINITE)
-                else:
-                    vals.append(_int_strict(x, f"indices[{eid}]"))
-            indices[eid] = tuple(vals)
+        for eid, ab in typed(doc.get("indices", {}), dict, "indices").items():
+            indices[eid] = tuple(x if x == INFINITE else typed(x, int, f"indices[{eid}][{j}]")
+                                 for j, x in enumerate(pair(ab, f"indices[{eid}]", "indices")))
         pd_flags = {}
-        for vid, flags in _object(doc.get("pd_flags", {}), "pd_flags").items():
-            pd_flags[vid] = dict(_object(flags, f"pd_flags[{vid}]"))
-            if not isinstance(flags.get("is_coarse_pd"), bool):
-                raise GraphLoadError(f"pd_flags[{vid}].is_coarse_pd: expected true or false, "
-                                     f"got {flags.get('is_coarse_pd')!r}")
+        for vid, flags in typed(doc.get("pd_flags", {}), dict, "pd_flags").items():
+            pd_flags[vid] = dict(typed(flags, dict, f"pd_flags[{vid}]"))
+            typed(flags.get("is_coarse_pd"), bool, f"pd_flags[{vid}].is_coarse_pd")
             if "coarse_dim" in flags:
-                _int_strict(flags["coarse_dim"], f"pd_flags[{vid}].coarse_dim")
+                typed(flags["coarse_dim"], int, f"pd_flags[{vid}].coarse_dim")
         table = TableData(labels, top, order, transport, indices, pd_flags)
     return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
 

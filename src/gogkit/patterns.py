@@ -267,7 +267,6 @@ def _as_matrix(coeffs, basis, n):
                                  for b in range(n)] for a in range(n)])
 
 
-@lru_cache(maxsize=None)
 def _points(n: int, k: int):
     """Points t of N^k on which a form of degree n vanishes only if it is zero.
 
@@ -277,15 +276,20 @@ def _points(n: int, k: int):
     when there is one: lattice points are mostly zero, and (1, 2, ..., k)
     would fill a block of free entries as [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
     which is singular.  The probe changes no answer, only which witness is found.
+    The points are generated lazily and the lattice skips the probe, so an
+    answer found at the probe costs nothing for the C(n+k-1, n) points behind it.
     """
-    lattice = []
+    probe = ()
+    if k >= 2:
+        primes = (c for c in itertools.count(2) if all(c % d for d in range(2, c)))
+        probe = tuple(itertools.islice(primes, k))
+        yield probe
     for bars in itertools.combinations(range(n + k - 1), k - 1):
         cuts = (-1, *bars, n + k - 1)
         t = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-        lattice.append(tuple(x // gcd(*t) for x in t))
-    primes = (c for c in itertools.count(2) if all(c % d for d in range(2, c)))
-    probe = [tuple(itertools.islice(primes, k))] if k >= 2 else []
-    return tuple(dict.fromkeys(probe + lattice))
+        t = tuple(x // gcd(*t) for x in t)
+        if t != probe:
+            yield t
 
 
 def patterns_equivalent(p: LinearPattern, q: LinearPattern):

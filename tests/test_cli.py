@@ -169,6 +169,19 @@ def test_compare_pattern_files(capsys):
 
 
 @pytest.mark.parametrize("doc", [
+    {"pattern": {"ambient_dim": 6, "subspaces": [[[1, 2, 0, 0, 0, 3]]]}},   # k = 31
+    {"pattern": {"ambient_dim": 7, "subspaces": []}},                        # k = 49
+], ids=["line-q6", "empty-q7"])
+def test_compare_sparse_pattern_in_high_dimension(capsys, tmp_path, doc):
+    """The prime probe decides at once; the C(n+k-1, n) lattice points behind it are never built."""
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", p, p)
+    assert (code, err) == (0, "")
+    assert out.startswith("equivalent: yes\nwitness: ")
+
+
+@pytest.mark.parametrize("doc", [
     {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0], [0, 1]]]}},   # full-rank member
     {"pattern": {"ambient_dim": 2, "subspaces": [[]]}},                 # empty member
     {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0, 0]]]}},        # row of length 3
@@ -363,6 +376,12 @@ def _table(**changes):
     return doc
 
 
+def _loop(*ends):
+    """One abelian rank-1 vertex v with one edge e on the given ends."""
+    return {"vertices": [{"id": "v", "rank": 1}],
+            "edges": [{"id": "e", "rank": 1, "ends": list(ends)}]}
+
+
 MALFORMED_SECTIONS = {
     "vertices-number": ({"vertices": 5}, "vertices: expected an array"),
     "vertices-null": ({"vertices": None}, "vertices: expected an array"),
@@ -378,6 +397,21 @@ MALFORMED_SECTIONS = {
                                                "e1": [5, {"Cw": "Tv"}]}),
                              "transport[e1][0]: expected an object"),
     "pd-flags-number": (_table(pd_flags={"v": 5}), "pd_flags[v]: expected an object"),
+    "top-level-array": ([], "top level: expected an object, got []"),
+    "vertex-without-id": ({"vertices": [{"rank": 1}]}, "vertices[0].id: expected a string, got None"),
+    "three-ends": (_loop(*[{"vertex": "v", "matrix": [[1]]}] * 3), "edges[0].ends: need a pair of ends"),
+    "end-without-matrix": (_loop({"vertex": "v", "matrix": [[1]]}, {"vertex": "v"}),
+                           "edges[0].ends[1].matrix: expected an array, got None"),
+    "end-without-class": (_table(edges=[{"id": "e1", "rank": 3, "ends": [
+                              {"vertex": "v"}, {"vertex": "w", "class": "Cw"}]},
+                              *NO_RAFT_TABLE["edges"][1:]]),
+                          "edges[0].ends[0].class: expected a string, got None"),
+    "indices-single": (_table(indices={**NO_RAFT_TABLE["indices"], "e1": [2]}),
+                       "indices[e1]: need a pair of indices"),
+    "transport-object": (_table(transport={**NO_RAFT_TABLE["transport"], "e1": {"Tv": "Cw"}}),
+                         "transport[e1]: expected an array"),
+    "classes-missing": ({k: v for k, v in NO_RAFT_TABLE.items() if k != "classes"},
+                        "classes: expected an object, got None"),
 }
 
 
@@ -408,16 +442,50 @@ def test_mutated_fixtures_stay_in_the_exit_contract(capsys, tmp_path, name):
     paths = list(_value_paths(doc))
     target = tmp_path / "mutated.json"
     for path in rng.sample(paths, min(12, len(paths))):
-        mutated = copy.deepcopy(doc)
-        node = mutated
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = rng.choice([5, None, [], {}, "x"])
-        target.write_text(json.dumps(mutated))
+        value = rng.choice([5, None, [], {}, "x"])
+        target.write_text(json.dumps(_replaced(doc, path, value)))
         for argv in (["validate"], ["depth"], ["ball", "--radius", "2"]):
             code, _, err = run(capsys, *argv[:1], target, *argv[1:])
-            assert type(code) is int and 0 <= code <= 5, (path, node[path[-1]])
+            assert type(code) is int and 0 <= code <= 5, (path, value)
             assert "Traceback" not in err
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON document with the value at the key path `path` replaced."""
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _label_paths(doc):
+    """The key path of every class label of a table document, transport keys aside."""
+    for i in range(len(doc["edges"])):
+        yield from (("edges", i, "ends", j, "class") for j in (0, 1))
+    for vid, c in doc["classes"].items():
+        yield from (("classes", vid, "labels", k) for k in range(len(c["labels"])))
+        yield ("classes", vid, "top")
+    for vid, pairs in doc["order"].items():
+        yield from (("order", vid, k, j) for k in range(len(pairs)) for j in (0, 1))
+    for eid, maps in doc["transport"].items():
+        yield from (("transport", eid, j, key) for j, mp in enumerate(maps) for key in mp)
+
+
+@pytest.mark.parametrize("name", ["heis", "nonex"])
+def test_table_label_positions_stay_in_the_exit_contract(capsys, tmp_path, name):
+    """Each declared label and one undeclared label in every label position: no internal error."""
+    contract = _readme_exit_codes() - {6}
+    doc = json.loads(fixture_path(name).read_text())
+    labels = sorted({s for c in doc["classes"].values() for s in c["labels"]}) + ["undeclared"]
+    target = tmp_path / "relabelled.json"
+    for path in _label_paths(doc):
+        for label in labels:
+            target.write_text(json.dumps(_replaced(doc, path, label)))
+            for command in ("validate", "depth", "check", "reduce", "rafts"):
+                code, _, err = run(capsys, command, target)
+                assert code in contract and "Traceback" not in err, (path, label, command, err)
 
 
 def _readme_exit_codes():

@@ -563,7 +563,7 @@ def _proportional(a, b):
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_points_are_a_unisolvent_lattice(n, k):
-    points = patterns._points(n, k)
+    points = tuple(patterns._points(n, k))
     lattice = points[1:] if k >= 2 else points
     assert len(lattice) == math.comb(n + k - 1, n)
     assert all(min(t) >= 0 and math.gcd(*t) == 1 and n % sum(t) == 0 for t in lattice)
