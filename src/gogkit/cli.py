@@ -252,10 +252,11 @@ def cmd_invariants(args) -> int:
 
 def _load_pattern(path, vertex):
     doc = read_json(path)
-    if isinstance(doc, dict) and "pattern" in doc:
-        if vertex:
-            raise GraphLoadError(f"{path} is a pattern file; --vertex does not apply")
-        try:
+    is_pattern = isinstance(doc, dict) and "pattern" in doc
+    if is_pattern and vertex:
+        raise GraphLoadError(f"{path} is a pattern file; --vertex does not apply")
+    try:
+        if is_pattern:
             body = typed(doc["pattern"], dict, "pattern")
             n = typed(body.get("ambient_dim"), int, "pattern.ambient_dim")
             if n < 1:
@@ -263,9 +264,9 @@ def _load_pattern(path, vertex):
             return LinearPattern.of(
                 [canonicalize(int_rows(rows, f"pattern.subspaces[{k}]"), n) for k, rows
                  in enumerate(typed(body.get("subspaces", []), list, "pattern.subspaces"))], n)
-        except ValueError as e:   # GraphLoadError and DimensionMismatch included
-            raise GraphLoadError(f"{path}: {e}") from e
-    g = _valid(graph_from_dict(doc))
+        g = _valid(graph_from_dict(doc))
+    except ValueError as e:   # GraphLoadError and DimensionMismatch included
+        raise GraphLoadError(f"{path}: {e}") from e
     if not vertex:
         raise GraphLoadError(f"{path} is a graph file; --vertex-a/--vertex-b required")
     pattern, _ = vertex_edge_pattern(g, vertex)

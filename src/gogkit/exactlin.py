@@ -2,17 +2,20 @@
 
 A subspace is stored as an integer basis in reduced row echelon form, with
 every row a primitive integer vector whose leading entry is positive.  This
-form is canonical: two subspaces are equal iff their stored bases are equal,
-so subspace equality is plain data equality and results are hashable.
+form is canonical: two subspaces are equal iff their stored bases are equal.
+The record is the tuple (ambient_dim, basis), so subspace equality and
+hashing are plain tuple operations.
 
 A matrix is integer rows over one positive denominator, and caches its column
-span and determinant.  Everything is exact and runs on Python ints: one
-fraction-free Gauss-Jordan elimination (`_echelon`) serves canonical forms,
-kernels, inverse and `carry`, and determinants use Bareiss's
+span, determinant and left inverse.  Everything is exact and runs on Python
+ints: one fraction-free Gauss-Jordan elimination (`_echelon`) serves
+canonical forms, kernels and inverses, and determinants use Bareiss's
 integer-preserving elimination.  Containment is integer dot products with
-normals that each subspace caches on first use.  fractions.Fraction appears
-only where a public value is rational: RatMatrix entries, determinants and
-kernel vectors.  No floating point is used anywhere.
+normals that each subspace caches on first use.  `carry` moves a span across
+an injective map with two small matrix-vector products per basis row,
+through the left inverse that the map caches on first use.  fractions.Fraction
+appears only where a public value is rational: RatMatrix entries,
+determinants and kernel vectors.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 
 class DimensionMismatch(ValueError):
@@ -57,38 +61,47 @@ def _echelon(rows):
     integers small.
     """
     m = [_primitive(_int_row(row)) for row in rows]
+    n = len(m)
     pivots = []
+    r = 0
     for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        if r == len(m):
+        if r == n:
             break
-        i = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if i is None:
+        for i in range(r, n):
+            if m[i][c]:
+                break
+        else:
             continue
         m[r], m[i] = m[i], m[r]
         prow = m[r]
         pv = prow[c]    # positive: the row's leading entry
-        for i, row in enumerate(m):
+        for i in range(n):
+            row = m[i]
             f = row[c]
             if f and i != r:
                 g = gcd(pv, f)
                 a, b = pv // g, f // g
                 m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
-    return m[:len(pivots)], pivots
+        r += 1
+    return m[:r], pivots
 
 
-@dataclass(frozen=True)
-class RationalSubspace:
+class _Subspace(NamedTuple):
+    """The fields of RationalSubspace."""
+    ambient_dim: int
+    basis: tuple[tuple[int, ...], ...]
+
+
+class RationalSubspace(_Subspace):
     """A subspace of Q^n in canonical integer echelon form.
 
     For a subgroup of Z^n this is the rational span, which only depends on
     the commensurability class of the subgroup: all finite-index sublattices
-    share it.
+    share it.  The record is the tuple (ambient_dim, basis), so `==` and
+    `hash` are tuple operations; it has no `__slots__`, which leaves room for
+    the cached normals.
     """
-
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -222,7 +235,8 @@ class RatMatrix:
 
     `den` is positive and coprime to the entries taken together, so equal
     matrices have equal fields; `entries` is the Fraction view.  The column
-    span and determinant are cached on first use, outside `==` and `hash`.
+    span, determinant and left inverse are cached on first use, outside `==`
+    and `hash`.
     """
 
     rows: int
@@ -311,6 +325,17 @@ class RatMatrix:
     def _span(self) -> RationalSubspace:
         return canonicalize(list(zip(*self.ints)), self.rows)
 
+    @cached_property
+    def _left_inverse(self):
+        """(P, B): the pivot coordinates P of the column span, onto which that
+        span projects injectively, and B with B * ints[P] a nonzero multiple of
+        the identity.  None when the columns are dependent."""
+        if self._span.dim < self.cols:
+            return None
+        pivots = tuple(next(c for c, x in enumerate(row) if x) for row in self._span.basis)
+        block = RatMatrix(self.cols, self.cols, tuple(self.ints[p] for p in pivots))
+        return pivots, block.inverse().ints
+
 
 def _lowest(rows: int, cols: int, ints, den: int) -> RatMatrix:
     """The matrix ints / den for a positive den, in lowest terms."""
@@ -343,20 +368,21 @@ def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
 def carry(m_in: RatMatrix, m_out: RatMatrix, s: RationalSubspace) -> RationalSubspace:
     """image(m_out, preimage(m_in, s)) for an injective m_in whose column span holds s.
 
-    One elimination of [M_in | basis(s)^T] solves M_in X = basis(s)^T, and the
-    columns of M_out X span the result.  Raises ValueError when m_in is not
-    injective or s is not inside its column span.
+    Each basis row v of s is M_in x for one x, read off the pivot coordinates
+    P of that span through m_in's cached left inverse B: x = B v[P] up to
+    scale, and the vectors M_out x span the result.  Raises ValueError when
+    m_in is not injective or s is not inside its column span.
     """
     if s.ambient_dim != m_in.rows or m_in.cols != m_out.cols:
         raise DimensionMismatch("carry: the shapes of m_in, m_out and s do not fit")
-    k = m_in.cols
-    # scaling either matrix by its denominator leaves every span unchanged
-    reduced, pivots = _echelon([list(row) + [v[r] for v in s.basis]
-                                for r, row in enumerate(m_in.ints)])
-    if pivots != list(range(k)):
+    left = m_in._left_inverse
+    if left is None or not contains(m_in._span, s):
         raise ValueError("carry: m_in is not injective or s is outside its column span")
-    # row r reads p_r x_r = rhs_r; scale every x_r to the common denominator
-    d = lcm(*[row[r] for r, row in enumerate(reduced)])
-    xs = [[x * (d // row[r]) for x in row[k:]] for r, row in enumerate(reduced)]
-    return canonicalize([[sum(a * x[j] for a, x in zip(row, xs)) for row in m_out.ints]
-                         for j in range(s.dim)], m_out.rows)
+    pivots, inv = left
+    out = []
+    for v in s.basis:
+        # scaling x, B or either matrix leaves every span unchanged
+        vp = [v[p] for p in pivots]
+        x = [sum(map(mul, b, vp)) for b in inv]
+        out.append([sum(map(mul, row, x)) for row in m_out.ints])
+    return canonicalize(out, m_out.rows)

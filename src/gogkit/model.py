@@ -22,7 +22,8 @@ abelian oracle itself caches only transport results.
 Loading reads every field of both oracle modes through one typed reader:
 `typed(x, kind, where)` returns a value of its declared JSON type (an exact
 integer, a string, true or false, an array or an object) or raises
-GraphLoadError as "<JSON path>: expected <type>, got <value>", and `pair`
+GraphLoadError as "<JSON path>: expected <type>, got <value>" (the value
+abbreviated by `reprlib`, so the message stays short), and `pair`
 adds the two-element check of ends, order pairs, transport maps and index
 pairs.  A missing field reads as null, so it is named by its path the same
 way.  Checked integer rows are already a matrix in lowest terms over
@@ -32,6 +33,7 @@ denominator 1, so each edge matrix is built from them directly.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -335,10 +337,10 @@ _KINDS = {int: "an exact integer", str: "a string", bool: "true or false",
 
 def typed(x, kind, where):
     """`x` when it has the JSON type `kind` (an int is never a bool); else
-    GraphLoadError naming the JSON path `where`."""
+    GraphLoadError naming the JSON path `where` and an abbreviated `x`."""
     if isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
         return x
-    raise GraphLoadError(f"{where}: expected {_KINDS[kind]}, got {x!r}")
+    raise GraphLoadError(f"{where}: expected {_KINDS[kind]}, got {reprlib.repr(x)}")
 
 
 def pair(x, where, of):
@@ -365,7 +367,7 @@ def int_rows(m, where):
 def graph_from_dict(doc) -> GraphOfGroups:
     mode = typed(doc, dict, "top level").get("oracle", "abelian")
     if mode not in ("abelian", "table"):
-        raise GraphLoadError(f'oracle must be "abelian" or "table", got {mode!r}')
+        raise GraphLoadError(f'oracle must be "abelian" or "table", got {reprlib.repr(mode)}')
     verts = []
     for i, v in enumerate(typed(doc.get("vertices", []), list, "vertices")):
         v = typed(v, dict, f"vertices[{i}]")

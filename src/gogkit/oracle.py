@@ -20,14 +20,15 @@ span of larger dimension than the entered end class never crosses, and one of
 equal dimension crosses only when it is that class, which lands on the
 opposite end class with no elimination.  Only a smaller span is tested with
 `contains` (dot products with the end class's cached normals), and it
-crosses by `carry`: one elimination solving M_eta X = V.
-End classes and indices are read off the edge matrices, which cache their
-spans and determinants, so the abelian oracle caches only transports.  When
-`carry` moves V across an edge to W, the cache also records the way back, W
+crosses by `carry`: M_eta's cached left inverse solves M_eta X = V, and M_theta
+maps X over, two small matrix-vector products per basis row of V.
+End classes, indices and left inverses are read off the edge matrices, which
+cache them, so the abelian oracle caches only transports.  When `carry`
+moves V across an edge to W, the cache also records the way back, W
 entering at the opposite end goes to V: the edge map is an isomorphism
 between the two end classes and canonical forms are unique, so this is
 exactly what the reverse `contains` and `carry` would compute, and a walk
-that tries the arc back (every `explore` does) pays one elimination per pair.
+that tries the arc back (every `explore` does) pays one `carry` per pair.
 Table transports are not cached this way; their arcs can be one-way.
 """
 

@@ -203,6 +203,21 @@ def test_compare_malformed_pattern_exit_two(capsys, tmp_path, doc):
     assert err.startswith(f"{bad}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_compare_names_the_graph_file_that_fails_to_load(capsys, tmp_path, first):
+    doc = json.loads(fixture_path("f2xz").read_text())
+    doc["edges"][0]["id"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files = [bad, fixture_path("f2xz")] if first else [fixture_path("f2xz"), bad]
+    code, out, err = run(capsys, "compare", *files, "--vertex-a", "v", "--vertex-b", "v")
+    assert (code, out, err) == (2, "", f"{bad}: edges[0].id: expected a string, got 5\n")
+    doc["edges"][0]["id"] = "v"     # loads, then fails validation
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", *files, "--vertex-a", "v", "--vertex-b", "v")
+    assert (code, out) == (2, "") and err.startswith(f"{bad}: invalid graph:\n")
+
+
 def test_compare_graph_vertices(capsys):
     code, out, _ = run(capsys, "compare", fixture_path("f2xz"), fixture_path("f2xz"),
                        "--vertex-a", "v", "--vertex-b", "v")
@@ -412,6 +427,11 @@ MALFORMED_SECTIONS = {
                          "transport[e1]: expected an array"),
     "classes-missing": ({k: v for k, v in NO_RAFT_TABLE.items() if k != "classes"},
                         "classes: expected an object, got None"),
+    "vertices-huge-object": ({"vertices": {str(i): i for i in range(20000)}},
+                             "vertices: expected an array, got {'0': 0, '1': 1, '10': 10, "
+                             "'100': 100, ...}\n"),
+    "oracle-huge-array": ({"oracle": ["abelian"] * 20000},
+                          'oracle must be "abelian" or "table", got [\'abelian\', '),
 }
 
 
@@ -422,7 +442,7 @@ def test_malformed_sections_exit_two(capsys, tmp_path, doc, needle):
     code, out, err = run(capsys, "validate", bad)
     assert (code, out) == (2, "")
     assert "Traceback" not in err and err.count("\n") == 1
-    assert err.startswith(needle)
+    assert err.startswith(needle) and len(err) < 200   # the bad value is abbreviated
 
 
 def _value_paths(doc, prefix=()):

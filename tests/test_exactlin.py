@@ -37,6 +37,21 @@ def test_canonicalize_fractions():
     assert canonicalize([(Fraction(1, 2), Fraction(1, 3))]).basis == ((3, 2),)
 
 
+# Printed by the frozen-dataclass record; the tuple record must print the same.
+def test_subspace_record_keeps_repr_hash_and_cached_normals():
+    s = canonicalize([(2, 4, 0), (0, 0, 3)])
+    assert repr(s) == "<(1,2,0),(0,0,1)> in Q^3" and repr(zero_space(2)) == "0 in Q^2"
+    assert hash(s) == hash((3, ((1, 2, 0), (0, 0, 1))))
+    assert s == exactlin.RationalSubspace(3, ((1, 2, 0), (0, 0, 1))) != zero_space(3)
+    for name in ("ambient_dim", "basis"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    assert "_normals" not in vars(s)
+    normals = s._normals
+    assert normals == ((-2, 1, 0),) and vars(s) == {"_normals": normals}
+    assert s._normals is normals
+
+
 def test_canonicalize_rejects_ragged():
     with pytest.raises(DimensionMismatch):
         canonicalize([(1, 0), (1, 0, 0)])
@@ -521,7 +536,7 @@ def test_from_rows_accepts_ints_fractions_and_strings():
         RatMatrix.from_rows([[1, 2], ["1/2"]])
 
 
-# -- carry: one elimination in place of image(preimage(...)) -------------------
+# -- carry: a cached left inverse in place of image(preimage(...)) ------------
 
 
 @st.composite

@@ -228,6 +228,28 @@ def test_recorded_way_back_keeps_explore_and_saves_carries(graph, monkeypatch, n
     assert 0 < two_way_carries < one_way_carries
 
 
+def test_each_edge_matrix_builds_its_left_inverse_once(monkeypatch):
+    ends = [[[1, 2, 0], [0, 1, 1], [3, 0, 1], [1, 1, 1]],
+            [[2, 0, 1], [1, 1, 0], [0, 0, 1], [1, -1, 2]]]
+    g = graph_from_dict({"oracle": "abelian",
+                         "vertices": [{"id": "u", "rank": 4}, {"id": "v", "rank": 4}],
+                         "edges": [{"id": "e", "rank": 3, "ends": [
+                             {"vertex": "u", "matrix": ends[0]},
+                             {"vertex": "v", "matrix": ends[1]}]}]})
+    m = [end.matrix for end in g.edge("e").ends]
+    mixes = [[(1, 0, 0)], [(0, 1, 0)], [(1, 1, -1)], [(2, -1, 3)],
+             [(1, 0, 0), (0, 1, 0)], [(1, 1, -1), (0, 2, 1)]]
+    inverses = _count_calls(monkeypatch, exactlin.RatMatrix, "inverse")
+    for i in (0, 1):
+        # a second oracle shares the graph's matrices but none of the first one's transports
+        for orc in (g.oracle(), oracle.AbelianOracle(g)):
+            for mix in mixes:
+                cls = canonicalize([[sum(c * x for c, x in zip(cs, row)) for row in ends[i]]
+                                    for cs in mix], 4)
+                assert orc.transport("e", i, cls) == image(m[1 - i], preimage(m[i], cls))
+        assert len(inverses) == i + 1
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
