@@ -17,7 +17,7 @@ itself, which holds every incident span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import RationalSubspace, contains
 from .depth import DepthAssignment, depth_filtration
@@ -29,14 +29,12 @@ class WrongVertex(ValueError):
     """The vertex is not a one-vertex depth-zero raft."""
 
 
-@dataclass(frozen=True)
-class CrossingNode:
+class CrossingNode(NamedTuple):
     span: RationalSubspace
     ends: tuple  # contributing (edge id, end index) pairs
 
 
-@dataclass(frozen=True)
-class CrossingGraph:
+class CrossingGraph(NamedTuple):
     vertex: str
     nodes: tuple[CrossingNode, ...]
     adjacency: tuple
@@ -90,16 +88,14 @@ HYPOTHESIS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class HypothesisStatus:
+class HypothesisStatus(NamedTuple):
     number: int
     name: str
     status: str           # pass | fail | unknown
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     entries: tuple[HypothesisStatus, ...]
     reduced: bool = False     # analyses ran on the complete reduction
     assignment: DepthAssignment | None = None

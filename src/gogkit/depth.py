@@ -20,8 +20,8 @@ was cut while new classes were still appearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .oracle import explore
 from .reduce import reducible_edges
@@ -36,8 +36,7 @@ class WrongRaftLevel(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Raft:
+class Raft(NamedTuple):
     level: int
     core: tuple[str, ...]        # sorted orbits whose depth equals the level
     absorbed: tuple[str, ...]    # members of absorbed lower flotillas
@@ -48,29 +47,25 @@ class Raft:
         return tuple(sorted(set(self.core) | set(self.absorbed)))
 
 
-@dataclass(frozen=True)
-class Flotilla:
+class Flotilla(NamedTuple):
     level: int
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     level: int
     rafts: tuple[Raft, ...]
     flotillas: tuple[Flotilla, ...]
 
 
-@dataclass(frozen=True)
-class WitnessStep:
+class WitnessStep(NamedTuple):
     orbit: str
     cls: str
     strict: bool          # strictly contained in the next step's class
     via: tuple = ()       # transport path (edge id, entered end) pairs
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str                                # finite | infinite | unknown
     depth: int | None = None
     witness: tuple[WitnessStep, ...] = ()
@@ -84,8 +79,7 @@ class Verdict:
         return f"Unknown({self.horizon})"
 
 
-@dataclass(frozen=True)
-class DepthAssignment:
+class DepthAssignment(NamedTuple):
     depth: dict
     verdict: Verdict
     levels: tuple[Level, ...]
@@ -125,7 +119,7 @@ def depth_zero_rafts(g) -> list[Raft]:
         if not any(e.id not in ff_ids and orc.finite_index_end(e.id, i)
                    for vid in vids for (e, i) in g.ends_at(vid)):
             raft = Raft(0, tuple(sorted(vids + eids)), ())
-            rafts.append(replace(raft, kind=raft_kind(g, raft)))
+            rafts.append(raft._replace(kind=raft_kind(g, raft)))
     return rafts
 
 

@@ -20,7 +20,6 @@ determinants and kernel vectors.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -229,20 +228,22 @@ def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     return canonicalize(vecs, n)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """A dense immutable rows x cols matrix over Q, the value `ints` / `den`.
-
-    `den` is positive and coprime to the entries taken together, so equal
-    matrices have equal fields; `entries` is the Fraction view.  The column
-    span, determinant and left inverse are cached on first use, outside `==`
-    and `hash`.
-    """
-
+class _Matrix(NamedTuple):
+    """The fields of RatMatrix."""
     rows: int
     cols: int
     ints: tuple[tuple[int, ...], ...]
     den: int = 1
+
+
+class RatMatrix(_Matrix):
+    """A dense immutable rows x cols matrix over Q, the value `ints` / `den`.
+
+    `den` is positive and coprime to the entries taken together, so equal
+    matrices have equal fields; `entries` is the Fraction view.  The column
+    span, determinant and left inverse are cached on first use, outside `==`,
+    `repr` and `hash`, as for RationalSubspace.
+    """
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":

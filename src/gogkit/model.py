@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .exactlin import RatMatrix
 
@@ -51,21 +51,18 @@ class UnknownId(KeyError):
     """A vertex or edge id the graph does not have."""
 
 
-@dataclass(frozen=True)
-class VertexSpec:
+class VertexSpec(NamedTuple):
     id: str
     rank: int
 
 
-@dataclass(frozen=True)
-class EdgeEnd:
+class EdgeEnd(NamedTuple):
     vertex: str
     matrix: RatMatrix | None = None   # abelian mode
     class_label: str | None = None    # table mode
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     id: str
     rank: int
     ends: tuple[EdgeEnd, EdgeEnd]
@@ -74,8 +71,7 @@ class EdgeSpec:
         return self.ends[0].vertex == self.ends[1].vertex
 
 
-@dataclass(frozen=True)
-class TableData:
+class TableData(NamedTuple):
     """Declared commensurability data for table mode.
 
     labels: vertex id -> tuple of class labels usable at that vertex.
@@ -94,15 +90,21 @@ class TableData:
     order: dict
     transport: dict
     indices: dict
-    pd_flags: dict = field(default_factory=dict)
+    pd_flags: dict
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
+class _Graph(NamedTuple):
+    """The fields of GraphOfGroups."""
     vertices: tuple[VertexSpec, ...]
     edges: tuple[EdgeSpec, ...]
     oracle_mode: str = "abelian"      # "abelian" | "table"
     table: TableData | None = None
+
+
+class GraphOfGroups(_Graph):
+    """A finite graph of groups: the tuple of its fields, with no `__slots__`,
+    so the index and the oracle are cached beside the value, outside `==`,
+    `repr` and `hash`."""
 
     @cached_property
     def _index(self):
@@ -156,8 +158,7 @@ class GraphOfGroups:
         return self._oracle
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

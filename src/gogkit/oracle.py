@@ -34,7 +34,7 @@ Table transports are not cached this way; their arcs can be one-way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import RationalSubspace, carry, contains, full_space
 from .model import INFINITE, GraphOfGroups
@@ -143,8 +143,7 @@ class TableOracle:
         return cls
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """A class seen at a vertex, with the transport path that produced it."""
 
     vertex: str
@@ -152,8 +151,7 @@ class Placement:
     path: tuple  # of (edge id, entered end index)
 
 
-@dataclass(frozen=True)
-class ExploreResult:
+class ExploreResult(NamedTuple):
     placements: tuple[Placement, ...]
     truncated: bool
 

@@ -20,10 +20,10 @@ those of the full search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, prod
+from typing import NamedTuple
 
 from .exactlin import (DimensionMismatch, RatMatrix, RationalSubspace, _echelon,
                        _primitive, image, kernel_vectors)
@@ -33,8 +33,7 @@ class UnderdeterminedSlopes(ValueError):
     """Fewer than three distinct slopes: no canonical frame exists."""
 
 
-@dataclass(frozen=True)
-class LinearPattern:
+class LinearPattern(NamedTuple):
     """A multiset of proper nonzero subspaces of Q^n, canonically ordered."""
 
     ambient_dim: int
@@ -83,8 +82,7 @@ def vertex_edge_pattern(g, vid: str):
     return LinearPattern.of(members, n), notes
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     status: str                     # "rigid" | "inconclusive"
     witness: tuple[int, ...] | None = None
 
@@ -156,8 +154,7 @@ def _slope_key(s):
     return (1, Fraction(0)) if s[1] == 0 else (0, Fraction(s[0], s[1]))
 
 
-@dataclass(frozen=True)
-class SlopeInvariant:
+class SlopeInvariant(NamedTuple):
     """Canonical Mobius-normalized slope multiset of a plane line pattern."""
 
     slopes: tuple

@@ -13,7 +13,6 @@ quotient-level algorithms are checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -165,30 +164,42 @@ class BallEdge(NamedTuple):
     depth_label: int | None = None
 
 
-@dataclass(frozen=True)
-class TreeBall:
-    """A ball whose node ids are positions in `nodes`: edge k leads to node k + 1.
-
-    `parent_ids[k]` is the id of node k's parent, -1 at the root; it is the
-    ball's one adjacency.  `build_ball` records it while expanding; a ball
-    built from the five other fields alone rebuilds it from the addresses.
-    `dataclasses.replace` copies it, so pass `parent_ids=None` with new edges.
-    """
+class _Ball(NamedTuple):
+    """The fields of TreeBall."""
     root_vertex: str
     radius: int
     branch_cap: int
     nodes: dict
     edges: tuple[BallEdge, ...]
-    parent_ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    parent_ids: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.parent_ids is None:
-            ids = {a: k for k, a in enumerate(self.nodes)}
-            if len(ids) != len(self.edges) + 1 or any(
-                    ids.get(e.child) != k for k, e in enumerate(self.edges, 1)):
+
+class TreeBall(_Ball):
+    """A ball whose node ids are positions in `nodes`: edge k leads to node k + 1.
+
+    `parent_ids[k]` is the id of node k's parent, -1 at the root; it is the
+    ball's one adjacency.  `build_ball` records it while expanding; a ball
+    built from the five other fields alone, or copied by `_replace` with new
+    nodes or edges, rebuilds it from the addresses.
+    """
+
+    def __new__(cls, root_vertex, radius, branch_cap, nodes, edges, parent_ids=None):
+        if parent_ids is None:
+            ids = {a: k for k, a in enumerate(nodes)}
+            if len(ids) != len(edges) + 1 or any(
+                    ids.get(e.child) != k for k, e in enumerate(edges, 1)):
                 raise ValueError("edge k of a ball must lead to node k + 1")
-            object.__setattr__(self, "parent_ids",
-                               (-1,) + tuple(ids[e.parent] for e in self.edges))
+            parent_ids = (-1,) + tuple(ids[e.parent] for e in edges)
+        return super().__new__(cls, root_vertex, radius, branch_cap, nodes, edges, parent_ids)
+
+    @classmethod
+    def _make(cls, iterable):   # so `_replace` copies through the check above
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        if "nodes" in changes or "edges" in changes:
+            changes.setdefault("parent_ids", None)
+        return super()._replace(**changes)
 
     def node(self, address) -> BallNode:
         return self.nodes[address]

@@ -3,9 +3,12 @@
 import argparse
 import copy
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -722,3 +725,11 @@ def test_ci_smoke_table(capsys, monkeypatch, row):
     # CI runs the same rows with the installed `gog` script
     monkeypatch.chdir(ROOT)
     assert run(capsys, *row["argv"])[0] == row["exit"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, gogkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Graph model validation and the JSON wire format."""
 
-import dataclasses
 import json
 
 import pytest
@@ -176,7 +175,7 @@ def test_one_oracle_per_graph(graph, name):
     orc = g.oracle()
     assert g.oracle() is orc and orc.g is g
     assert g == fresh and repr(g) == repr(fresh)
-    copy = dataclasses.replace(g)
+    copy = g._replace()
     assert copy == g and copy.oracle() is not orc and copy.oracle().g is copy
 
 

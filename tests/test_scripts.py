@@ -13,6 +13,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
     ["run_fixtures.py"],
     ["slope_census.py", "40", "1"],
     ["op_digests.py", "ball-compare", "--seeds", "1", "--rounds", "1"],
+    ["cold_start.py", "--runs", "2"],
 ])
 def test_script_runs(argv):
     done = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],

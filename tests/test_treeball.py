@@ -1,17 +1,17 @@
 """Tree balls: Smith-form cosets, valences, crossing, chain depths, DOT."""
 
-import dataclasses
 import random
 
 import pytest
 
 from conftest import RANK0_PROBE
-from gogkit import (BallEdge, BallNode, annotate_depth, ball_chain_depths, ball_crossing_check,
-                    build_ball, coarse_le, crossing_graph, depth_filtration,
-                    graph_from_dict, reducible_edges, smith_normal_form, to_dot)
+from gogkit import (BallEdge, BallNode, LinearPattern, annotate_depth, ball_chain_depths,
+                    ball_crossing_check, build_ball, canonicalize, check_hypotheses, coarse_le,
+                    crossing_graph, depth_filtration, explore, graph_from_dict, reducible_edges,
+                    rigidity_check, slope_invariant, smith_normal_form, to_dot, validate)
 from gogkit.exactlin import RatMatrix, contains
 from gogkit.oracle import UnsupportedOracle
-from gogkit import treeball
+from gogkit import crossing, depth, exactlin, model, oracle, patterns, treeball
 from gogkit.treeball import CosetSystem, TreeBall
 from test_depth import _random_irreducible_graph
 
@@ -133,10 +133,18 @@ def test_ball_built_from_its_public_fields_rebuilds_parent_ids(graph):
         labelled = annotate_depth(bare, da)
         assert labelled == annotate_depth(ball, da) and labelled.parent_ids == ball.parent_ids
         assert all(bare.children(a) == ball.children(a) for a in ball.nodes), name
+        copy = ball._replace(parent_ids=None)   # a copy runs the same check
+        assert type(copy) is TreeBall and copy.parent_ids == ball.parent_ids, name
     shuffled = dict(reversed(ball.nodes.items()))
     for nodes, edges in ((shuffled, ball.edges), (ball.nodes, ball.edges[:-1])):
         with pytest.raises(ValueError, match="must lead to node"):
             TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges)
+        with pytest.raises(ValueError, match="must lead to node"):
+            ball._replace(nodes=nodes, edges=edges, parent_ids=None)
+        with pytest.raises(ValueError, match="must lead to node"):
+            ball._replace(nodes=nodes, edges=edges)     # new edges never keep the old ids
+    pruned = ball._replace(nodes=dict(list(ball.nodes.items())[:-1]), edges=ball.edges[:-1])
+    assert pruned.parent_ids == ball.parent_ids[:-1] and len(pruned.nodes) == len(ball.nodes) - 1
 
 
 # Generated by the frozen-dataclass records; the tuple records must print the same.
@@ -147,19 +155,78 @@ ARC3_EDGE_REPR = ("BallEdge(parent=(), child=(('e', 0, (0, 0, 0)),), edge='e', e
                   "depth_label=None)")
 
 
-def test_ball_records_are_immutable_and_print_as_before(graph):
+def test_ball_records_print_as_before(graph):
     ball = build_ball(graph("arc3"), "u", 1)
     address = (("e", 0, (0, 0, 0)),)
     node = ball.node(address)
     edge = next(e for e in ball.edges if e.child == address)
     assert repr(node) == ARC3_NODE_REPR and repr(edge) == ARC3_EDGE_REPR
-    for record, name in ((node, "truncated"), (node, "depth_label"),
-                         (edge, "root_span"), (edge, "depth_label")):
-        with pytest.raises(AttributeError):
-            setattr(record, name, None)
     labelled = edge._replace(depth_label=2)
     assert type(labelled) is BallEdge and labelled.depth_label == 2 and edge.depth_label is None
     assert hash(node) == hash(ball.node(address)) and node != edge
+
+
+def _one_of_each_record(graph):
+    """Record class name -> one instance, mostly from analyses of the fixtures."""
+    g = graph("arc3")
+    da, report = depth_filtration(g), check_hypotheses(g)
+    verdict = depth_filtration(graph("nonex")).verdict
+    walk = explore(g.oracle(), "u", g.oracle().class_of("e", 0))
+    ball = build_ball(g, "u", 1)
+    lines = LinearPattern.of([canonicalize([r]) for r in ((1, 0), (0, 1), (1, 1), (1, 2))])
+    cg = crossing_graph(g, "u", da)
+    level = da.levels[0]
+    return {"VertexSpec": g.vertices[0], "EdgeSpec": g.edges[0], "EdgeEnd": g.edges[0].ends[0],
+            "GraphOfGroups": g, "TableData": graph("heis").table, "ValidationReport": validate(g),
+            "RatMatrix": g.edges[0].ends[0].matrix, "RationalSubspace": walk.placements[0].cls,
+            "Placement": walk.placements[0], "ExploreResult": walk, "DepthAssignment": da,
+            "Level": level, "Raft": level.rafts[0], "Flotilla": level.flotillas[0],
+            "Verdict": verdict, "WitnessStep": verdict.witness[0],
+            "CrossingGraph": cg, "CrossingNode": cg.nodes[0],
+            "HypothesisReport": report, "HypothesisStatus": report.entries[0],
+            "LinearPattern": lines, "RigidityVerdict": rigidity_check(lines),
+            "SlopeInvariant": slope_invariant(lines), "TreeBall": ball,
+            "BallNode": ball.node(()), "BallEdge": ball.edges[0]}
+
+
+RECORDS = ["VertexSpec", "EdgeSpec", "EdgeEnd", "GraphOfGroups", "TableData", "ValidationReport",
+           "RatMatrix", "RationalSubspace", "Placement", "ExploreResult", "DepthAssignment",
+           "Level", "Raft", "Flotilla", "Verdict", "WitnessStep", "CrossingGraph", "CrossingNode",
+           "HypothesisReport", "HypothesisStatus", "LinearPattern", "RigidityVerdict",
+           "SlopeInvariant", "TreeBall", "BallNode", "BallEdge"]
+CACHES = {"GraphOfGroups": ("_index", "_oracle"), "RatMatrix": ("_span", "_left_inverse"),
+          "RationalSubspace": ("_normals",), "TreeBall": ("_children",)}
+
+
+def test_every_record_class_is_listed():
+    found = {name for mod in (exactlin, model, oracle, depth, crossing, patterns, treeball)
+             for name, obj in vars(mod).items()
+             if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+             and obj.__module__ == mod.__name__ and not name.startswith("_")}
+    assert found == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_is_an_immutable_tuple(graph, name):
+    record = _one_of_each_record(graph)[name]
+    cls = type(record)
+    assert cls.__name__ == name and tuple(record) == tuple(getattr(record, f) for f in cls._fields)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    copy = record._replace()
+    assert type(copy) is cls and copy == record and copy is not record
+    if "__repr__" not in vars(cls):    # a RationalSubspace prints as a span
+        assert repr(record) == f"{name}(" + ", ".join(
+            f"{f}={getattr(record, f)!r}" for f in cls._fields) + ")"
+    if name not in CACHES:
+        assert not hasattr(record, "__dict__")
+        return
+    fresh, shown = cls._make(record), repr(record)
+    cached = {attr: getattr(record, attr) for attr in CACHES[name]}
+    assert vars(record) == cached and vars(fresh) == vars(copy) == {}
+    assert record == fresh == copy and repr(record) == repr(fresh) == shown
+    assert vars(record._replace()) == {}
 
 
 def test_sibling_cosets_distinct(graph):
@@ -399,7 +466,7 @@ def test_annotate_depth_matches_pair_loop_on_fixtures_and_perturbed_labels(graph
             outcomes.append(_assert_annotate_matches_pair_loop(ball, da))
             for _ in range(3):
                 labels = {o: max(0, d + rng.randint(-1, 1)) for o, d in da.depth.items()}
-                perturbed = dataclasses.replace(da, depth=labels)
+                perturbed = da._replace(depth=labels)
                 outcomes.append(_assert_annotate_matches_pair_loop(ball, perturbed))
     # Both answers must occur for the comparison to mean anything.
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20, outcomes.count(True)
