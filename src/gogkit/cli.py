@@ -24,7 +24,7 @@ from .oracle import UnsupportedOracle
 from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
 from .reduce import comm_classes, complete_reduce, reducible_edges
-from .treeball import annotate_depth, build_ball, to_dot
+from .treeball import address_steps, annotate_depth, build_ball, to_dot
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -123,17 +123,16 @@ def cmd_depth(args) -> int:
     for lv in da.levels:
         lvl = {"level": lv.level, "rafts": [], "flotillas": []}
         for r in lv.rafts:
-            lvl["rafts"].append({"core": sorted(r.core), "absorbed": sorted(r.absorbed),
-                                 "kind": r.kind})
-            desc = "{" + ",".join(sorted(r.core)) + "}"
+            lvl["rafts"].append({"core": r.core, "absorbed": r.absorbed, "kind": r.kind})
+            desc = "{" + ",".join(r.core) + "}"
             if r.absorbed:
-                desc += " absorbing {" + ",".join(sorted(r.absorbed)) + "}"
+                desc += " absorbing {" + ",".join(r.absorbed) + "}"
             if r.kind:
                 desc += f" [{r.kind}]"
             em.text(f"level {lv.level} raft: {desc}")
         for f in lv.flotillas:
-            lvl["flotillas"].append(sorted(f.members))
-            em.text(f"level {lv.level} flotilla: {{{','.join(sorted(f.members))}}}")
+            lvl["flotillas"].append(f.members)
+            em.text(f"level {lv.level} flotilla: {{{','.join(f.members)}}}")
         levels.append(lvl)
     em.put("levels", levels)
     for s in da.verdict.witness:
@@ -152,8 +151,8 @@ def cmd_rafts(args) -> int:
     em = _Emitter(args)
     payload = []
     for r in rafts:
-        payload.append({"members": sorted(r.core), "kind": r.kind})
-        em.text(f"depth-0 raft {{{','.join(sorted(r.core))}}}: {r.kind}")
+        payload.append({"members": r.core, "kind": r.kind})
+        em.text(f"depth-0 raft {{{','.join(r.core)}}}: {r.kind}")
     if not rafts:
         em.text("no depth-0 rafts")
     em.put("rafts", payload)
@@ -176,7 +175,7 @@ def cmd_crossing(args) -> int:
     em.put("adjacency", [list(row) for row in cg.adjacency])
     em.put("codimension_one_condition", cg.codim_note)
     for nd in cg.nodes:
-        em.text(f"node {nd.span!r} from ends {sorted(nd.ends)}")
+        em.text(f"node {nd.span!r} from ends {list(nd.ends)}")
     if cg.witness is not None:
         em.put("witness", _span_rows(cg.witness))
         em.text(f"witness hyperplane: {cg.witness!r}")
@@ -303,7 +302,7 @@ def cmd_ball(args) -> int:
         _write(to_dot(ball), args.output)
         return EXIT_OK
     em = _Emitter(args)
-    truncated = sorted(str(_addr(a)) for a, n in ball.nodes.items() if n.truncated)
+    truncated = sorted(_addr(a) for a, n in ball.nodes.items() if n.truncated)
     em.text(f"ball at {ball.root_vertex}: radius {ball.radius}, "
             f"{len(ball.nodes)} nodes, {len(ball.edges)} edges")
     em.put("root", ball.root_vertex)
@@ -325,9 +324,7 @@ def cmd_ball(args) -> int:
 
 
 def _addr(address):
-    if not address:
-        return "root"
-    return "/".join(f"{eid}.{i}." + ",".join(map(str, lab)) for (eid, i, lab) in address)
+    return "/".join(address_steps(address)) or "root"
 
 
 def _at_least(low):

@@ -98,7 +98,6 @@ class HypothesisStatus(NamedTuple):
 class HypothesisReport(NamedTuple):
     entries: tuple[HypothesisStatus, ...]
     reduced: bool = False     # analyses ran on the complete reduction
-    assignment: DepthAssignment | None = None
 
     @property
     def all_pass(self) -> bool:
@@ -113,38 +112,30 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     red = reducible_edges(g)
     work = complete_reduce(g) if red else g
     da = depth_filtration(work, horizon)
-
     entries = []
+
+    def put(k, status, detail):
+        entries.append(HypothesisStatus(k, HYPOTHESIS_NAMES[k], status, detail))
+
     if red:
-        entries.append(HypothesisStatus(
-            1, HYPOTHESIS_NAMES[1], "fail",
-            f"reducible at edge {red[0][0]} end {red[0][1]}"))
+        put(1, "fail", f"reducible at edge {red[0][0]} end {red[0][1]}")
     elif da.verdict.kind == "finite":
-        entries.append(HypothesisStatus(
-            1, HYPOTHESIS_NAMES[1], "pass", f"depth {da.verdict.depth}"))
+        put(1, "pass", f"depth {da.verdict.depth}")
     elif da.verdict.kind == "infinite":
         chain = " < ".join(f"{s.orbit}:{s.cls}" for s in da.verdict.witness)
-        entries.append(HypothesisStatus(1, HYPOTHESIS_NAMES[1], "fail",
-                                        f"infinite depth: {chain}"))
+        put(1, "fail", f"infinite depth: {chain}")
     else:
-        entries.append(HypothesisStatus(
-            1, HYPOTHESIS_NAMES[1], "unknown",
-            f"transport horizon {da.verdict.horizon} exhausted"))
+        put(1, "unknown", f"transport horizon {da.verdict.horizon} exhausted")
 
     rafts0 = list(da.levels[0].rafts) if da.levels else []
     line = next((r for r in rafts0 if r.kind == "line"), None)
     if line is not None:
-        entries.append(HypothesisStatus(
-            2, HYPOTHESIS_NAMES[2], "fail",
-            "line raft {" + ",".join(line.members) + "}"))
+        put(2, "fail", "line raft {" + ",".join(line.members) + "}")
     else:
-        entries.append(HypothesisStatus(2, HYPOTHESIS_NAMES[2], "pass",
-                                        f"{len(rafts0)} depth-zero rafts"))
+        put(2, "pass", f"{len(rafts0)} depth-zero rafts")
 
     if g.oracle_mode == "abelian":
-        entries.append(HypothesisStatus(
-            3, HYPOTHESIS_NAMES[3], "pass",
-            "rank-n abelian vertex groups are coarse PD(n)"))
+        put(3, "pass", "rank-n abelian vertex groups are coarse PD(n)")
     else:
         vertex_ids = set(work.vertex_ids())
         raft_vertices = sorted(
@@ -154,19 +145,14 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
                if flags.get(v, {}).get("is_coarse_pd") is False]
         missing = [v for v in raft_vertices if v not in flags]
         if bad:
-            entries.append(HypothesisStatus(3, HYPOTHESIS_NAMES[3], "fail",
-                                            f"vertex {bad[0]} declared not coarse PD"))
+            put(3, "fail", f"vertex {bad[0]} declared not coarse PD")
         elif missing:
-            entries.append(HypothesisStatus(3, HYPOTHESIS_NAMES[3], "unknown",
-                                            f"no PD declaration for vertex {missing[0]}"))
+            put(3, "unknown", f"no PD declaration for vertex {missing[0]}")
         else:
-            entries.append(HypothesisStatus(3, HYPOTHESIS_NAMES[3], "pass",
-                                            "declared coarse PD"))
+            put(3, "pass", "declared coarse PD")
 
     if g.oracle_mode != "abelian":
-        entries.append(HypothesisStatus(
-            4, HYPOTHESIS_NAMES[4], "unknown",
-            "crossing graphs are not supported for the table oracle"))
+        put(4, "unknown", "crossing graphs are not supported for the table oracle")
     else:
         vertex_ids = set(work.vertex_ids())
         failures = []
@@ -179,16 +165,11 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
                     failures.append((raft.core[0], cg.witness))
         if failures:
             vid, wit = failures[0]
-            entries.append(HypothesisStatus(
-                4, HYPOTHESIS_NAMES[4], "fail",
-                f"disconnected at {vid}; every incident span lies in {wit!r}"))
+            put(4, "fail", f"disconnected at {vid}; every incident span lies in {wit!r}")
         else:
-            entries.append(HypothesisStatus(4, HYPOTHESIS_NAMES[4], "pass",
-                                            f"checked {checked} one-vertex rafts"))
+            put(4, "pass", f"checked {checked} one-vertex rafts")
 
-    entries.append(HypothesisStatus(
-        5, HYPOTHESIS_NAMES[5], "pass",
-        "finitely generated abelian groups have coarse finite type"
-        if g.oracle_mode == "abelian" else "declared by the table"))
+    put(5, "pass", "finitely generated abelian groups have coarse finite type"
+        if g.oracle_mode == "abelian" else "declared by the table")
 
-    return HypothesisReport(tuple(entries), reduced=bool(red), assignment=da)
+    return HypothesisReport(tuple(entries), reduced=bool(red))

@@ -178,8 +178,8 @@ def _self_strict_scan(g, orc, horizon):
                         lo, hi, via = bcls, pl.cls, pl.path
                     else:
                         continue
-                    steps = (WitnessStep(e.id, orc.render(lo), False, via),
-                             WitnessStep(e.id, orc.render(hi), True))
+                    steps = (WitnessStep(e.id, str(lo), False, via),
+                             WitnessStep(e.id, str(hi), True))
                     return steps, truncated
     return None, truncated
 
@@ -192,7 +192,7 @@ def _no_raft_witness(g, orc):
     vid = min(v.id for v in g.vertices)
     while vid not in seen:
         seen.append(vid)
-        steps.append(WitnessStep(vid, orc.render(orc.top_class(vid)), True))
+        steps.append(WitnessStep(vid, str(orc.top_class(vid)), True))
         hop = None
         frontier, visited = [vid], {vid}
         while frontier and hop is None:
@@ -209,7 +209,7 @@ def _no_raft_witness(g, orc):
         assert hop is not None
         e, i = hop
         vid = e.ends[1 - i].vertex
-    steps.append(WitnessStep(vid, orc.render(orc.top_class(vid)), True))
+    steps.append(WitnessStep(vid, str(orc.top_class(vid)), True))
     return tuple(steps)
 
 
@@ -260,9 +260,9 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
         for e in sorted(unassigned_edges, key=lambda e: e.id):
             for i in (0, 1):
                 x = e.ends[i].vertex
-                node = ("F", flot_of[x]) if x in flot_of else ("p", x)
+                node = flot_of.get(x, x)    # a flotilla index or a vertex id
                 cls = orc.class_of(e.id, i)
-                edge_pool = flot_edge_ids[node[1]] if node[0] == "F" else []
+                edge_pool = flot_edge_ids[node] if x in flot_of else []
                 spots = {}
                 if edge_pool:
                     res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
@@ -296,7 +296,7 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             chain = [min(below)]
             while chain[-1] not in chain[:-1]:
                 chain.append(below[chain[-1]][1])
-            steps = tuple(WitnessStep(eid, orc.render(below[eid][0]), True)
+            steps = tuple(WitnessStep(eid, str(below[eid][0]), True)
                           for eid in chain)
             return DepthAssignment(
                 dict(depth), Verdict("infinite", witness=steps, horizon=horizon),
@@ -322,22 +322,18 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
                     raft_groups[classes.find(e.id)].add(v.id)
                     break
 
+        # Each raft absorbs the flotillas its edges end in; the others stay
+        # rafts of their own with an empty core.
         new_rafts = []
-        absorbed_flotillas = set()
+        unabsorbed = set(range(len(flotillas)))
         for root in sorted(raft_groups):
             core = raft_groups[root]
-            absorbed = set()
-            for eid in sorted(core & all_edge_ids):
-                e = g.edge(eid)
-                for end in e.ends:
-                    if end.vertex in flot_of:
-                        fi = flot_of[end.vertex]
-                        absorbed.update(flotillas[fi].members)
-                        absorbed_flotillas.add(fi)
-            new_rafts.append(Raft(n, tuple(sorted(core)), tuple(sorted(absorbed))))
-        for fi, fl in enumerate(flotillas):
-            if fi not in absorbed_flotillas:
-                new_rafts.append(Raft(n, (), fl.members))
+            fis = {flot_of[end.vertex] for eid in core & all_edge_ids
+                   for end in g.edge(eid).ends if end.vertex in flot_of}
+            unabsorbed -= fis
+            new_rafts.append(Raft(n, tuple(sorted(core)), tuple(sorted(
+                m for fi in fis for m in flotillas[fi].members))))
+        new_rafts += [Raft(n, (), flotillas[fi].members) for fi in sorted(unabsorbed)]
 
         flotillas = _flotilla_components(g, depth, n)
         levels.append(Level(n, tuple(new_rafts), tuple(flotillas)))

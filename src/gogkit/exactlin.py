@@ -10,12 +10,14 @@ A matrix is integer rows over one positive denominator, and caches its column
 span, determinant and left inverse.  Everything is exact and runs on Python
 ints: one fraction-free Gauss-Jordan elimination (`_echelon`) serves
 canonical forms, kernels and inverses, and determinants use Bareiss's
-integer-preserving elimination.  Containment is integer dot products with
-normals that each subspace caches on first use.  `carry` moves a span across
-an injective map with two small matrix-vector products per basis row,
-through the left inverse that the map caches on first use.  fractions.Fraction
-appears only where a public value is rational: RatMatrix entries,
-determinants and kernel vectors.  No floating point is used anywhere.
+integer-preserving elimination.  Each subspace caches its integer normals on
+first use: containment is dot products with them, and intersection and
+preimage are kernels of them (stacked, or pulled back through the matrix).
+`carry` moves a span across an injective map with two small matrix-vector
+products per basis row, through the left inverse that the map caches on
+first use.  fractions.Fraction appears only where a public value is
+rational: RatMatrix entries, determinants and kernel vectors.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -208,24 +210,10 @@ def annihilator(s: RationalSubspace) -> RationalSubspace:
 
 
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
-    """Canonical intersection; realizes coarse intersection of abelian subgroups."""
+    """Canonical intersection, the common kernel of both subspaces' cached normals;
+    realizes coarse intersection of abelian subgroups."""
     _check_same_ambient(a, b)
-    n = a.ambient_dim
-    if a.is_full():
-        return b
-    if b.is_full():
-        return a
-    ka, kb = a.dim, b.dim
-    if ka == 0 or kb == 0:
-        return zero_space(n)
-    # Solve sum_i x_i a_i = sum_j y_j b_j via the nullspace of [A^T | -B^T].
-    stacked = [[a.basis[i][r] for i in range(ka)] + [-b.basis[j][r] for j in range(kb)]
-               for r in range(n)]
-    vecs = []
-    for w in kernel_vectors(stacked, ka + kb):
-        w = _int_row(w)
-        vecs.append([sum(w[i] * a.basis[i][c] for i in range(ka)) for c in range(n)])
-    return canonicalize(vecs, n)
+    return canonicalize(kernel_vectors(a._normals + b._normals, a.ambient_dim), a.ambient_dim)
 
 
 class _Matrix(NamedTuple):
@@ -354,15 +342,12 @@ def image(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
 
 
 def preimage(m: RatMatrix, s: RationalSubspace) -> RationalSubspace:
-    """Canonical {v in Q^cols : M v in s}."""
+    """Canonical {v in Q^cols : M v in s}, the kernel of s's cached normals times M."""
     if s.ambient_dim != m.rows:
         raise DimensionMismatch(f"preimage: matrix has {m.rows} rows, "
                                 f"subspace lives in Q^{s.ambient_dim}")
-    ann = annihilator(s).basis
-    if not ann:
-        return full_space(m.cols)
     constraint = [[sum(y * row[c] for y, row in zip(u, m.ints)) for c in range(m.cols)]
-                  for u in ann]
+                  for u in s._normals]
     return canonicalize(kernel_vectors(constraint, m.cols), m.cols)
 
 

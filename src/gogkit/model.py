@@ -167,14 +167,16 @@ class ValidationReport(NamedTuple):
 
 
 def _connected(g: GraphOfGroups) -> bool:
+    """Whether the edges join every declared vertex; a dangling id joins nothing."""
     if not g.vertices:
         return False
+    declared = set(g.vertex_ids())
     seen = {g.vertices[0].id}
     frontier = [g.vertices[0].id]
     while frontier:
         for (e, _) in g.ends_at(frontier.pop()):
             for end in e.ends:
-                if end.vertex not in seen:
+                if end.vertex in declared and end.vertex not in seen:
                     seen.add(end.vertex)
                     frontier.append(end.vertex)
     return len(seen) == len(g.vertices)
@@ -436,6 +438,8 @@ def read_json(path):
         raise GraphLoadError(
             f"{path}: JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise GraphLoadError(f"{path}: JSON nested too deeply") from e
 
 
 def load_graph(path) -> GraphOfGroups:

@@ -94,9 +94,6 @@ class AbelianOracle:
         self._moved[key] = moved
         return moved
 
-    def render(self, cls: RationalSubspace) -> str:
-        return repr(cls)
-
 
 class TableOracle:
     """Classes are declared labels; order, transport and indices are tables."""
@@ -138,9 +135,6 @@ class TableOracle:
         if not self.leq(vid, cls, self.class_of(eid, entered_end)):
             return None
         return self.t.transport.get(eid, ({}, {}))[entered_end].get(cls)
-
-    def render(self, cls: str) -> str:
-        return cls
 
 
 class Placement(NamedTuple):

@@ -299,21 +299,14 @@ def _to_root_span(orc, span, k, parent_ids, edges):
 
 
 def _interner(spans):
-    """A function giving each distinct span its position in `spans`, appending new ones.
-
-    An object seen before is found by id(), without hashing its basis; the
-    table holds every object it has seen, so no id() is reused while it lives.
-    """
-    ids, seen = {}, {}
+    """A function giving each distinct span its position in `spans`, appending new ones."""
+    ids = {}
 
     def intern(span):
-        hit = seen.get(id(span))
-        if hit is None:
-            k = ids.setdefault(span, len(spans))
-            if k == len(spans):
-                spans.append(span)
-            hit = seen[id(span)] = (k, span)
-        return hit[0]
+        k = ids.setdefault(span, len(spans))
+        if k == len(spans):
+            spans.append(span)
+        return k
     return intern
 
 
@@ -528,14 +521,16 @@ def _quoted(text):
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def address_steps(address):
+    """The steps of a ball address as text, `edge.end.label` each."""
+    return [f"{eid}.{i}." + ",".join(map(str, lab)) for (eid, i, lab) in address]
+
+
 def to_dot(ball: TreeBall) -> str:
     """Deterministic DOT text; one undirected graph, nodes keyed by address."""
 
     def name(address):
-        parts = [f"root:{ball.root_vertex}"]
-        for (eid, i, lab) in address:
-            parts.append(f"{eid}.{i}." + ",".join(map(str, lab)))
-        return _quoted("/".join(parts))
+        return _quoted("/".join([f"root:{ball.root_vertex}", *address_steps(address)]))
 
     lines = ["graph {"]
     for address in sorted(ball.nodes):

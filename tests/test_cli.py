@@ -55,6 +55,18 @@ def test_garbled_file_exit_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("argv", [("validate", "{deep}"), ("depth", "{deep}"),
+                                  ("compare", "{deep}", "{good}"), ("compare", "{good}", "{deep}")],
+                         ids=["validate", "depth", "compare-first", "compare-second"])
+def test_deeply_nested_json_exits_two(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    files = {"deep": deep, "good": fixture_path("f2xz")}
+    vertices = ("--vertex-a", "v", "--vertex-b", "v") if argv[0] == "compare" else ()
+    code, out, err = run(capsys, *[a.format(**files) for a in argv], *vertices)
+    assert (code, out, err) == (2, "", f"{deep}: JSON nested too deeply\n")
+
+
 def test_depth_report_and_exit(capsys):
     code, out, _ = run(capsys, "depth", fixture_path("arc3"))
     assert code == 0

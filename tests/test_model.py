@@ -30,6 +30,15 @@ def test_dangling_vertex_reference():
                            EdgeEnd("ghost", RatMatrix.identity(1)))),),
     )
     assert any("dangling" in v for v in validate(g).violations)
+    # a dangling id joins nothing: b, which touches no edge, stays unreached
+    g = GraphOfGroups(
+        (VertexSpec("a", 1), VertexSpec("b", 1)),
+        (EdgeSpec("e", 1, (EdgeEnd("a", RatMatrix.identity(1)),
+                           EdgeEnd("x", RatMatrix.identity(1)))),),
+    )
+    violations = validate(g).violations
+    assert any("dangling" in v for v in violations)
+    assert "underlying graph is not connected" in violations
 
 
 def test_disconnected_graph_reported():
