@@ -122,7 +122,9 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     elif da.verdict.kind == "finite":
         put(1, "pass", f"depth {da.verdict.depth}")
     elif da.verdict.kind == "infinite":
-        chain = " < ".join(f"{s.orbit}:{s.cls}" for s in da.verdict.witness)
+        first, *rest = da.verdict.witness
+        chain = f"{first.orbit}:{first.cls}" + "".join(
+            (" < " if s.strict else ", ") + f"{s.orbit}:{s.cls}" for s in rest)
         put(1, "fail", f"infinite depth: {chain}")
     else:
         put(1, "unknown", f"transport horizon {da.verdict.horizon} exhausted")

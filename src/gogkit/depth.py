@@ -7,7 +7,10 @@ edge inclusion has finite index.  Higher depths are computed by the staged
 oracle algorithm: collapse the current flotillas to fat vertices, defer every
 incident edge whose class is strictly below another incident class, and give
 the survivors (and the positive-depth vertices coarsely equivalent to them)
-the next depth.
+the next depth.  Each level files every edge end under the (vertex, class)
+placements its flotilla walk meets, compares each pair of distinct classes
+at a vertex once, and groups survivors filed under one class or equivalent
+classes into rafts with the level's one union-find.
 
 A graph of finitely generated abelian groups never gets an Infinite verdict:
 a strict coarse inclusion of abelian subgroups drops rank, so chains are
@@ -20,10 +23,10 @@ was cut while new classes were still appearing.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .oracle import explore
+from .oracle import Placement, explore
 from .reduce import reducible_edges
 from .unionfind import UnionFind
 
@@ -61,7 +64,7 @@ class Level(NamedTuple):
 class WitnessStep(NamedTuple):
     orbit: str
     cls: str
-    strict: bool          # strictly contained in the next step's class
+    strict: bool          # strictly contains the previous step's class
     via: tuple = ()       # transport path (edge id, entered end) pairs
 
 
@@ -136,14 +139,8 @@ def raft_kind(g, raft: Raft) -> str:
     members, edges = set(raft.core), g.edge_index
     if not any(m in edges for m in raft.core):
         return "point"
-    for vid in raft.core:
-        if vid in edges:
-            continue
-        valence = 0
-        for (e, i) in g.ends_at(vid):
-            if e.id in members:
-                valence += orc.index_value(e.id, i)
-        if valence != 2:
+    for vid in (m for m in raft.core if m not in edges):
+        if sum(orc.index_value(e.id, i) for (e, i) in g.ends_at(vid) if e.id in members) != 2:
             return "bushy"
     return "line"
 
@@ -172,23 +169,17 @@ def _self_strict_scan(g, orc, horizon):
                 for (bv, bcls) in base:
                     if pl.vertex != bv:
                         continue
-                    if orc.strictly_less(bv, pl.cls, bcls):
-                        lo, hi, via = pl.cls, bcls, pl.path
-                    elif orc.strictly_less(bv, bcls, pl.cls):
-                        lo, hi, via = bcls, pl.cls, pl.path
-                    else:
-                        continue
-                    steps = (WitnessStep(e.id, str(lo), False, via),
-                             WitnessStep(e.id, str(hi), True))
-                    return steps, truncated
+                    for lo, hi in ((pl.cls, bcls), (bcls, pl.cls)):
+                        if orc.strictly_less(bv, lo, hi):
+                            return (WitnessStep(e.id, str(lo), False, pl.path),
+                                    WitnessStep(e.id, str(hi), True)), truncated
     return None, truncated
 
 
 def _no_raft_witness(g, orc):
     """Ascend through strictly increasing vertex classes until an orbit repeats."""
     ff_ids = {e.id for e in _ff_edges(g, orc)}
-    steps = []
-    seen = []
+    steps, seen = [], []
     vid = min(v.id for v in g.vertices)
     while vid not in seen:
         seen.append(vid)
@@ -199,7 +190,7 @@ def _no_raft_witness(g, orc):
             x = frontier.pop(0)
             for (e, i) in g.ends_at(x):
                 if e.id not in ff_ids and orc.finite_index_end(e.id, i):
-                    hop = (e, i)
+                    hop = e.ends[1 - i].vertex
                     break
                 if e.id in ff_ids:
                     other = e.ends[1 - i].vertex
@@ -207,10 +198,38 @@ def _no_raft_witness(g, orc):
                         visited.add(other)
                         frontier.append(other)
         assert hop is not None
-        e, i = hop
-        vid = e.ends[1 - i].vertex
+        vid = hop
     steps.append(WitnessStep(vid, str(orc.top_class(vid)), True))
     return tuple(steps)
+
+
+def _compare_classes(orc, buckets):
+    """Compare each pair of distinct classes at a vertex once, bar pairs one item alone reaches.
+
+    `buckets` maps a vertex to {class: [(edge id, end) items reaching it]}.
+    An item under a strictly lower class is deferred by any other item under
+    the higher one, the other end of its own edge included.  Returns `below`
+    (edge id -> lower class, higher class, dominating edge id, first found)
+    and the item groups to join: each bucket, and each equivalent pair.
+    """
+    below, joins = {}, []
+    for z, by_cls in buckets.items():
+        joins += [items for items in by_cls.values() if len(items) > 1]
+        groups = {}    # classes one item alone reaches can neither defer nor join each other
+        for c, items in by_cls.items():
+            groups.setdefault(items[0] if len(items) == 1 else (c,), []).append(c)
+        for lo, hi in (p for g, h in combinations(groups.values(), 2) for p in product(g, h)):
+            if orc.strictly_less(z, hi, lo):
+                lo, hi = hi, lo
+            elif not orc.strictly_less(z, lo, hi):
+                if orc.equivalent(z, lo, hi):
+                    joins.append(by_cls[lo] + by_cls[hi])
+                continue
+            for x in by_cls[lo]:
+                y = next((y for y in by_cls[hi] if y != x), None)
+                if y is not None:
+                    below.setdefault(x[0], (lo, hi, y[0]))
+    return below, joins
 
 
 def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
@@ -241,7 +260,6 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
     flotillas = _flotilla_components(g, depth, 0)
     levels = [Level(0, tuple(rafts0), tuple(flotillas))]
 
-    all_edge_ids = set(g.edge_ids())
     n = 0
     while True:
         unassigned_edges = [e for e in g.edges if e.id not in depth]
@@ -250,54 +268,35 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
         n += 1
 
         flot_of = {m: fi for fi, fl in enumerate(flotillas) for m in fl.members}
-        flot_edge_ids = [sorted(m for m in fl.members if m in all_edge_ids)
+        flot_edge_ids = [sorted(m for m in fl.members if m in g.edge_index)
                          for fl in flotillas]
 
-        # One item per unassigned edge end, grouped by quotient node; an
-        # item's reach is {vertex: [classes in explore order]}.
-        nodes = {}
-        reach = {}
+        # One item per unassigned edge end, filed under every (vertex, class)
+        # placement its walk through its quotient node meets.
+        buckets = {}    # vertex -> {class: [items]}, in explore order
         for e in sorted(unassigned_edges, key=lambda e: e.id):
             for i in (0, 1):
                 x = e.ends[i].vertex
-                node = flot_of.get(x, x)    # a flotilla index or a vertex id
                 cls = orc.class_of(e.id, i)
-                edge_pool = flot_edge_ids[node] if x in flot_of else []
-                spots = {}
-                if edge_pool:
-                    res = explore(orc, x, cls, edge_ids=edge_pool, max_steps=horizon)
-                    truncated = truncated or res.truncated
-                    for p in res.placements:
-                        spots.setdefault(p.vertex, []).append(p.cls)
-                else:
-                    spots[x] = [cls]    # no edge to cross: the start placement alone
-                reach[(e.id, i)] = spots
-                nodes.setdefault(node, []).append((e.id, i))
+                pool = flot_edge_ids[flot_of[x]] if x in flot_of else []
+                spots = [Placement(x, cls, ())]    # no edge to cross: the start alone
+                if pool:
+                    res = explore(orc, x, cls, edge_ids=pool, max_steps=horizon)
+                    truncated, spots = truncated or res.truncated, res.placements
+                for p in spots:
+                    buckets.setdefault(p.vertex, {}).setdefault(p.cls, []).append((e.id, i))
 
-        below = {}     # edge id -> (a class it reaches, dominating edge id)
-        equiv_pairs = set()
-        for members in nodes.values():
-            for a, b in combinations(members, 2):
-                spots_a = reach[a]
-                for z, cbs in reach[b].items():
-                    for cb in cbs:
-                        for ca in spots_a.get(z, ()):
-                            if orc.strictly_less(z, ca, cb):
-                                below.setdefault(a[0], (ca, b[0]))
-                            elif orc.strictly_less(z, cb, ca):
-                                below.setdefault(b[0], (cb, a[0]))
-                            elif orc.equivalent(z, ca, cb):
-                                equiv_pairs.add((a[0], b[0]))
-
+        below, joins = _compare_classes(orc, buckets)
         survivors = [e.id for e in unassigned_edges if e.id not in below]
         if not survivors:
             # Every remaining edge is strictly below another: the strictness
             # pointers must close a cycle, which certifies an infinite chain.
             chain = [min(below)]
             while chain[-1] not in chain[:-1]:
-                chain.append(below[chain[-1]][1])
-            steps = tuple(WitnessStep(eid, str(below[eid][0]), True)
-                          for eid in chain)
+                chain.append(below[chain[-1]][2])
+            steps = tuple(step for eid in chain[:-1] for step in (
+                WitnessStep(eid, str(below[eid][0]), False),
+                WitnessStep(below[eid][2], str(below[eid][1]), True)))
             return DepthAssignment(
                 dict(depth), Verdict("infinite", witness=steps, horizon=horizon),
                 tuple(levels))
@@ -309,9 +308,10 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
         # A vertex not yet assigned joins this level, and the raft of the
         # first survivor whose end there has finite index.
         classes = UnionFind(survivors)
-        for (a, b) in equiv_pairs:
-            if a in classes and b in classes:
-                classes.union(a, b)
+        for items in joins:
+            alive = [eid for (eid, _) in items if eid in classes]
+            for eid in alive[1:]:
+                classes.union(alive[0], eid)
         raft_groups = classes.classes()
         for v in g.vertices:
             if v.id in depth:
@@ -328,7 +328,7 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
         unabsorbed = set(range(len(flotillas)))
         for root in sorted(raft_groups):
             core = raft_groups[root]
-            fis = {flot_of[end.vertex] for eid in core & all_edge_ids
+            fis = {flot_of[end.vertex] for eid in core & g.edge_index.keys()
                    for end in g.edge(eid).ends if end.vertex in flot_of}
             unabsorbed -= fis
             new_rafts.append(Raft(n, tuple(sorted(core)), tuple(sorted(
@@ -342,8 +342,5 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
         assert v.id in depth, f"vertex {v.id} left unassigned"
     d = max(depth.values())
     assert d <= len(g.edges) or d == 0
-    if truncated:
-        verdict = Verdict("unknown", horizon=horizon)
-    else:
-        verdict = Verdict("finite", depth=d)
+    verdict = Verdict("unknown", horizon=horizon) if truncated else Verdict("finite", depth=d)
     return DepthAssignment(dict(depth), verdict, tuple(levels))

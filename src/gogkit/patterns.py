@@ -318,8 +318,8 @@ def patterns_equivalent(p: LinearPattern, q: LinearPattern):
     n = p.ambient_dim
     if len(p.subspaces) != len(q.subspaces) or sorted(p.dims()) != sorted(q.dims()):
         return False, None
-    if n == 0:
-        return True, RatMatrix.identity(0)     # the empty map is invertible
+    if not p.subspaces:
+        return True, RatMatrix.identity(n)     # any invertible map carries nothing to nothing
     if _normal_ranks(p) != _normal_ranks(q):
         return False, None
 

@@ -196,6 +196,14 @@ def test_compare_sparse_pattern_in_high_dimension(capsys, tmp_path, doc):
     assert out.startswith("equivalent: yes\nwitness: ")
 
 
+def test_compare_empty_patterns_in_q100_prints_the_identity(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"pattern": {"ambient_dim": 100, "subspaces": []}}))
+    code, out, err = run(capsys, "compare", p, p)
+    rows = [" ".join("1" if j == i else "0" for j in range(100)) for i in range(100)]
+    assert (code, out, err) == (0, "equivalent: yes\nwitness: " + "; ".join(rows) + "\n", "")
+
+
 @pytest.mark.parametrize("doc", [
     {"pattern": {"ambient_dim": 2, "subspaces": [[[1, 0], [0, 1]]]}},   # full-rank member
     {"pattern": {"ambient_dim": 2, "subspaces": [[]]}},                 # empty member

@@ -407,3 +407,203 @@ def test_no_raft_witness_crosses_a_finite_index_edge():
     assert da.verdict.kind == "infinite"
     assert [(s.orbit, s.cls) for s in da.verdict.witness] == [
         ("v", "Tv"), ("x", "Tx"), ("v", "Tv")]
+
+
+def _pair_loop_reference(orc, nodes, reach):
+    """The level comparison before class buckets, kept verbatim: every item pair."""
+    from itertools import combinations
+    below = {}     # edge id -> (a class it reaches, dominating edge id)
+    equiv_pairs = set()
+    for members in nodes.values():
+        for a, b in combinations(members, 2):
+            spots_a = reach[a]
+            for z, cbs in reach[b].items():
+                for cb in cbs:
+                    for ca in spots_a.get(z, ()):
+                        if orc.strictly_less(z, ca, cb):
+                            below.setdefault(a[0], (ca, b[0]))
+                        elif orc.strictly_less(z, cb, ca):
+                            below.setdefault(b[0], (cb, a[0]))
+                        elif orc.equivalent(z, ca, cb):
+                            equiv_pairs.add((a[0], b[0]))
+    return below, equiv_pairs
+
+
+def _partition(survivors, pairs):
+    from gogkit.unionfind import UnionFind
+    uf = UnionFind(survivors)
+    for group in pairs:
+        alive = [eid for eid in group if eid in uf]
+        for eid in alive[1:]:
+            uf.union(alive[0], eid)
+    return sorted(sorted(c) for c in uf.classes().values())
+
+
+def _random_level(rng, classes_at):
+    """Quotient nodes and item reaches for one level, drawn at random.
+
+    Each node owns its vertices, as a flotilla does.  Both ends of an edge
+    may land in one node, and an item may reach several classes, comparable
+    ones included, at one vertex.
+    """
+    node_vertices = [[f"n{k}v{j}" for j in range(rng.randint(1, 3))]
+                     for k in range(rng.randint(1, 3))]
+    nodes, reach = {}, {}
+    for j in range(rng.randint(1, 6)):
+        for i in (0, 1):
+            item, k = (f"e{j}", i), rng.randrange(len(node_vertices))
+            spots = {}
+            for _ in range(rng.randint(1, 4)):
+                z = rng.choice(node_vertices[k])
+                cls = rng.choice(classes_at(z))
+                if cls not in spots.get(z, ()):
+                    spots.setdefault(z, []).append(cls)
+            nodes.setdefault(k, []).append(item)
+            reach[item] = spots
+    return nodes, reach
+
+
+def _abelian_draws(rng):
+    from gogkit.exactlin import zero_space
+    from gogkit.oracle import AbelianOracle
+    pool = [zero_space(3)]
+    for _ in range(5):
+        cols = rng.randint(1, 3)
+        pool.append(RatMatrix.from_rows(
+            [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(3)]).column_span())
+    g = GraphOfGroups((VertexSpec("v", 3),), ())
+    return AbelianOracle(g), lambda z: pool
+
+
+def _table_draws(rng):
+    """Labels under a random preorder at each vertex, cycles (equivalent labels) included."""
+    from gogkit.model import TableData
+    from gogkit.oracle import TableOracle
+    labels = [f"c{k}" for k in range(5)]
+    order = {}
+    for z in (f"n{k}v{j}" for k in range(3) for j in range(3)):
+        rel = {(a, b) for a in labels for b in labels if a != b and rng.random() < 0.2}
+        while True:
+            more = {(a, d) for (a, b) in rel for (c, d) in rel if b == c and a != d} - rel
+            if not more:
+                break
+            rel |= more
+        order[z] = tuple(sorted(rel))
+    g = GraphOfGroups((VertexSpec("v", 1),), (), "table",
+                      TableData({}, {}, order, {}, {}, {}))
+    return TableOracle(g), lambda z: labels
+
+
+@pytest.mark.parametrize("draws", [_abelian_draws, _table_draws], ids=["abelian", "table"])
+def test_class_buckets_match_the_item_pair_loop(draws):
+    """Per-class comparison defers the same edges and joins the same survivors."""
+    import random
+
+    from gogkit.depth import _compare_classes
+
+    rng = random.Random(3601)
+    deferred = 0
+    for _ in range(300):
+        orc, classes_at = draws(rng)
+        nodes, reach = _random_level(rng, classes_at)
+        buckets = {}
+        for item in sorted(reach):
+            for z, clss in reach[item].items():
+                for cls in clss:
+                    buckets.setdefault(z, {}).setdefault(cls, []).append(item)
+        below, joins = _compare_classes(orc, buckets)
+        ref_below, equiv_pairs = _pair_loop_reference(orc, nodes, reach)
+        assert set(below) == set(ref_below)
+        survivors = sorted({eid for (eid, _) in reach} - set(below))
+        assert _partition(survivors, [[eid for (eid, _) in items] for items in joins]) == \
+            _partition(survivors, equiv_pairs)
+        for eid, (lo, hi, dom) in below.items():
+            assert any(orc.strictly_less(z, lo, hi) and lo in by_cls and hi in by_cls
+                       and (eid, i) in by_cls[lo]
+                       and any(y != (eid, i) and y[0] == dom for y in by_cls[hi])
+                       for z, by_cls in buckets.items() for i in (0, 1))
+        deferred += len(below)
+    assert deferred
+
+
+# e0 is a loop at v1 whose two end classes are incomparable there; walked
+# across e1 they land on v0c2 and v0c1 < v0c2, so e0 is strictly below itself
+# and only the level loop (not the self-comparison scan) sees it.
+SELF_BELOW_LOOP = {
+    "oracle": "table",
+    "vertices": [{"id": "v0", "rank": 2}, {"id": "v1", "rank": 2}],
+    "edges": [
+        {"id": "e0", "rank": 1, "ends": [{"vertex": "v1", "class": "v1c0"},
+                                         {"vertex": "v1", "class": "v1c1"}]},
+        {"id": "e1", "rank": 2, "ends": [{"vertex": "v0", "class": "v0T"},
+                                         {"vertex": "v1", "class": "v1T"}]},
+    ],
+    "classes": {"v0": {"labels": ["v0T", "v0c1", "v0c2"], "top": "v0T"},
+                "v1": {"labels": ["v1T", "v1c0", "v1c1"], "top": "v1T"}},
+    "order": {"v0": [["v0c1", "v0c2"], ["v0c2", "v0T"], ["v0c1", "v0T"]],
+              "v1": [["v1c0", "v1T"], ["v1c1", "v1T"]]},
+    "transport": {
+        "e0": [{"v1c0": "v1c1"}, {"v1c1": "v1c0"}],
+        "e1": [{"v0T": "v1T", "v0c1": "v1c1", "v0c2": "v1c1"},
+               {"v1T": "v0T", "v1c0": "v0c2", "v1c1": "v0c1"}],
+    },
+    "indices": {"e0": ["inf", "inf"], "e1": [2, 2]},
+}
+
+# Two loops a, b at v1 whose ends walk across f to two chains p1 < p2 and
+# q1 < q2 at v0: a reaches p2 and q1, b reaches q2 and p1, so each is
+# strictly below the other and the strictness pointers close a 2-cycle.
+MUTUALLY_BELOW_LOOPS = {
+    "oracle": "table",
+    "vertices": [{"id": "v0", "rank": 2}, {"id": "v1", "rank": 2}],
+    "edges": [
+        {"id": "a", "rank": 1, "ends": [{"vertex": "v1", "class": "a0"},
+                                        {"vertex": "v1", "class": "a1"}]},
+        {"id": "b", "rank": 1, "ends": [{"vertex": "v1", "class": "b0"},
+                                        {"vertex": "v1", "class": "b1"}]},
+        {"id": "f", "rank": 2, "ends": [{"vertex": "v0", "class": "T0"},
+                                        {"vertex": "v1", "class": "T1"}]},
+    ],
+    "classes": {"v0": {"labels": ["T0", "p1", "p2", "q1", "q2", "s"], "top": "T0"},
+                "v1": {"labels": ["T1", "a0", "a1", "b0", "b1", "d"], "top": "T1"}},
+    "order": {"v0": [["p1", "p2"], ["q1", "q2"]] + [[c, "T0"] for c in ("p1", "p2", "q1", "q2", "s")],
+              "v1": [[c, "T1"] for c in ("a0", "a1", "b0", "b1", "d")]},
+    "transport": {
+        "a": [{"a0": "a1"}, {"a1": "a0"}],
+        "b": [{"b0": "b1"}, {"b1": "b0"}],
+        "f": [{"T0": "T1", "p1": "d", "p2": "d", "q1": "d", "q2": "d", "s": "d"},
+              {"T1": "T0", "a0": "p2", "a1": "q1", "b0": "q2", "b1": "p1", "d": "s"}],
+    },
+    "indices": {"a": ["inf", "inf"], "b": ["inf", "inf"], "f": [2, 2]},
+}
+
+
+@pytest.mark.parametrize("doc, chain, lines", [
+    (SELF_BELOW_LOOP, "e0:v0c1 < e0:v0c2",
+     ["witness: e0 class v0c1", "witness: e0 class v0c2 (strict)"]),
+    (MUTUALLY_BELOW_LOOPS, "a:q1 < b:q2, b:p1 < a:p2",
+     ["witness: a class q1", "witness: b class q2 (strict)",
+      "witness: b class p1", "witness: a class p2 (strict)"]),
+], ids=["self", "two-cycle"])
+def test_level_loop_witness_names_both_classes_of_each_link(capsys, tmp_path, doc, chain, lines):
+    """Each strictness link is a lower step and a strict upper step; links join with ", "."""
+    import json
+
+    from gogkit import cli, graph_from_dict
+
+    g = graph_from_dict(doc)
+    assert validate(g).ok, validate(g).violations
+    steps = depth_filtration(g).verdict.witness
+    assert [s.strict for s in steps] == [False, True] * (len(steps) // 2)
+    orc = g.oracle()
+    for lo, hi in zip(steps[::2], steps[1::2]):
+        assert any(orc.strictly_less(v, lo.cls, hi.cls) for v in g.vertex_ids())
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["depth", str(path)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: Infinite"
+    assert [line for line in out if line.startswith("witness")] == lines
+    cli.main(["check", str(path)])
+    assert f"FAIL - infinite depth: {chain}\n" in capsys.readouterr().out

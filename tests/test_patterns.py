@@ -230,6 +230,13 @@ def test_empty_patterns_in_q0_are_equivalent():
     assert patterns_equivalent(empty, empty) == (True, RatMatrix.identity(0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 100, 300])
+def test_empty_patterns_are_equivalent_by_the_identity(n):
+    """Any invertible map carries no members to no members: no n^2-entry search runs."""
+    empty = LinearPattern.of([], n)
+    assert patterns_equivalent(empty, empty) == (True, RatMatrix.identity(n))
+
+
 def test_ambient_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         patterns_equivalent(slopes_pattern(0, 1, 2),

@@ -14,6 +14,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
     ["slope_census.py", "40", "1"],
     ["op_digests.py", "ball-compare", "--seeds", "1", "--rounds", "1"],
     ["cold_start.py", "--runs", "2"],
+    ["e_ladder.py", "--sizes", "16,32", "--runs", "1"],
 ])
 def test_script_runs(argv):
     done = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
