@@ -119,14 +119,15 @@ def cmd_depth(args) -> int:
     em.put("depth", {k: da.depth[k] for k in sorted(da.depth)})
     for k in sorted(da.depth):
         em.text(f"depth {k}: {da.depth[k]}")
-    levels = []
+    levels, below = [], {}    # below: the previous level's flotillas -> their index
     for lv in da.levels:
         lvl = {"level": lv.level, "rafts": [], "flotillas": []}
         for r in lv.rafts:
-            lvl["rafts"].append({"core": r.core, "absorbed": r.absorbed, "kind": r.kind})
+            fis = [below[f] for f in r.absorbed]
+            lvl["rafts"].append({"core": r.core, "absorbed_flotillas": fis, "kind": r.kind})
             desc = "{" + ",".join(r.core) + "}"
-            if r.absorbed:
-                desc += " absorbing {" + ",".join(r.absorbed) + "}"
+            if fis:
+                desc += " absorbing " + ",".join(f"F{lv.level - 1}.{fi}" for fi in fis)
             if r.kind:
                 desc += f" [{r.kind}]"
             em.text(f"level {lv.level} raft: {desc}")
@@ -134,6 +135,7 @@ def cmd_depth(args) -> int:
             lvl["flotillas"].append(f.members)
             em.text(f"level {lv.level} flotilla: {{{','.join(f.members)}}}")
         levels.append(lvl)
+        below = {f: fi for fi, f in enumerate(lv.flotillas)}
     em.put("levels", levels)
     for s in da.verdict.witness:
         em.text(f"witness: {s.orbit} class {s.cls}" + (" (strict)" if s.strict else ""))

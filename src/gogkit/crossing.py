@@ -51,13 +51,17 @@ def _one_vertex_raft(da: DepthAssignment, vid: str) -> bool:
 def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("crossing graphs need the abelian oracle")
-    n = g.vertex(vid).rank      # an unknown id is named as such, not as a wrong raft
+    g.vertex(vid)               # an unknown id is named as such, not as a wrong raft
     if not _one_vertex_raft(da, vid):
         raise WrongVertex(f"{vid} is not a one-vertex depth-zero raft")
+    return _crossing_at(g, vid)
+
+
+def _crossing_at(g, vid: str) -> CrossingGraph:
+    """`crossing_graph` at a vertex the caller knows is a one-vertex depth-zero raft."""
+    n = g.vertex(vid).rank
     orc = g.oracle()
-    spans = []
-    for (e, i) in g.ends_at(vid):
-        spans.append((orc.class_of(e.id, i), (e.id, i)))
+    spans = [(orc.class_of(e.id, i), (e.id, i)) for (e, i) in g.ends_at(vid)]
 
     by_span = {}
     for span, end in spans:
@@ -136,10 +140,10 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     else:
         put(2, "pass", f"{len(rafts0)} depth-zero rafts")
 
+    vertex_ids = set(work.vertex_ids())
     if g.oracle_mode == "abelian":
         put(3, "pass", "rank-n abelian vertex groups are coarse PD(n)")
     else:
-        vertex_ids = set(work.vertex_ids())
         raft_vertices = sorted(
             m for r in rafts0 for m in r.core if m in vertex_ids)
         flags = work.table.pd_flags if work.table else {}
@@ -156,20 +160,14 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     if g.oracle_mode != "abelian":
         put(4, "unknown", "crossing graphs are not supported for the table oracle")
     else:
-        vertex_ids = set(work.vertex_ids())
-        failures = []
-        checked = 0
-        for raft in rafts0:
-            if len(raft.core) == 1 and raft.core[0] in vertex_ids:
-                cg = crossing_graph(work, raft.core[0], da)
-                checked += 1
-                if cg.verdict == "disconnected":
-                    failures.append((raft.core[0], cg.witness))
-        if failures:
-            vid, wit = failures[0]
-            put(4, "fail", f"disconnected at {vid}; every incident span lies in {wit!r}")
+        graphs = [_crossing_at(work, r.core[0]) for r in rafts0    # known rafts: no guard
+                  if len(r.core) == 1 and r.core[0] in vertex_ids]
+        bad = next((cg for cg in graphs if cg.verdict == "disconnected"), None)
+        if bad is not None:
+            put(4, "fail", f"disconnected at {bad.vertex}; "
+                f"every incident span lies in {bad.witness!r}")
         else:
-            put(4, "pass", f"checked {checked} one-vertex rafts")
+            put(4, "pass", f"checked {len(graphs)} one-vertex rafts")
 
     put(5, "pass", "finitely generated abelian groups have coarse finite type"
         if g.oracle_mode == "abelian" else "declared by the table")

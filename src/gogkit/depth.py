@@ -10,7 +10,8 @@ the survivors (and the positive-depth vertices coarsely equivalent to them)
 the next depth.  Each level files every edge end under the (vertex, class)
 placements its flotilla walk meets, compares each pair of distinct classes
 at a vertex once, and groups survivors filed under one class or equivalent
-classes into rafts with the level's one union-find.
+classes into rafts with the level's one union-find.  A raft holds the
+previous level's `Flotilla` records it absorbs, not copies of their members.
 
 A graph of finitely generated abelian groups never gets an Infinite verdict:
 a strict coarse inclusion of abelian subgroups drops rank, so chains are
@@ -39,20 +40,20 @@ class WrongRaftLevel(ValueError):
     pass
 
 
-class Raft(NamedTuple):
-    level: int
-    core: tuple[str, ...]        # sorted orbits whose depth equals the level
-    absorbed: tuple[str, ...]    # members of absorbed lower flotillas
-    kind: str | None = None      # point | line | bushy, level 0 only
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.core) | set(self.absorbed)))
-
-
 class Flotilla(NamedTuple):
     level: int
     members: tuple[str, ...]
+
+
+class Raft(NamedTuple):
+    level: int
+    core: tuple[str, ...]            # sorted orbits whose depth equals the level
+    absorbed: tuple[Flotilla, ...]   # the previous level's flotillas it absorbs, in index order
+    kind: str | None = None          # point | line | bushy, level 0 only
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.core).union(*(f.members for f in self.absorbed))))
 
 
 class Level(NamedTuple):
@@ -331,9 +332,9 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             fis = {flot_of[end.vertex] for eid in core & g.edge_index.keys()
                    for end in g.edge(eid).ends if end.vertex in flot_of}
             unabsorbed -= fis
-            new_rafts.append(Raft(n, tuple(sorted(core)), tuple(sorted(
-                m for fi in fis for m in flotillas[fi].members))))
-        new_rafts += [Raft(n, (), flotillas[fi].members) for fi in sorted(unabsorbed)]
+            new_rafts.append(Raft(n, tuple(sorted(core)),
+                                  tuple(flotillas[fi] for fi in sorted(fis))))
+        new_rafts += [Raft(n, (), (flotillas[fi],)) for fi in sorted(unabsorbed)]
 
         flotillas = _flotilla_components(g, depth, n)
         levels.append(Level(n, tuple(new_rafts), tuple(flotillas)))

@@ -16,6 +16,7 @@ from gogkit import dump_graph
 from gogkit.cli import build_parser, main
 
 from conftest import FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
+from test_depth import _star_graph
 from test_treeball import _mixed_rank_graph
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -346,6 +347,58 @@ def test_json_format(capsys):
     assert doc["verdict"] == {"kind": "finite", "depth": 2, "rendered": "Finite(2)"}
     assert doc["depth"]["f"] == 2
     assert "seed" not in doc
+
+
+def _star_file(tmp_path, m):
+    path = tmp_path / "star.json"
+    dump_graph(_star_graph(m), path)
+    return path
+
+
+def test_depth_report_names_absorbed_flotillas_once(capsys, tmp_path):
+    """Many rafts absorbing one flotilla name it; its members are printed once per level.
+
+    An orbit id occurs as a token in its depth line, in its raft's core, and in
+    one flotilla line per level from its own: at most L + 3 times with L levels.
+    """
+    m = 12
+    code, out, _ = run(capsys, "depth", _star_file(tmp_path, m))
+    assert code == 0
+    rafts = [line for line in out.splitlines() if line.startswith("level 1 raft:")]
+    assert sorted(rafts) == sorted(f"level 1 raft: {{leaf{k},spoke{k}}} absorbing F0.0"
+                                   for k in range(m))
+    levels = len({line.split()[1] for line in out.splitlines() if line.startswith("level ")})
+    tokens = re.findall(r"[^\s{},:\[\]]+", out)
+    for orbit in ["hub", "loop"] + [f"{x}{k}" for x in ("leaf", "spoke") for k in range(m)]:
+        assert tokens.count(orbit) <= levels + 3, orbit
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "nonex", "shear_unknown",
+                                  "thm14", "z2hnn", "star"])
+def test_depth_json_absorbed_flotillas_index_the_level_below(capsys, tmp_path, name):
+    """Every `absorbed_flotillas` index is a position in the previous level's list,
+    the text report names the same flotillas, and core plus named flotillas
+    give the library's `Raft.members`."""
+    from gogkit import depth_filtration, load_graph
+
+    path = _star_file(tmp_path, 5) if name == "star" else fixture_path(name)
+    doc = json.loads(run(capsys, "depth", path, "--format", "json")[1])
+    text = run(capsys, "depth", path)[1]
+    da = depth_filtration(load_graph(path))
+    named = []
+    for n, level in enumerate(doc["levels"]):
+        assert level["level"] == n
+        below = doc["levels"][n - 1]["flotillas"] if n else []
+        for raft, lib in zip(level["rafts"], da.levels[n].rafts, strict=True):
+            fis = raft["absorbed_flotillas"]
+            assert all(isinstance(i, int) and 0 <= i < len(below) for i in fis)
+            assert fis == sorted(set(fis)) and (fis or not n)
+            members = set(raft["core"]).union(*(below[i] for i in fis))
+            assert tuple(sorted(members)) == lib.members
+            if fis:
+                named.append(" absorbing " + ",".join(f"F{n - 1}.{i}" for i in fis))
+    assert [line[line.index(" absorbing"):].split(" [")[0] for line in text.splitlines()
+            if " absorbing " in line] == named
 
 
 def test_dot_format_rejected_outside_ball(capsys):

@@ -359,3 +359,42 @@ def test_raft_kind_and_crossing_graph_match_old_rules_on_mixed_rank_graphs():
         tested += 1
     assert kinds == {"point", "line", "bushy"}
     assert verdicts == {"empty", "connected", "disconnected"}
+
+
+def test_check_hypotheses_skips_the_raft_guard_and_keeps_its_details(monkeypatch):
+    """`check_hypotheses` picks the one-vertex rafts itself, so it runs no guard scan.
+
+    A direct `crossing_graph` call still runs the guard once, and hypothesis
+    4's detail is the one the guarded calls give.
+    """
+    import gogkit.crossing as crossing_module
+    from gogkit import load_graph
+
+    calls = []
+    guard = crossing_module._one_vertex_raft
+    monkeypatch.setattr(crossing_module, "_one_vertex_raft",
+                        lambda da, vid: calls.append(vid) or guard(da, vid))
+    graphs = [load_graph(fixture_path(name))
+              for name in ("arc3", "arc4", "bs22", "f2xz", "shear_unknown", "thm14", "z2hnn")]
+    rng = random.Random(2718)
+    while len(graphs) < 40:
+        g = _mixed_rank_graph(rng)
+        if g is not None and validate(g).ok:
+            graphs.append(g)
+    rafts = 0
+    for g in graphs:
+        detail = check_hypotheses(g).entry(4).detail
+        assert calls == []
+        work = complete_reduce(g) if reducible_edges(g) else g
+        da = depth_filtration(work)
+        vids = [r.core[0] for r in (da.levels[0].rafts if da.levels else ())
+                if len(r.core) == 1 and r.core[0] in work.vertex_ids()]
+        graphs_at = [crossing_graph(work, vid, da) for vid in vids]
+        assert calls == vids
+        calls.clear()
+        bad = [cg for cg in graphs_at if cg.verdict == "disconnected"]
+        assert detail == (
+            f"disconnected at {bad[0].vertex}; every incident span lies in {bad[0].witness!r}"
+            if bad else f"checked {len(vids)} one-vertex rafts")
+        rafts += len(vids)
+    assert rafts >= 20

@@ -607,3 +607,97 @@ def test_level_loop_witness_names_both_classes_of_each_link(capsys, tmp_path, do
     assert [line for line in out if line.startswith("witness")] == lines
     cli.main(["check", str(path)])
     assert f"FAIL - infinite depth: {chain}\n" in capsys.readouterr().out
+
+
+GRAPH_FIXTURES = ("arc3", "arc4", "bs22", "f2xz", "heis", "nonex", "shear_unknown", "thm14",
+                  "z2hnn")
+
+
+def _star_graph(m):
+    """A rank-3 hub with an identity loop, and m rank-1 leaves on distinct lines of it.
+
+    The hub and its loop are the one depth-zero raft and flotilla.  Each spoke
+    is its own class at the hub, so m level-1 rafts absorb that one flotilla.
+    """
+    from gogkit import graph_from_dict
+
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    edges = [{"id": "loop", "rank": 3, "ends": [{"vertex": "hub", "matrix": eye}] * 2}]
+    edges += [{"id": f"spoke{k}", "rank": 1,
+               "ends": [{"vertex": "hub", "matrix": [[1], [k], [k * k]]},
+                        {"vertex": f"leaf{k}", "matrix": [[2]]}]} for k in range(m)]
+    vertices = [{"id": "hub", "rank": 3}] + [{"id": f"leaf{k}", "rank": 1} for k in range(m)]
+    return graph_from_dict({"oracle": "abelian", "vertices": vertices, "edges": edges})
+
+
+def _components_up_to(g, depth, n):
+    """Member sets of the components of the orbits of depth <= n, by a plain search."""
+    vs = {v for v in g.vertex_ids() if depth.get(v, n + 1) <= n}
+    es = [e for e in g.edges if depth.get(e.id, n + 1) <= n]
+    comps = []
+    while vs:
+        comp, todo = set(), [min(vs)]
+        while todo:
+            x = todo.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            for e in es:
+                ends = {end.vertex for end in e.ends}
+                if x in ends:
+                    comp.add(e.id)
+                    todo += list(ends - comp)
+        vs -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def test_rafts_point_at_the_flotillas_they_absorb(graph):
+    """Each raft holds the previous level's own `Flotilla` records, in index order.
+
+    Recomputed from the depths alone: a raft with a core absorbs the
+    components of the previous level that its core edges end in, a raft with
+    an empty core is one component no other raft absorbs, and `members` is
+    the core together with the members of the absorbed components.
+    """
+    import random
+
+    from gogkit import complete_reduce, graph_from_dict
+
+    graphs = [graph(name) for name in GRAPH_FIXTURES]
+    graphs += [graph_from_dict(NO_RAFT_TABLE), _star_graph(6)]
+    rng = random.Random(1237)
+    draws = 0
+    while draws < 40:
+        g = _random_irreducible_graph(rng)
+        if g is not None:
+            graphs.append(g)
+            draws += 1
+    absorbing = 0
+    for g in graphs:
+        g = complete_reduce(g) if reducible_edges(g) else g
+        da = depth_filtration(g)
+        edge_ids = set(g.edge_ids())
+        assert all(r.absorbed == () for r in (da.levels[0].rafts if da.levels else ()))
+        for prev, level in zip(da.levels, da.levels[1:]):
+            comps = _components_up_to(g, da.depth, prev.level)
+            assert sorted(map(sorted, comps)) == sorted(list(f.members) for f in prev.flotillas)
+            cored = set()
+            for raft in level.rafts:
+                assert all(f in prev.flotillas for f in raft.absorbed)
+                index = [prev.flotillas.index(f) for f in raft.absorbed]
+                assert index == sorted(set(index))
+                if raft.core:
+                    ends = {end.vertex for eid in raft.core if eid in edge_ids
+                            for end in g.edge(eid).ends}
+                    expected = {c for c in comps if c & ends}
+                    cored |= expected
+                else:
+                    assert len(raft.absorbed) == 1
+                    expected = {frozenset(raft.absorbed[0].members)}
+                assert {frozenset(f.members) for f in raft.absorbed} == expected
+                assert raft.members == tuple(sorted(set(raft.core).union(*expected)))
+                absorbing += bool(raft.absorbed)
+            empty = {frozenset(r.absorbed[0].members) for r in level.rafts if not r.core}
+            assert empty == set(comps) - cored
+    assert absorbing >= 30
