@@ -22,7 +22,7 @@ from .crossing import (CrossingGraph, CrossingNode, HypothesisReport,
 from .patterns import (LinearPattern, RigidityVerdict, SlopeInvariant,
                        UnderdeterminedSlopes, line_slope, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
-from .treeball import (BallEdge, BallNode, TreeBall, annotate_depth,
+from .treeball import (BallEdge, BallNode, LabelsNotMonotone, TreeBall, annotate_depth,
                        ball_chain_depths, ball_crossing_check, build_ball,
                        coarse_le, smith_normal_form, to_dot)
 

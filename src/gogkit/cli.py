@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each `cmd_*` returns its report as (exit code, text lines, JSON payload) and
+writes nothing; `main` alone writes the report, as text or JSON, to stdout or
+to the `--output` file, and holds the one table from exceptions to exit codes.
 Exit codes form a disjoint contract: 0 success / all-pass, 1 analysis-level
 negative, 2 input error, 3 infinite depth, 4 unknown verdict, 5 analysis
 unsupported for the oracle mode, 6 internal error (a fault in gogkit itself,
@@ -24,7 +27,7 @@ from .oracle import UnsupportedOracle
 from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
 from .reduce import comm_classes, complete_reduce, reducible_edges
-from .treeball import address_steps, annotate_depth, build_ball, to_dot
+from .treeball import LabelsNotMonotone, address_steps, annotate_depth, build_ball, to_dot
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -33,34 +36,6 @@ EXIT_INFINITE = 3
 EXIT_UNKNOWN = 4
 EXIT_UNSUPPORTED = 5
 EXIT_INTERNAL = 6
-
-
-class _Emitter:
-    def __init__(self, args):
-        self.args = args
-        self.lines = []
-        self.payload = {}
-
-    def text(self, line):
-        self.lines.append(line)
-
-    def put(self, key, value):
-        self.payload[key] = value
-
-    def emit(self):
-        if self.args.format == "json":
-            body = json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
-        else:
-            body = "\n".join(self.lines) + "\n"
-        _write(body, self.args.output)
-
-
-def _write(body, output):
-    """Write a report to the --output file, or to stdout without one."""
-    if output:
-        write_text(output, body)
-    else:
-        sys.stdout.write(body)
 
 
 def _fail(msg, code):
@@ -96,29 +71,21 @@ def _verdict_payload(v):
     return out
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     report = validate(load_graph(args.file))
-    em = _Emitter(args)
-    em.put("violations", sorted(report.violations))
-    em.put("ok", report.ok)
+    violations = sorted(report.violations)
     if report.ok:
-        em.text("ok: graph is valid")
+        lines = ["ok: graph is valid"]
     else:
-        em.text(f"invalid: {len(report.violations)} violations")
-        for v in sorted(report.violations):
-            em.text(f"  {v}")
-    em.emit()
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+        lines = [f"invalid: {len(violations)} violations", *(f"  {v}" for v in violations)]
+    code = EXIT_OK if report.ok else EXIT_NEGATIVE
+    return code, lines, {"violations": violations, "ok": report.ok}
 
 
-def cmd_depth(args) -> int:
+def cmd_depth(args):
     da = depth_filtration(_load(args.file), args.horizon)
-    em = _Emitter(args)
-    em.text(f"verdict: {da.verdict.render()}")
-    em.put("verdict", _verdict_payload(da.verdict))
-    em.put("depth", {k: da.depth[k] for k in sorted(da.depth)})
-    for k in sorted(da.depth):
-        em.text(f"depth {k}: {da.depth[k]}")
+    lines = [f"verdict: {da.verdict.render()}"]
+    lines += [f"depth {k}: {da.depth[k]}" for k in sorted(da.depth)]
     levels, below = [], {}    # below: the previous level's flotillas -> their index
     for lv in da.levels:
         lvl = {"level": lv.level, "rafts": [], "flotillas": []}
@@ -130,125 +97,94 @@ def cmd_depth(args) -> int:
                 desc += " absorbing " + ",".join(f"F{lv.level - 1}.{fi}" for fi in fis)
             if r.kind:
                 desc += f" [{r.kind}]"
-            em.text(f"level {lv.level} raft: {desc}")
+            lines.append(f"level {lv.level} raft: {desc}")
         for f in lv.flotillas:
             lvl["flotillas"].append(f.members)
-            em.text(f"level {lv.level} flotilla: {{{','.join(f.members)}}}")
+            lines.append(f"level {lv.level} flotilla: {{{','.join(f.members)}}}")
         levels.append(lvl)
         below = {f: fi for fi, f in enumerate(lv.flotillas)}
-    em.put("levels", levels)
-    for s in da.verdict.witness:
-        em.text(f"witness: {s.orbit} class {s.cls}" + (" (strict)" if s.strict else ""))
-    em.emit()
-    if da.verdict.kind == "infinite":
-        return EXIT_INFINITE
-    if da.verdict.kind == "unknown":
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    lines += [f"witness: {s.orbit} class {s.cls}" + (" (strict)" if s.strict else "")
+              for s in da.verdict.witness]
+    code = {"infinite": EXIT_INFINITE, "unknown": EXIT_UNKNOWN}.get(da.verdict.kind, EXIT_OK)
+    return code, lines, {"verdict": _verdict_payload(da.verdict), "depth": da.depth,
+                         "levels": levels}
 
 
-def cmd_rafts(args) -> int:
-    g = _load(args.file)
-    rafts = depth_zero_rafts(g)
-    em = _Emitter(args)
-    payload = []
-    for r in rafts:
-        payload.append({"members": r.core, "kind": r.kind})
-        em.text(f"depth-0 raft {{{','.join(r.core)}}}: {r.kind}")
-    if not rafts:
-        em.text("no depth-0 rafts")
-    em.put("rafts", payload)
-    em.emit()
-    return EXIT_OK
+def cmd_rafts(args):
+    rafts = depth_zero_rafts(_load(args.file))
+    lines = [f"depth-0 raft {{{','.join(r.core)}}}: {r.kind}" for r in rafts]
+    return EXIT_OK, lines or ["no depth-0 rafts"], {
+        "rafts": [{"members": r.core, "kind": r.kind} for r in rafts]}
 
 
-def cmd_crossing(args) -> int:
-    g = _load(args.file)
-    if g.oracle_mode != "abelian":
-        raise UnsupportedOracle("crossing graphs need the abelian oracle")
-    da = depth_filtration(g, args.horizon)
-    cg = crossing_graph(g, args.vertex, da)
-    em = _Emitter(args)
-    em.text(f"crossing graph at {cg.vertex}: {cg.verdict} ({len(cg.nodes)} nodes)")
-    em.put("vertex", cg.vertex)
-    em.put("verdict", cg.verdict)
-    em.put("nodes", [{"span": _span_rows(nd.span), "ends": [list(e) for e in nd.ends]}
-                     for nd in cg.nodes])
-    em.put("adjacency", [list(row) for row in cg.adjacency])
-    em.put("codimension_one_condition", cg.codim_note)
-    for nd in cg.nodes:
-        em.text(f"node {nd.span!r} from ends {list(nd.ends)}")
+def cmd_crossing(args):
+    cg = crossing_graph(_load(args.file), args.vertex)
+    lines = [f"crossing graph at {cg.vertex}: {cg.verdict} ({len(cg.nodes)} nodes)",
+             *(f"node {nd.span!r} from ends {list(nd.ends)}" for nd in cg.nodes)]
+    payload = {"vertex": cg.vertex, "verdict": cg.verdict,
+               "nodes": [{"span": _span_rows(nd.span), "ends": [list(e) for e in nd.ends]}
+                         for nd in cg.nodes],
+               "adjacency": [list(row) for row in cg.adjacency],
+               "codimension_one_condition": cg.codim_note}
     if cg.witness is not None:
-        em.put("witness", _span_rows(cg.witness))
-        em.text(f"witness hyperplane: {cg.witness!r}")
-    em.text(f"note: {cg.codim_note}")
-    em.emit()
-    return EXIT_OK if cg.verdict in ("connected", "empty") else EXIT_NEGATIVE
+        payload["witness"] = _span_rows(cg.witness)
+        lines.append(f"witness hyperplane: {cg.witness!r}")
+    lines.append(f"note: {cg.codim_note}")
+    return (EXIT_OK if cg.verdict in ("connected", "empty") else EXIT_NEGATIVE), lines, payload
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     report = check_hypotheses(_load(args.file), args.horizon)
-    em = _Emitter(args)
-    entries = []
-    for e in report.entries:
-        entries.append({"number": e.number, "name": e.name, "status": e.status,
-                        "detail": e.detail})
-        em.text(f"({e.number}) {e.name}: {e.status.upper()}"
-                + (f" - {e.detail}" if e.detail else ""))
-    em.put("hypotheses", entries)
-    em.put("all_pass", report.all_pass)
+    lines = [f"({e.number}) {e.name}: {e.status.upper()}" + (f" - {e.detail}" if e.detail else "")
+             for e in report.entries]
+    payload = {"hypotheses": [e._asdict() for e in report.entries],
+               "all_pass": report.all_pass}
     if report.reduced:
-        em.text("note: analyses ran on the complete reduction of the input")
-        em.put("reduced", True)
-    em.text("result: " + ("all hypotheses pass" if report.all_pass else "not all pass"))
-    em.emit()
-    return EXIT_OK if report.all_pass else EXIT_NEGATIVE
+        lines.append("note: analyses ran on the complete reduction of the input")
+        payload["reduced"] = True
+    lines.append("result: " + ("all hypotheses pass" if report.all_pass else "not all pass"))
+    return (EXIT_OK if report.all_pass else EXIT_NEGATIVE), lines, payload
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     g = _load(args.file)
     reduced = complete_reduce(g, order=args.order)
-    em = _Emitter(args)
-    em.text(f"reduced: {len(g.edges)} -> {len(reduced.edges)} edges, "
-            f"{len(g.vertices)} -> {len(reduced.vertices)} vertices")
     classes = comm_classes(reduced, args.horizon)
-    for c in classes:
-        em.text(f"class: {c}")
-    em.put("graph", graph_to_dict(reduced))
-    em.put("classes", [list(map(str, c)) for c in classes])
+    lines = [f"reduced: {len(g.edges)} -> {len(reduced.edges)} edges, "
+             f"{len(g.vertices)} -> {len(reduced.vertices)} vertices",
+             *(f"class: {c}" for c in classes)]
     if args.output_graph:
         dump_graph(reduced, args.output_graph)
-        em.text(f"wrote {args.output_graph}")
-    em.emit()
-    return EXIT_OK
+        lines.append(f"wrote {args.output_graph}")
+    return EXIT_OK, lines, {"graph": graph_to_dict(reduced),
+                            "classes": [list(map(str, c)) for c in classes]}
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args):
     pattern, notes = vertex_edge_pattern(_load(args.file), args.vertex)
-    em = _Emitter(args)
-    em.text(f"pattern at {args.vertex}: {len(pattern.subspaces)} subspaces")
-    em.put("vertex", args.vertex)
-    em.put("pattern", [_span_rows(s) for s in pattern.subspaces])
-    for s in pattern.subspaces:
-        em.text(f"  member {s!r}")
-    for (eid, i, why) in notes:
-        em.text(f"  note: edge {eid} end {i}: {why}")
-    em.put("notes", [list(map(str, n)) for n in notes])
     rv = rigidity_check(pattern)
-    em.put("rigidity", {"status": rv.status,
-                        "witness": list(rv.witness) if rv.witness else None})
-    em.text(f"rigidity: {rv.status}"
-            + (f" (hyperplanes {list(rv.witness)})" if rv.witness else ""))
+    lines = [f"pattern at {args.vertex}: {len(pattern.subspaces)} subspaces",
+             *(f"  member {s!r}" for s in pattern.subspaces),
+             *(f"  note: edge {eid} end {i}: {why}" for (eid, i, why) in notes),
+             f"rigidity: {rv.status}"
+             + (f" (hyperplanes {list(rv.witness)})" if rv.witness else "")]
+    payload = {"vertex": args.vertex, "pattern": [_span_rows(s) for s in pattern.subspaces],
+               "notes": [list(map(str, n)) for n in notes],
+               "rigidity": {"status": rv.status,
+                            "witness": list(rv.witness) if rv.witness else None}}
     if pattern.ambient_dim == 2 and pattern.subspaces:
-        try:
-            inv = slope_invariant(pattern)
-            em.put("slope_invariant", inv.render())
-            em.text(f"slope invariant: {inv.render()}")
-        except UnderdeterminedSlopes as e:
-            em.put("slope_invariant", None)
-            em.text(f"slope invariant: undefined ({e})")
-    em.emit()
-    return EXIT_OK
+        payload["slope_invariant"], text = _slope(pattern)
+        lines.append(f"slope invariant: {text}")
+    return EXIT_OK, lines, payload
+
+
+def _slope(pattern):
+    """(JSON value, text) of a pattern's slope invariant, undefined with too few slopes."""
+    try:
+        text = slope_invariant(pattern).render()
+        return text, text
+    except UnderdeterminedSlopes as e:
+        return None, f"undefined ({e})"
 
 
 def _load_pattern(path, vertex):
@@ -274,55 +210,43 @@ def _load_pattern(path, vertex):
     return pattern
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     pa = _load_pattern(args.file_a, args.vertex_a)
     pb = _load_pattern(args.file_b, args.vertex_b)
     same, witness = patterns_equivalent(pa, pb)
-    em = _Emitter(args)
-    em.text(f"equivalent: {'yes' if same else 'no'}")
-    em.put("equivalent", same)
+    lines, payload = [f"equivalent: {'yes' if same else 'no'}"], {"equivalent": same}
     if witness is not None:
         rows = [[str(x) for x in row] for row in witness.entries]
-        em.put("witness", rows)
-        em.text("witness: " + "; ".join(" ".join(r) for r in rows))
-    em.emit()
-    return EXIT_OK if same else EXIT_NEGATIVE
+        payload["witness"] = rows
+        lines.append("witness: " + "; ".join(" ".join(r) for r in rows))
+    return (EXIT_OK if same else EXIT_NEGATIVE), lines, payload
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args):
     g = _load(args.file)
     root = sorted(g.vertex_ids())[0] if args.vertex is None else args.vertex
     ball = build_ball(g, root, args.radius, args.branch_cap)
     if not reducible_edges(g):
         da = depth_filtration(g, args.horizon)
         if da.verdict.kind != "infinite":
-            try:
-                ball = annotate_depth(ball, da)
-            except ValueError as e:     # labels not monotone: analysis negative
-                return _fail(str(e), EXIT_NEGATIVE)
+            ball = annotate_depth(ball, da)
     if args.format == "dot":
-        _write(to_dot(ball), args.output)
-        return EXIT_OK
-    em = _Emitter(args)
+        # split at "\n" alone: splitlines would also cut at a "\r" or "\u2028" in an id
+        return EXIT_OK, to_dot(ball).split("\n")[:-1], None
     truncated = sorted(_addr(a) for a, n in ball.nodes.items() if n.truncated)
-    em.text(f"ball at {ball.root_vertex}: radius {ball.radius}, "
-            f"{len(ball.nodes)} nodes, {len(ball.edges)} edges")
-    em.put("root", ball.root_vertex)
-    em.put("radius", ball.radius)
-    em.put("branch_cap", ball.branch_cap)
-    em.put("node_count", len(ball.nodes))
-    em.put("edge_count", len(ball.edges))
-    em.put("truncated_nodes", truncated)
+    lines = [f"ball at {ball.root_vertex}: radius {ball.radius}, "
+             f"{len(ball.nodes)} nodes, {len(ball.edges)} edges"]
     if truncated:
-        em.text(f"truncated nodes: {len(truncated)}")
+        lines.append(f"truncated nodes: {len(truncated)}")
     for addr in sorted(ball.nodes):
         n = ball.nodes[addr]
         val = "inf" if n.true_valence is None else n.true_valence
         extra = f" depth={n.depth_label}" if n.depth_label is not None else ""
-        em.text(f"node {_addr(addr)}: {n.vertex} valence={val}{extra}"
-                + (" truncated" if n.truncated else ""))
-    em.emit()
-    return EXIT_OK
+        lines.append(f"node {_addr(addr)}: {n.vertex} valence={val}{extra}"
+                     + (" truncated" if n.truncated else ""))
+    return EXIT_OK, lines, {"root": ball.root_vertex, "radius": ball.radius,
+                            "branch_cap": ball.branch_cap, "node_count": len(ball.nodes),
+                            "edge_count": len(ball.edges), "truncated_nodes": truncated}
 
 
 def _addr(address):
@@ -360,7 +284,7 @@ def build_parser():
     command("validate", cmd_validate, "check the structural invariants", walks=False)
     command("depth", cmd_depth, "depth filtration, rafts, flotillas")
     command("rafts", cmd_rafts, "depth-zero rafts and their kinds", walks=False)
-    sp = command("crossing", cmd_crossing, "crossing graph at a vertex")
+    sp = command("crossing", cmd_crossing, "crossing graph at a vertex", walks=False)
     sp.add_argument("--vertex", required=True)
     command("check", cmd_check, "the five structural hypotheses")
     sp = command("reduce", cmd_reduce, "collapse reducible edges")
@@ -385,11 +309,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:     # usage errors exit 2, --help and --version 0
         return e.code
-    # The one table from exceptions to exit codes.
+    # The one report writer, and the one table from exceptions to exit codes.
     try:
-        return args.run(args)
+        code, lines, payload = args.run(args)
+        if args.format == "json":
+            body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            body = "\n".join(lines) + "\n"
+        if args.output:
+            write_text(args.output, body)
+        else:
+            sys.stdout.write(body)
+        return code
     except UnsupportedOracle as e:
         return _fail(str(e), EXIT_UNSUPPORTED)
+    except LabelsNotMonotone as e:      # the tree ball contradicts the depth labels
+        return _fail(str(e), EXIT_NEGATIVE)
     except (GraphLoadError, MustReduceFirst, WrongVertex, DimensionMismatch, UnknownId) as e:
         return _fail(str(e), EXIT_INPUT)
     except Exception as e:      # last resort: never let a fault pass for a verdict

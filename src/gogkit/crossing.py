@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactlin import RationalSubspace, contains
-from .depth import DepthAssignment, depth_filtration
+from .depth import DepthAssignment, _refuse_reducible, depth_filtration, depth_zero_rafts
 from .oracle import UnsupportedOracle
 from .reduce import complete_reduce, reducible_edges
 
@@ -44,15 +44,25 @@ class CrossingGraph(NamedTuple):
                        "automatically at an abelian vertex")
 
 
-def _one_vertex_raft(da: DepthAssignment, vid: str) -> bool:
-    return any(raft.core == (vid,) for raft in (da.levels[0].rafts if da.levels else ()))
+def _one_vertex_raft(rafts0, vid: str) -> bool:
+    return any(raft.core == (vid,) for raft in rafts0)
 
 
-def crossing_graph(g, vid: str, da: DepthAssignment) -> CrossingGraph:
+def crossing_graph(g, vid: str, da: DepthAssignment | None = None) -> CrossingGraph:
+    """The crossing graph at `vid`, which must be a one-vertex depth-zero raft.
+
+    Only the depth-zero rafts are read: `da`'s, or without it `depth_zero_rafts`,
+    which walks no transport, so the rest of the depth filtration never runs.
+    """
     if g.oracle_mode != "abelian":
         raise UnsupportedOracle("crossing graphs need the abelian oracle")
+    if da is None:
+        _refuse_reducible(g)
+        rafts0 = depth_zero_rafts(g)
+    else:
+        rafts0 = da.levels[0].rafts if da.levels else ()
     g.vertex(vid)               # an unknown id is named as such, not as a wrong raft
-    if not _one_vertex_raft(da, vid):
+    if not _one_vertex_raft(rafts0, vid):
         raise WrongVertex(f"{vid} is not a one-vertex depth-zero raft")
     return _crossing_at(g, vid)
 

@@ -233,14 +233,19 @@ def _compare_classes(orc, buckets):
     return below, joins
 
 
+def _refuse_reducible(g):
+    """Depth, and with it every raft, is defined on irreducible graphs only."""
+    if reducible_edges(g):
+        raise MustReduceFirst("graph has reducible edges; apply complete_reduce first")
+
+
 def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
     """Assign a depth to every vertex and edge orbit of an irreducible graph.
 
     `horizon` bounds every transport walk, in rounds of `explore`; the
     default is twice the edge count.
     """
-    if reducible_edges(g):
-        raise MustReduceFirst("graph has reducible edges; apply complete_reduce first")
+    _refuse_reducible(g)
     orc = g.oracle()
     if horizon is None:
         horizon = 2 * max(1, len(g.edges))

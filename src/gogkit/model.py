@@ -438,6 +438,8 @@ def read_json(path):
         raise GraphLoadError(
             f"{path}: JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except ValueError as e:     # not UTF-8, or an integer past the int-string limit
+        raise GraphLoadError(f"{path}: {e}") from e
     except RecursionError as e:
         raise GraphLoadError(f"{path}: JSON nested too deeply") from e
 

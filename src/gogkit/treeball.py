@@ -143,6 +143,10 @@ class CosetSystem:
 # -- the ball itself -----------------------------------------------------------
 
 
+class LabelsNotMonotone(ValueError):
+    """A strict inclusion of edge spans in a tree ball does not raise the depth label."""
+
+
 class BallNode(NamedTuple):
     """A node of a ball: an immutable record, copied with `_replace`."""
     address: tuple          # steps (edge id, end index at parent, coset label)
@@ -348,7 +352,7 @@ def annotate_depth(ball: TreeBall, da) -> TreeBall:
                 if i is None or j is None:
                     continue
                 if inside[i][j] and a.depth_label <= b.depth_label:
-                    raise ValueError(
+                    raise LabelsNotMonotone(
                         f"depth labels not monotone: {a.edge} (depth {a.depth_label}) "
                         f"sits strictly inside {b.edge} (depth {b.depth_label})")
     return TreeBall(ball.root_vertex, ball.radius, ball.branch_cap, nodes, edges, ball.parent_ids)

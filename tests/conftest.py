@@ -49,6 +49,30 @@ NO_RAFT_TABLE = {
 }
 
 
+# Valid and irreducible, but two finite-index rank-3 loops at v1 make its flotilla
+# walks reach about 1457 classes each, so its depth filtration takes minutes at
+# the default horizon.  Its depth-zero rafts need no walk; v2 is a point raft.
+CLASS_STALL = {
+    "oracle": "abelian",
+    "vertices": [{"id": "v0", "rank": 2}, {"id": "v1", "rank": 3}, {"id": "v2", "rank": 1}],
+    "edges": [
+        {"id": "e0", "rank": 2, "ends": [
+            {"vertex": "v0", "matrix": [[-1, -2], [-2, 2]]},
+            {"vertex": "v1", "matrix": [[-2, 2], [2, 0], [1, 1]]}]},
+        {"id": "e1", "rank": 0, "ends": [{"vertex": "v1", "matrix": [[], [], []]},
+                                         {"vertex": "v2", "matrix": [[]]}]},
+        {"id": "e2", "rank": 3, "ends": [
+            {"vertex": "v1", "matrix": [[-1, -2, -2], [-2, 2, 1], [-1, -2, -1]]},
+            {"vertex": "v1", "matrix": [[-2, 0, -2], [0, 2, -1], [-1, -2, 1]]}]},
+        {"id": "e3", "rank": 3, "ends": [
+            {"vertex": "v1", "matrix": [[-1, 2, -1], [0, 0, -2], [-1, 1, 0]]},
+            {"vertex": "v1", "matrix": [[-1, -2, 2], [-2, 0, 0], [-1, 2, -1]]}]},
+        {"id": "e4", "rank": 1, "ends": [{"vertex": "v1", "matrix": [[1], [-2], [2]]},
+                                         {"vertex": "v0", "matrix": [[0], [2]]}]},
+    ],
+}
+
+
 def fixture_path(name):
     return FIXTURES / f"{name}.json"
 

@@ -15,7 +15,7 @@ import pytest
 from gogkit import dump_graph
 from gogkit.cli import build_parser, main
 
-from conftest import FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
+from conftest import CLASS_STALL, FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
 from test_depth import _star_graph
 from test_treeball import _mixed_rank_graph
 
@@ -68,6 +68,24 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path, argv):
     assert (code, out, err) == (2, "", f"{deep}: JSON nested too deeply\n")
 
 
+@pytest.mark.parametrize("body,needle", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b'{"oracle": ' + b"7" * 4301 + b"}", "Exceeds the limit (4300"),
+], ids=["not-utf8", "long-integer"])
+@pytest.mark.parametrize("argv", [("validate", "{bad}"), ("depth", "{bad}"),
+                                  ("compare", "{bad}", "{good}"), ("compare", "{good}", "{bad}")],
+                         ids=["validate", "depth", "compare-first", "compare-second"])
+def test_undecodable_json_exits_two(capsys, tmp_path, argv, body, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    files = {"bad": bad, "good": fixture_path("f2xz")}
+    vertices = ("--vertex-a", "v", "--vertex-b", "v") if argv[0] == "compare" else ()
+    code, out, err = run(capsys, *[a.format(**files) for a in argv], *vertices)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}: ") and needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_depth_report_and_exit(capsys):
     code, out, _ = run(capsys, "depth", fixture_path("arc3"))
     assert code == 0
@@ -99,6 +117,35 @@ def test_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check", fixture_path("f2xz"))
     assert code == 1
     assert "(4)" in out and "FAIL" in out
+
+
+def test_crossing_walks_no_transport(capsys, monkeypatch):
+    """`gog crossing` reads only the depth-zero rafts, which need no `explore`."""
+    from gogkit import depth, reduce
+
+    calls = []
+    for module in (depth, reduce):
+        monkeypatch.setattr(module, "explore", lambda *a, **kw: calls.append(a) or None)
+    runs = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for vertex in doc.get("vertices", ()) if isinstance(doc, dict) else ():
+            run(capsys, "crossing", path, "--vertex", vertex["id"])
+            runs += 1
+    assert runs > 10 and calls == []
+
+
+@pytest.mark.parametrize("vertex,code,needle", [("v2", 1, "disconnected"),
+                                                ("v0", 2, "not a one-vertex depth-zero raft")])
+def test_crossing_skips_a_stalling_filtration(tmp_path, vertex, code, needle):
+    """The depth filtration of CLASS_STALL runs for minutes; crossing needs none of it."""
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(CLASS_STALL))
+    done = subprocess.run([sys.executable, "-m", "gogkit.cli", "crossing", str(path),
+                           "--vertex", vertex], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == code
+    assert needle in (done.stdout if code == 1 else done.stderr)
 
 
 def test_crossing_exit_codes(capsys):
@@ -460,6 +507,33 @@ def test_output_file(capsys, tmp_path):
     assert "verdict: Finite(2)" in target.read_text()
 
 
+OUTPUT_CASES = [(c, f) for c in sorted(SUBCOMMAND_ARGV) for f in ("text", "json")] + [
+    ("ball", "dot")]
+
+
+@pytest.mark.parametrize("command,fmt", OUTPUT_CASES, ids=[f"{c}-{f}" for c, f in OUTPUT_CASES])
+def test_output_holds_exactly_the_stdout_report(capsys, tmp_path, command, fmt):
+    argv = [command, *SUBCOMMAND_ARGV[command], "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert out and err == ""
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--output", target) == (code, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_dot_report_keeps_line_breaks_inside_ids(capsys, tmp_path):
+    vid = "v\u2028x\ry"
+    doc = {"oracle": "abelian", "vertices": [{"id": vid, "rank": 1}],
+           "edges": [{"id": "t", "rank": 1, "ends": [{"vertex": vid, "matrix": [[1]]},
+                                                     {"vertex": vid, "matrix": [[2]]}]}]}
+    path, target = tmp_path / "breaks.json", tmp_path / "ball.dot"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "ball", path, "--format", "dot", "--output", target)
+    body = target.read_bytes().decode("utf-8")
+    assert code == 0 and body.startswith("graph {\n") and body.endswith("}\n")
+    assert f'"root:{vid}"' in body
+
+
 def _table(**changes):
     """NO_RAFT_TABLE with some of its sections replaced."""
     doc = copy.deepcopy(NO_RAFT_TABLE)
@@ -746,7 +820,7 @@ def _argv(command, path, *extra):
 
 COMMANDS = ("validate", "depth", "rafts", "crossing", "check", "reduce", "invariants",
             "compare", "ball")
-WALKS = ("depth", "crossing", "check", "reduce", "ball")
+WALKS = ("depth", "check", "reduce", "ball")
 THM14 = str(fixture_path("thm14"))
 USAGE = "usage: gog"     # argparse's message: the usage, then one error line
 
@@ -761,7 +835,7 @@ EXIT_TABLE = (
     + [(_argv(c, THM14, flag, "3"), 2, USAGE)
        for c in COMMANDS for flag in ("--radius", "--branch-cap") if c != "ball"]
     + [(_argv(c, THM14, "--horizon", "3"), 2, USAGE)
-       for c in ("validate", "rafts", "invariants", "compare")]
+       for c in ("validate", "rafts", "crossing", "invariants", "compare")]
     + [(_argv(c, THM14, "--format", "dot"), 2, USAGE) for c in COMMANDS if c != "ball"]
     + [(_argv(c, THM14, "--dot"), 2, USAGE) for c in COMMANDS]
     + [(_argv(c, THM14, "--horizon", "0"), 2, USAGE) for c in WALKS]

@@ -12,6 +12,7 @@ from gogkit import (check_hypotheses, complete_reduce, crossing_graph, depth_fil
                     graph_from_dict, raft_kind, reducible_edges, validate)
 from gogkit import exactlin
 from gogkit.crossing import CrossingGraph, CrossingNode, WrongVertex
+from gogkit.depth import MustReduceFirst
 from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors, subspace_sum,
                              zero_space)
 from gogkit.oracle import UnsupportedOracle
@@ -359,6 +360,39 @@ def test_raft_kind_and_crossing_graph_match_old_rules_on_mixed_rank_graphs():
         tested += 1
     assert kinds == {"point", "line", "bushy"}
     assert verdicts == {"empty", "connected", "disconnected"}
+
+
+def _crossing_or_refusal(*args):
+    try:
+        return crossing_graph(*args)
+    except WrongVertex as e:
+        return str(e)
+
+
+def test_crossing_graph_without_da_reads_the_same_rafts(graph):
+    """Without `da`, `crossing_graph` finds the depth-zero rafts itself and answers the
+    same, and it refuses a reducible graph as `depth_filtration` does."""
+    graphs = [graph(name) for name in ("arc3", "arc4", "bs22", "f2xz", "shear_unknown",
+                                       "thm14", "z2hnn")]
+    rng = random.Random(3838)
+    while len(graphs) < 50:
+        g = _mixed_rank_graph(rng)
+        if g is not None and validate(g).ok:
+            graphs.append(g)
+    reducible = 0
+    for g in graphs:
+        if reducible_edges(g):
+            reducible += 1
+            for call in (lambda: crossing_graph(g, g.vertex_ids()[0]),
+                         lambda: depth_filtration(g)):
+                with pytest.raises(MustReduceFirst, match="^graph has reducible edges; "
+                                   "apply complete_reduce first$"):
+                    call()
+            g = complete_reduce(g)
+        da = depth_filtration(g)
+        for vid in g.vertex_ids():
+            assert _crossing_or_refusal(g, vid) == _crossing_or_refusal(g, vid, da)
+    assert reducible >= 5
 
 
 def test_check_hypotheses_skips_the_raft_guard_and_keeps_its_details(monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import RANK0_PROBE
-from gogkit import (BallEdge, BallNode, LinearPattern, annotate_depth, ball_chain_depths,
+from gogkit import (BallEdge, BallNode, LabelsNotMonotone, LinearPattern, annotate_depth, ball_chain_depths,
                     ball_crossing_check, build_ball, canonicalize, check_hypotheses, coarse_le,
                     crossing_graph, depth_filtration, explore, graph_from_dict, reducible_edges,
                     rigidity_check, slope_invariant, smith_normal_form, to_dot, validate)
@@ -402,6 +402,14 @@ def test_annotate_depth_names_first_violation_on_rank0_probe():
     g = graph_from_dict(RANK0_PROBE)
     with pytest.raises(ValueError) as err:
         annotate_depth(build_ball(g, "v0", 3, branch_cap=2), depth_filtration(g))
+    assert str(err.value) == "depth labels not monotone: e0 (depth 1) sits strictly inside e2 (depth 1)"
+
+
+def test_rank0_probe_violation_is_labels_not_monotone():
+    g = graph_from_dict(RANK0_PROBE)
+    with pytest.raises(LabelsNotMonotone) as err:
+        annotate_depth(build_ball(g, "v0", 3, branch_cap=2), depth_filtration(g))
+    assert isinstance(err.value, ValueError)
     assert str(err.value) == "depth labels not monotone: e0 (depth 1) sits strictly inside e2 (depth 1)"
 
 
