@@ -14,12 +14,20 @@ vertex: those ends move to the kept vertex (an edge may become a loop) and
 are composed with the collapsed edge's maps, so their determinant or index
 gets multiplied by the index of the collapsed edge at the kept end.  So after
 each collapse only both ends of those re-attached edges are rechecked; every
-other edge, and whether it is reducible, carries over unchanged.
+other edge, and whether it is reducible, carries over unchanged.  So does
+the incidence index: `collapse` finds the edges to rebuild through
+`ends_at`, and hands the graph it returns a copy of its input's index in
+which only the kept vertex, the far ends of the re-attached edges, the
+absorbed vertex and the collapsed edge change.  A step thus copies three
+dicts rather than sorting and indexing every edge again; it still builds
+the new edge tuple in one pass.  In table mode the `indices` and
+`transport` tables are copied and patched at the re-attached edges only.
 """
 
 from __future__ import annotations
 
-from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData, UnknownId
+from .model import (INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData, UnknownId,
+                    seed_index)
 from .oracle import explore
 from .unionfind import UnionFind
 
@@ -45,7 +53,8 @@ def reducible_edges(g: GraphOfGroups):
 def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
     """Collapse along a reducible edge; the surjective end's vertex disappears.
 
-    Edges with no end at the absorbed vertex are carried over as they are.
+    Only the edges with an end at the absorbed vertex are rebuilt, and the
+    returned graph gets a patched copy of `g`'s index rather than a new one.
     """
     orc = g.oracle()
     try:
@@ -60,26 +69,16 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
         # phi_theta . phi_eta^{-1}, integer since phi_eta is unimodular.
         through = e.ends[1 - end].matrix.mul(e.ends[end].matrix.inverse())
 
-    def moves(f):
-        return f.ends[0].vertex == gone or f.ends[1].vertex == gone
+    def moved_end(fe):
+        if fe.vertex != gone:
+            return fe
+        if g.oracle_mode == "abelian":
+            return EdgeEnd(kept, matrix=through.mul(fe.matrix))
+        return EdgeEnd(kept, class_label=orc.transport(eid, end, fe.class_label))
 
-    new_edges = []
-    for f in g.edges:
-        if f.id == eid:
-            continue
-        if not moves(f):
-            new_edges.append(f)
-            continue
-        ends = []
-        for fe in f.ends:
-            if fe.vertex != gone:
-                ends.append(fe)
-            elif g.oracle_mode == "abelian":
-                ends.append(EdgeEnd(kept, matrix=through.mul(fe.matrix)))
-            else:
-                moved = orc.transport(eid, end, fe.class_label)
-                ends.append(EdgeEnd(kept, class_label=moved))
-        new_edges.append(EdgeSpec(f.id, f.rank, (ends[0], ends[1])))
+    at_gone = {id(f): f for f, _ in g.ends_at(gone) if f.id != eid}
+    moved = {k: EdgeSpec(f.id, f.rank, tuple(map(moved_end, f.ends)))
+             for k, f in at_gone.items()}   # id() of an old edge -> its re-attached copy
 
     table = None
     if g.oracle_mode == "table":
@@ -87,43 +86,61 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
         cross = orc.index_value(eid, 1 - end)   # index of the absorbed group in kept
         emap_in = t.transport[eid][end]          # gone -> kept
         emap_out = t.transport[eid][1 - end]     # kept -> gone
-        indices = {}
-        transport = {}
-        for f in g.edges:
-            if f.id == eid:
-                continue
-            if not moves(f):
-                indices[f.id], transport[f.id] = t.indices[f.id], t.transport[f.id]
-                continue
-            idx = []
-            maps = []
-            for i, fe in enumerate(f.ends):
-                iv = t.indices[f.id][i]
-                mp = t.transport[f.id][i]
-                if fe.vertex == gone:
-                    iv = INFINITE if iv == INFINITE else iv * cross
+        indices, transport = dict(t.indices), dict(t.transport)
+        del indices[eid], transport[eid]
+        for f in at_gone.values():
+            idx, maps = list(t.indices[f.id]), list(t.transport[f.id])
+            for i in (0, 1):
+                if f.ends[i].vertex == gone:
+                    idx[i] = INFINITE if idx[i] == INFINITE else idx[i] * cross
                     # Entering at the re-attached end now starts at `kept`:
                     # hop back across e first, then use the old map.
-                    mp = {lab: mp[emap_out[lab]] for lab in emap_out if emap_out[lab] in mp}
+                    maps[i] = {lab: maps[i][v] for lab, v in emap_out.items() if v in maps[i]}
                 if f.ends[1 - i].vertex == gone:
                     # The far side has moved to `kept`: land there via e.
-                    mp = {lab: emap_in[v] for lab, v in mp.items() if v in emap_in}
-                idx.append(iv)
-                maps.append(mp)
-            indices[f.id] = tuple(idx)
-            transport[f.id] = tuple(maps)
-        labels = {v: t.labels[v] for v in t.labels if v != gone}
-        top = {v: t.top[v] for v in t.top if v != gone}
-        order = {v: t.order[v] for v in t.order if v != gone}
-        pd = {v: t.pd_flags[v] for v in t.pd_flags if v != gone}
-        table = TableData(labels, top, order, transport, indices, pd)
+                    maps[i] = {lab: emap_in[v] for lab, v in maps[i].items() if v in emap_in}
+            indices[f.id], transport[f.id] = tuple(idx), tuple(maps)
 
-    return GraphOfGroups(
+        def drop(d):
+            return {v: x for v, x in d.items() if v != gone}
+
+        table = TableData(drop(t.labels), drop(t.top), drop(t.order), transport, indices,
+                          drop(t.pd_flags))
+
+    out = GraphOfGroups(
         tuple(v for v in g.vertices if v.id != gone),
-        tuple(new_edges),
+        tuple(moved.get(id(f), f) for f in g.edges if f.id != eid),
         g.oracle_mode,
         table,
     )
+    return _carry_index(g, out, eid, gone, kept, moved)
+
+
+def _carry_index(g, out, eid, gone, kept, moved):
+    """`out` with `g`'s index patched for the collapse of `eid` into `kept`.
+
+    Only `kept` and the far ends of the moved edges change end lists; `gone`
+    and `eid` drop out.  Duplicate ids or a dangling `kept` or `gone` leave
+    `out` to build its own index.
+    """
+    vertices, edges, ends = g._index
+    if (len(vertices) != len(g.vertices) or len(edges) != len(g.edges)
+            or gone not in vertices or kept not in vertices):
+        return out
+    vertices, edges, ends = dict(vertices), dict(edges), dict(ends)
+    del vertices[gone], edges[eid]
+    old_kept, old_gone = ends[kept], ends.pop(gone)
+    for f in moved.values():
+        edges[f.id] = f
+
+    def swap(pairs):
+        return [(moved.get(id(f), f), i) for f, i in pairs]
+
+    for v in {fe.vertex for f in moved.values() for fe in f.ends} - {kept}:
+        ends[v] = swap(ends[v])
+    ends[kept] = sorted(swap(p for p in old_kept + old_gone if p[0].id != eid),
+                        key=lambda p: (p[0].id, p[1]))
+    return seed_index(out, (vertices, edges, ends))
 
 
 def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
@@ -157,12 +174,16 @@ def comm_classes(g: GraphOfGroups, horizon: int | None = None):
 
     Orbits are grouped by carrying their classes along class-preserving walks
     of at most `horizon` rounds of `explore` (default twice the edge count)
-    and comparing at common vertices: each distinct base placement is walked
-    once, and the orbits based there join the orbits based at every placement
-    it reaches.  Descriptors are chosen to be invariant under the collapse
-    order of a complete reduction: the class rank for the abelian oracle, the
-    set of class labels for the table oracle.  Returned sorted, one
-    descriptor per class.
+    and comparing at common vertices: the orbits based at a walk's start
+    join the orbits based at every placement it reaches.  In table mode each
+    distinct base placement is walked once, since table arcs can be one-way.
+    Abelian transport is invertible, so there a walk that ends untruncated
+    has covered its whole orbit, whose owners it has joined; a later start
+    inside that orbit is skipped, which makes one walk per abelian orbit.
+    Descriptors are chosen to be invariant under the collapse order of a
+    complete reduction: the class rank for the abelian oracle, the set of
+    class labels for the table oracle.  Returned sorted, one descriptor per
+    class.
     """
     orc = g.oracle()
     tokens = [("v", v.id) for v in g.vertices] + [("e", e.id) for e in g.edges]
@@ -177,10 +198,16 @@ def comm_classes(g: GraphOfGroups, horizon: int | None = None):
     classes = UnionFind(tokens)
     if horizon is None:
         horizon = 2 * max(1, len(g.edges))
+    done = set()   # abelian states inside an orbit an untruncated walk covered
     for (vid, cls), ts in owners.items():
-        for p in explore(orc, vid, cls, max_steps=horizon).placements:
+        if (vid, cls) in done:
+            continue
+        walk = explore(orc, vid, cls, max_steps=horizon)
+        for p in walk.placements:
             for other in owners.get((p.vertex, p.cls), ()):
                 classes.union(ts[0], other)
+        if g.oracle_mode == "abelian" and not walk.truncated:
+            done.update((p.vertex, p.cls) for p in walk.placements)
 
     out = []
     for members in classes.classes().values():

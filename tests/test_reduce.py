@@ -10,6 +10,7 @@ from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, collapse,
 from gogkit.exactlin import RatMatrix
 from gogkit.oracle import explore
 from gogkit.reduce import NotReducible
+from gogkit.unionfind import UnionFind
 
 
 def abelian_graph(vertices, edges):
@@ -81,11 +82,31 @@ def test_collapse_rejects_unknown_edge_and_bad_end():
             collapse(g, eid, end)
 
 
+def test_table_collapse_carries_untouched_entries(graph):
+    """Table entries of edges that do not move, even under an id the graph
+    lacks, are carried as they are; only the collapsed edge's go."""
+    g = graph("heis")
+    t = g.table
+    index, maps = (1, 1), ({}, {})
+    g = g._replace(table=t._replace(indices={**t.indices, "zz": index},
+                                    transport={**t.transport, "zz": maps}))
+    out = collapse(g, "f", 0)
+    assert out.table.indices["zz"] is index and out.table.transport["zz"] is maps
+    assert sorted(out.table.indices) == sorted(out.table.transport) == ["e", "zz"]
+
+
 def test_complete_reduce_rejects_unknown_order(graph):
     for name in ("heis", "arc3"):
         for order in ("bogus", ["lex"], min):
             with pytest.raises(ValueError, match="unknown edge-selection policy"):
                 complete_reduce(graph(name), order=order)
+
+
+def chain_graph():
+    ident = [[1, 0], [0, 1]]
+    return abelian_graph(
+        [("a", 2), ("b", 2), ("c", 2)],
+        [("e", 2, ("a", ident), ("b", ident)), ("f", 2, ("b", ident), ("c", ident))])
 
 
 @pytest.mark.parametrize("name", ["heis", "chain"])
@@ -94,10 +115,7 @@ def test_complete_reduce_scans_once_per_collapse(graph, monkeypatch, name, order
     """One `reducible_edges` scan for the whole reduction, however many
     collapses follow: later steps recheck only the re-attached edges."""
     import gogkit.reduce as reduce_mod
-    ident = [[1, 0], [0, 1]]
-    g = graph(name) if name == "heis" else abelian_graph(
-        [("a", 2), ("b", 2), ("c", 2)],
-        [("e", 2, ("a", ident), ("b", ident)), ("f", 2, ("b", ident), ("c", ident))])
+    g = graph(name) if name == "heis" else chain_graph()
     calls = {"scan": 0, "collapse": 0}
 
     def counted(key, fn):
@@ -301,14 +319,17 @@ def _comm_classes_by_pairs(g, loop_bound=3):
                 group.add(u)
                 stack.append(u)
         done |= group
-        if g.oracle_mode == "abelian":
-            out.append(("rank", min(g.vertex(i).rank if k == "v" else g.edge(i).rank
-                                    for k, i in group)))
-        else:
-            out.append(("labels", tuple(sorted(
-                {g.table.top[i] for k, i in group if k == "v"}
-                | {end.class_label for k, i in group if k == "e" for end in g.edge(i).ends}))))
+        out.append(_descriptor(g, group))
     return sorted(out)
+
+
+def _descriptor(g, group):
+    """The `comm_classes` descriptor of one class of ("v" | "e", id) tokens."""
+    if g.oracle_mode == "abelian":
+        return ("rank", min(g.vertex(i).rank if k == "v" else g.edge(i).rank for k, i in group))
+    return ("labels", tuple(sorted(
+        {g.table.top[i] for k, i in group if k == "v"}
+        | {end.class_label for k, i in group if k == "e" for end in g.edge(i).ends})))
 
 
 @pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "heis", "nonex",
@@ -316,3 +337,133 @@ def _comm_classes_by_pairs(g, loop_bound=3):
 def test_comm_classes_match_token_pairs(graph, name):
     g = complete_reduce(graph(name))
     assert comm_classes(g) == _comm_classes_by_pairs(g)
+
+
+# -- the index `collapse` hands on, and one walk per abelian orbit ---------------
+
+
+def _index_layout(index):
+    """An incidence index as plain data: every key in dict order, with the
+    identity of each record it holds and each vertex's (edge id, end) order."""
+    vertices, edges, ends = index
+    return ([(k, id(v)) for k, v in vertices.items()],
+            [(k, id(e)) for k, e in edges.items()],
+            [(k, [(e.id, i, id(e)) for e, i in pairs]) for k, pairs in ends.items()])
+
+
+def _reduce_checking_index(g, order):
+    """`complete_reduce(g, order)`, checking after every collapse that the
+    returned graph carries exactly the index a fresh copy of it builds, over
+    the same records as its own edges and vertices, and that the input's
+    index is untouched."""
+    import gogkit.reduce as reduce_mod
+    real, steps = reduce_mod.collapse, []
+
+    def checked(h, eid, end):
+        out = real(h, eid, end)
+        assert "_index" in vars(out)   # handed on, not built on first use
+        assert _index_layout(out._index) == _index_layout(GraphOfGroups(*out)._index)
+        assert _index_layout(h._index) == _index_layout(GraphOfGroups(*h)._index)
+        steps.append((eid, end))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduce_mod, "collapse", checked)
+        out = complete_reduce(g, order)
+    return out, steps
+
+
+@given(reducible_graphs())
+@settings(max_examples=100, deadline=None)
+def test_collapse_hands_on_a_fresh_index(g):
+    for order in ("lex", "revlex"):
+        out, _ = _reduce_checking_index(g, order)
+        assert out == complete_reduce(g, order)
+
+
+@pytest.mark.parametrize("name", ["heis", "chain"])
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_collapse_hands_on_a_fresh_index_on_fixtures(graph, name, order):
+    _, steps = _reduce_checking_index(graph(name) if name == "heis" else chain_graph(), order)
+    assert steps
+
+
+def _comm_classes_every_start(g, horizon=None):
+    """`comm_classes` with one walk from every distinct base placement."""
+    orc = g.oracle()
+    owners = {}
+    for v in g.vertices:
+        owners.setdefault((v.id, orc.top_class(v.id)), []).append(("v", v.id))
+    for e in g.edges:
+        for i in (0, 1):
+            owners.setdefault((e.ends[i].vertex, orc.class_of(e.id, i)), []).append(("e", e.id))
+    classes = UnionFind([t for ts in owners.values() for t in ts])
+    if horizon is None:
+        horizon = 2 * max(1, len(g.edges))
+    for (vid, cls), ts in owners.items():
+        for p in explore(orc, vid, cls, max_steps=horizon).placements:
+            for other in owners.get((p.vertex, p.cls), ()):
+                classes.union(ts[0], other)
+    return sorted(_descriptor(g, members) for members in classes.classes().values())
+
+
+@given(reducible_graphs())
+@settings(max_examples=100, deadline=None)
+def test_orbit_skip_matches_every_start(g):
+    """Short horizons cut walks, and a cut walk must not cover its orbit."""
+    r = complete_reduce(g)
+    for horizon in (None, 1, 2):
+        assert comm_classes(r, horizon) == _comm_classes_every_start(r, horizon)
+
+
+@pytest.mark.parametrize("name", ["heis", "nonex"])
+@pytest.mark.parametrize("horizon", [None, 1, 2])
+def test_orbit_skip_matches_every_start_on_tables(graph, name, horizon):
+    r = complete_reduce(graph(name))
+    assert comm_classes(r, horizon) == _comm_classes_every_start(r, horizon)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_comm_classes_walks_each_abelian_orbit_once(monkeypatch, k):
+    """A path of k rank-1 vertices joined by index-2 edges: every vertex and
+    edge sits in one finite orbit, based at k placements, and one walk
+    covers it.  In table mode every distinct placement is still walked."""
+    import gogkit.reduce as reduce_mod
+    g = abelian_graph([(f"v{i}", 1) for i in range(k)],
+                      [(f"e{i}", 1, (f"v{i}", [[2]]), (f"v{i + 1}", [[2]]))
+                       for i in range(k - 1)])
+    walks = []
+
+    def counted(orc, vid, cls, **kw):
+        walks.append(vid)
+        return explore(orc, vid, cls, **kw)
+
+    monkeypatch.setattr(reduce_mod, "explore", counted)
+    assert comm_classes(g) == [("rank", 1)]
+    assert walks == ["v0"]
+
+
+def test_cut_walks_cover_no_orbit():
+    """A path v0 - v1 - v2 - v3, declared v0, v3, v1, v2, at horizon 1: the
+    cut walks from v0 and v3 reach v1 and v2, whose own walks alone join
+    the two halves, so neither may be skipped."""
+    g = abelian_graph([(f"v{i}", 1) for i in (0, 3, 1, 2)],
+                      [(f"e{i}", 1, (f"v{i}", [[2]]), (f"v{i + 1}", [[2]])) for i in range(3)])
+    assert comm_classes(g, 1) == _comm_classes_every_start(g, 1) == [("rank", 1)]
+
+
+def test_comm_classes_walks_every_table_placement(graph, monkeypatch):
+    import gogkit.reduce as reduce_mod
+    g = graph("nonex")
+    orc = g.oracle()
+    starts = {(v.id, orc.top_class(v.id)) for v in g.vertices} | {
+        (e.ends[i].vertex, orc.class_of(e.id, i)) for e in g.edges for i in (0, 1)}
+    walks = []
+
+    def counted(orc, vid, cls, **kw):
+        walks.append((vid, cls))
+        return explore(orc, vid, cls, **kw)
+
+    monkeypatch.setattr(reduce_mod, "explore", counted)
+    comm_classes(g)
+    assert sorted(walks) == sorted(starts)
