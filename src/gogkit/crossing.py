@@ -150,10 +150,10 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     else:
         put(2, "pass", f"{len(rafts0)} depth-zero rafts")
 
-    vertex_ids = set(work.vertex_ids())
     if g.oracle_mode == "abelian":
         put(3, "pass", "rank-n abelian vertex groups are coarse PD(n)")
     else:
+        vertex_ids = set(work.vertex_ids())
         raft_vertices = sorted(
             m for r in rafts0 for m in r.core if m in vertex_ids)
         flags = work.table.pd_flags if work.table else {}
@@ -170,8 +170,8 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     if g.oracle_mode != "abelian":
         put(4, "unknown", "crossing graphs are not supported for the table oracle")
     else:
-        graphs = [_crossing_at(work, r.core[0]) for r in rafts0    # known rafts: no guard
-                  if len(r.core) == 1 and r.core[0] in vertex_ids]
+        # A one-member core is a lone vertex; the rafts are known, so no guard.
+        graphs = [_crossing_at(work, r.core[0]) for r in rafts0 if len(r.core) == 1]
         bad = next((cg for cg in graphs if cg.verdict == "disconnected"), None)
         if bad is not None:
             put(4, "fail", f"disconnected at {bad.vertex}; "

@@ -12,6 +12,8 @@ placements its flotilla walk meets, compares each pair of distinct classes
 at a vertex once, and groups survivors filed under one class or equivalent
 classes into rafts with the level's one union-find.  A raft holds the
 previous level's `Flotilla` records it absorbs, not copies of their members.
+Level 0's flotillas are its rafts' cores: each depth-zero raft is one
+component of the depth-0 subgraph, and the rafts come in least-vertex order.
 
 A graph of finitely generated abelian groups never gets an Infinite verdict:
 a strict coarse inclusion of abelian subgroups drops rank, so chains are
@@ -146,14 +148,6 @@ def raft_kind(g, raft: Raft) -> str:
     return "line"
 
 
-def _flotilla_components(g, depth, level):
-    """Components of the subgraph of orbits with depth <= level."""
-    vs = [v.id for v in g.vertices if v.id in depth and depth[v.id] <= level]
-    es = [e for e in g.edges if e.id in depth and depth[e.id] <= level]
-    return [Flotilla(level, tuple(sorted(vids + eids)))
-            for vids, eids in _components(vs, es)]
-
-
 def _self_strict_scan(g, orc, horizon):
     """Look for an edge class strictly comparable to a translate of itself.
 
@@ -263,7 +257,7 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
             {}, Verdict("infinite", witness=_no_raft_witness(g, orc), horizon=horizon), ())
 
     depth = {m: 0 for r in rafts0 for m in r.core}
-    flotillas = _flotilla_components(g, depth, 0)
+    flotillas = [Flotilla(0, r.core) for r in rafts0]    # each raft is one depth-0 component
     levels = [Level(0, tuple(rafts0), tuple(flotillas))]
 
     n = 0
@@ -341,7 +335,9 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
                                   tuple(flotillas[fi] for fi in sorted(fis))))
         new_rafts += [Raft(n, (), (flotillas[fi],)) for fi in sorted(unabsorbed)]
 
-        flotillas = _flotilla_components(g, depth, n)
+        # Every assigned orbit has depth <= n: the level's flotillas are their components.
+        flotillas = [Flotilla(n, tuple(sorted(vids + eids))) for vids, eids in _components(
+            [v.id for v in g.vertices if v.id in depth], [e for e in g.edges if e.id in depth])]
         levels.append(Level(n, tuple(new_rafts), tuple(flotillas)))
 
     for v in g.vertices:

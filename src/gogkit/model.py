@@ -20,6 +20,8 @@ matrix caches its own column span and determinant the same way, so
 `validate`'s injectivity check, the oracle's end classes and indices, and
 every graph `collapse` returns with that matrix share one elimination and
 one determinant; the abelian oracle itself caches only transport results.
+`validate` builds the declared vertex-id set once, and checks a table
+graph's transport against the preorder of that graph's own `TableOracle`.
 
 Loading reads every field of both oracle modes through one typed reader:
 `typed(x, kind, where)` returns a value of its declared JSON type (an exact
@@ -177,11 +179,8 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-def _connected(g: GraphOfGroups) -> bool:
-    """Whether the edges join every declared vertex; a dangling id joins nothing."""
-    if not g.vertices:
-        return False
-    declared = set(g.vertex_ids())
+def _connected(g: GraphOfGroups, declared) -> bool:
+    """Whether the edges join every `declared` vertex of a nonempty graph; a dangling id joins nothing."""
     seen = {g.vertices[0].id}
     frontier = [g.vertices[0].id]
     while frontier:
@@ -193,14 +192,13 @@ def _connected(g: GraphOfGroups) -> bool:
     return len(seen) == len(g.vertices)
 
 
-def _validate_table(g: GraphOfGroups, bad):
+def _validate_table(g: GraphOfGroups, vids, bad):
     t = g.table
     if t is None:
         bad("table oracle selected but no table data present")
         return
-    vids = set(g.vertex_ids())
+    leq = g.oracle().leq
     labels_at = {vid: set(t.labels.get(vid, ())) for vid in vids}
-    order_at = {vid: set(t.order.get(vid, ())) for vid in vids}
     for vid in vids:
         if not labels_at[vid]:
             bad(f"vertex {vid}: no class labels declared")
@@ -209,7 +207,7 @@ def _validate_table(g: GraphOfGroups, bad):
         top = t.top.get(vid)
         if top not in labels:
             bad(f"vertex {vid}: top class {top!r} not among its labels")
-        pairs = order_at[vid]
+        pairs = set(t.order.get(vid, ()))
         for (a, b) in pairs:
             if a not in labels or b not in labels:
                 bad(f"vertex {vid}: order pair ({a},{b}) uses undeclared labels")
@@ -222,9 +220,6 @@ def _validate_table(g: GraphOfGroups, bad):
         for lab in labels:
             if top in labels and (lab, top) not in rel:
                 bad(f"vertex {vid}: label {lab} not below the top class")
-
-    def leq(vid, a, b):
-        return a == b or (a, b) in order_at[vid]
 
     for e in g.edges:
         idx = t.indices.get(e.id)
@@ -324,10 +319,10 @@ def validate(g: GraphOfGroups) -> ValidationReport:
                 if rank != e.rank:
                     bad(f"edge {e.id} end {i}: non-injective edge map "
                         f"(rank {rank} < {e.rank})")
-    if g.vertices and not _connected(g):
+    if g.vertices and not _connected(g, vid_set):
         bad("underlying graph is not connected")
     if g.oracle_mode == "table":
-        _validate_table(g, bad)
+        _validate_table(g, vid_set, bad)
     elif g.oracle_mode != "abelian":
         bad(f"unknown oracle mode {g.oracle_mode!r}")
     return ValidationReport(tuple(out))

@@ -13,7 +13,7 @@ quotient-level algorithms are checked.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 from .exactlin import RatMatrix, RationalSubspace, contains, full_space
@@ -187,6 +187,8 @@ class TreeBall(_Ball):
     nodes or edges, rebuilds it from the addresses.
     """
 
+    __slots__ = ()
+
     def __new__(cls, root_vertex, radius, branch_cap, nodes, edges, parent_ids=None):
         if parent_ids is None:
             ids = {a: k for k, a in enumerate(nodes)}
@@ -204,21 +206,6 @@ class TreeBall(_Ball):
         if "nodes" in changes or "edges" in changes:
             changes.setdefault("parent_ids", None)
         return super()._replace(**changes)
-
-    def node(self, address) -> BallNode:
-        return self.nodes[address]
-
-    @cached_property
-    def _children(self):
-        """Node address -> child addresses in sorted order, read off the parent ids."""
-        addresses = list(self.nodes)
-        out = {}
-        for k, parent in enumerate(self.parent_ids[1:], 1):
-            out.setdefault(addresses[parent], []).append(addresses[k])
-        return {a: sorted(kids) for a, kids in out.items()}
-
-    def children(self, address):
-        return list(self._children.get(address, ()))
 
 
 def build_ball(g, root: str, radius: int, branch_cap: int = 3) -> TreeBall:

@@ -108,9 +108,9 @@ def test_criterion_5_bushy_raft_valence():
         (raft,) = depth_zero_rafts(g)
         assert raft_kind(g, raft) == "bushy"
         ball = build_ball(g, "v", 1)
-        root = ball.node(())
+        root = ball.nodes[()]
         assert root.true_valence == 4
-        assert len(ball.children(())) == 4
+        assert sum(e.parent == () for e in ball.edges) == 4
         expected = sum(brute_coset_count(end.matrix.int_rows())
                        for e in g.edges for end in e.ends)
         assert expected == 4 == root.true_valence

@@ -15,9 +15,8 @@ import pytest
 from gogkit import dump_graph
 from gogkit.cli import build_parser, main
 
-from conftest import CLASS_STALL, FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, fixture_path
-from test_depth import _star_graph
-from test_treeball import _mixed_rank_graph
+from conftest import (CLASS_STALL, FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, _mixed_rank_graph,
+                      _star_graph, fixture_path)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"

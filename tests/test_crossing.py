@@ -17,8 +17,7 @@ from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors,
                              zero_space)
 from gogkit.oracle import UnsupportedOracle
 
-from conftest import fixture_path
-from test_treeball import _mixed_rank_graph
+from conftest import _mixed_rank_graph, fixture_path
 
 
 def test_two_spanning_hyperplanes_connected(graph):

@@ -7,7 +7,7 @@ from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, depth_filtrati
 from gogkit.depth import MustReduceFirst, Raft, WrongRaftLevel
 from gogkit.exactlin import RatMatrix
 
-from conftest import NO_RAFT_TABLE
+from conftest import NO_RAFT_TABLE, _random_irreducible_graph, _star_graph
 
 
 def members(raft):
@@ -126,46 +126,6 @@ def test_rafts_are_disjoint_and_cover_ff_edges(graph):
         for e in g.edges:
             if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1):
                 assert sum(e.id in members(r) for r in rafts) == 1
-
-
-def _random_injective(rng, rows, cols):
-    for _ in range(60):
-        m = RatMatrix.from_rows(
-            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
-        if m.rank() == cols:
-            return m
-    return None
-
-
-def _random_irreducible_graph(rng):
-    nv = rng.randint(1, 3)
-    ranks = [rng.randint(1, 3) for _ in range(nv)]
-    vertices = tuple(VertexSpec(f"v{i}", ranks[i]) for i in range(nv))
-    edges = []
-    for k in range(rng.randint(1, 2)):
-        if k < nv - 1:
-            a, b = k, k + 1
-        elif nv == 1:
-            a = b = 0
-        else:
-            a, b = rng.randrange(nv), rng.randrange(nv)
-        r = rng.randint(1, min(ranks[a], ranks[b]))
-        ma = _random_injective(rng, ranks[a], r)
-        mb = _random_injective(rng, ranks[b], r)
-        if ma is None or mb is None:
-            return None
-        if a != b:
-            for m, rk in ((ma, ranks[a]), (mb, ranks[b])):
-                if r == rk and abs(m.det()) == 1:
-                    return None   # reducible
-        edges.append(EdgeSpec(f"e{k}", r,
-                              (EdgeEnd(f"v{a}", ma), EdgeEnd(f"v{b}", mb))))
-    if len(edges) < nv - 1:
-        return None
-    g = GraphOfGroups(vertices, tuple(edges))
-    if not validate(g).ok or reducible_edges(g):
-        return None
-    return g
 
 
 def test_filtration_matches_ball_chains_on_random_graphs():
@@ -613,23 +573,6 @@ GRAPH_FIXTURES = ("arc3", "arc4", "bs22", "f2xz", "heis", "nonex", "shear_unknow
                   "z2hnn")
 
 
-def _star_graph(m):
-    """A rank-3 hub with an identity loop, and m rank-1 leaves on distinct lines of it.
-
-    The hub and its loop are the one depth-zero raft and flotilla.  Each spoke
-    is its own class at the hub, so m level-1 rafts absorb that one flotilla.
-    """
-    from gogkit import graph_from_dict
-
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    edges = [{"id": "loop", "rank": 3, "ends": [{"vertex": "hub", "matrix": eye}] * 2}]
-    edges += [{"id": f"spoke{k}", "rank": 1,
-               "ends": [{"vertex": "hub", "matrix": [[1], [k], [k * k]]},
-                        {"vertex": f"leaf{k}", "matrix": [[2]]}]} for k in range(m)]
-    vertices = [{"id": "hub", "rank": 3}] + [{"id": f"leaf{k}", "rank": 1} for k in range(m)]
-    return graph_from_dict({"oracle": "abelian", "vertices": vertices, "edges": edges})
-
-
 def _components_up_to(g, depth, n):
     """Member sets of the components of the orbits of depth <= n, by a plain search."""
     vs = {v for v in g.vertex_ids() if depth.get(v, n + 1) <= n}
@@ -655,10 +598,12 @@ def _components_up_to(g, depth, n):
 def test_rafts_point_at_the_flotillas_they_absorb(graph):
     """Each raft holds the previous level's own `Flotilla` records, in index order.
 
-    Recomputed from the depths alone: a raft with a core absorbs the
-    components of the previous level that its core edges end in, a raft with
-    an empty core is one component no other raft absorbs, and `members` is
-    the core together with the members of the absorbed components.
+    Recomputed from the depths alone: every level's flotillas, the last
+    level's included, are the components of the orbits of depth at most the
+    level, in least-vertex order; a raft with a core absorbs the components
+    of the previous level that its core edges end in, a raft with an empty
+    core is one component no other raft absorbs, and `members` is the core
+    together with the members of the absorbed components.
     """
     import random
 
@@ -679,9 +624,14 @@ def test_rafts_point_at_the_flotillas_they_absorb(graph):
         da = depth_filtration(g)
         edge_ids = set(g.edge_ids())
         assert all(r.absorbed == () for r in (da.levels[0].rafts if da.levels else ()))
+        comps_at = {}
+        for level in da.levels:    # the last level's flotillas too, level 0's on depth-0 graphs
+            comps_at[level.level] = comps = _components_up_to(g, da.depth, level.level)
+            assert sorted(map(sorted, comps)) == sorted(list(f.members) for f in level.flotillas)
+            least = [min(m for m in f.members if m not in edge_ids) for f in level.flotillas]
+            assert least == sorted(least)
         for prev, level in zip(da.levels, da.levels[1:]):
-            comps = _components_up_to(g, da.depth, prev.level)
-            assert sorted(map(sorted, comps)) == sorted(list(f.members) for f in prev.flotillas)
+            comps = comps_at[prev.level]
             cored = set()
             for raft in level.rafts:
                 assert all(f in prev.flotillas for f in raft.absorbed)
