@@ -14,7 +14,6 @@ no seed exists to set or print and reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -22,7 +21,8 @@ from .crossing import WrongVertex, check_hypotheses, crossing_graph
 from .depth import MustReduceFirst, depth_filtration, depth_zero_rafts
 from .exactlin import DimensionMismatch, canonicalize
 from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, graph_to_dict,
-                    int_rows, load_graph, read_json, typed, validate, write_text)
+                    int_rows, load_graph, read_json, render_json, typed, validate,
+                    write_text)
 from .oracle import UnsupportedOracle
 from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     try:
         code, lines, payload = args.run(args)
         if args.format == "json":
-            body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            body = render_json(payload) + "\n"
         else:
             body = "\n".join(lines) + "\n"
         if args.output:

@@ -8,9 +8,13 @@ oracle algorithm: collapse the current flotillas to fat vertices, defer every
 incident edge whose class is strictly below another incident class, and give
 the survivors (and the positive-depth vertices coarsely equivalent to them)
 the next depth.  Each level files every edge end under the (vertex, class)
-placements its flotilla walk meets, compares each pair of distinct classes
-at a vertex once, and groups survivors filed under one class or equivalent
-classes into rafts with the level's one union-find.  A raft holds the
+placements its flotilla walk meets, compares the distinct classes at each
+vertex, and groups survivors filed under one class or equivalent classes
+into rafts with the level's one union-find.  In abelian mode the classes at
+a vertex are filed by dimension and a span is tested only against larger
+ones; table mode compares each pair of classes once.  A level makes at most
+MAX_COMPARISONS comparisons: past that, the remaining pairs count as not
+compared, the level goes on, and the verdict becomes Unknown.  A raft holds the
 previous level's `Flotilla` records it absorbs, not copies of their members.
 Level 0's flotillas are its rafts' cores: each depth-zero raft is one
 component of the depth-0 subgraph, and the rafts come in least-vertex order.
@@ -21,12 +25,14 @@ bounded.  Table-mode graphs can be Infinite (an edge class strictly inside a
 translate of itself); abelian transport keeps dimension, so the scan for such
 a self-comparison runs for the table oracle only.  Either mode can come back
 Unknown when a bounded transport walk (in abelian mode, a flotilla reach walk)
-was cut while new classes were still appearing.
+was cut while new classes were still appearing, or when a level ran out of
+comparisons.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import mul
 from typing import NamedTuple
 
 from .oracle import Placement, explore
@@ -198,33 +204,84 @@ def _no_raft_witness(g, orc):
     return tuple(steps)
 
 
-def _compare_classes(orc, buckets):
-    """Compare each pair of distinct classes at a vertex once, bar pairs one item alone reaches.
+MAX_COMPARISONS = 10 ** 6   # class comparisons one level may make
+
+
+def _compare_classes(orc, buckets, counts=None):
+    """Compare distinct classes at each vertex, bar pairs one item alone reaches.
 
     `buckets` maps a vertex to {class: [(edge id, end) items reaching it]}.
     An item under a strictly lower class is deferred by any other item under
     the higher one, the other end of its own edge included.  Returns `below`
     (edge id -> lower class, higher class, dominating edge id, first found)
     and the item groups to join: each bucket, and each equivalent pair.
+    A level makes at most MAX_COMPARISONS comparisons; the pairs left after
+    that count as not compared.  `counts`, when given, receives the number
+    made ("comparisons") and whether pairs were left ("cut").
     """
     below, joins = {}, []
+    left = MAX_COMPARISONS
+    compare = _compare_spans if orc.g.oracle_mode == "abelian" else _compare_labels
     for z, by_cls in buckets.items():
         joins += [items for items in by_cls.values() if len(items) > 1]
-        groups = {}    # classes one item alone reaches can neither defer nor join each other
-        for c, items in by_cls.items():
-            groups.setdefault(items[0] if len(items) == 1 else (c,), []).append(c)
-        for lo, hi in (p for g, h in combinations(groups.values(), 2) for p in product(g, h)):
-            if orc.strictly_less(z, hi, lo):
-                lo, hi = hi, lo
-            elif not orc.strictly_less(z, lo, hi):
-                if orc.equivalent(z, lo, hi):
-                    joins.append(by_cls[lo] + by_cls[hi])
-                continue
-            for x in by_cls[lo]:
-                y = next((y for y in by_cls[hi] if y != x), None)
-                if y is not None:
-                    below.setdefault(x[0], (lo, hi, y[0]))
+        if left >= 0:
+            left = compare(orc, z, by_cls, below, joins, left)
+    if counts is not None:
+        counts["comparisons"], counts["cut"] = MAX_COMPARISONS - max(left, 0), left < 0
     return below, joins
+
+
+def _defer(below, by_cls, lo, hi):
+    """Defer each item under class lo by another item under the higher class hi."""
+    for x in by_cls[lo]:
+        y = next((y for y in by_cls[hi] if y != x), None)
+        if y is not None:
+            below.setdefault(x[0], (lo, hi, y[0]))
+
+
+def _compare_labels(orc, z, by_cls, below, joins, left):
+    """Compare each pair of distinct classes at z once, through the oracle's
+    preorder; returns the budget left, or -1 when pairs were left over."""
+    groups = {}    # classes one item alone reaches can neither defer nor join each other
+    for c, items in by_cls.items():
+        groups.setdefault(items[0] if len(items) == 1 else (c,), []).append(c)
+    for lo, hi in (p for g, h in combinations(groups.values(), 2) for p in product(g, h)):
+        if not left:
+            return -1
+        left -= 1
+        if orc.strictly_less(z, hi, lo):
+            lo, hi = hi, lo
+        elif not orc.strictly_less(z, lo, hi):
+            if orc.equivalent(z, lo, hi):
+                joins.append(by_cls[lo] + by_cls[hi])
+            continue
+        _defer(below, by_cls, lo, hi)
+    return left
+
+
+def _compare_spans(orc, z, by_cls, below, joins, left):
+    """Test each span at z against the larger ones, largest first, by the
+    larger span's cached normals, until every item under it is deferred;
+    returns the budget left, or -1.  Distinct spans of one dimension are
+    never comparable, and no item reaches two spans of different dimension,
+    since transport keeps dimension."""
+    by_dim = {}
+    for c in by_cls:
+        by_dim.setdefault(c.dim, []).append(c)
+    dims = sorted(by_dim, reverse=True)
+    for k in range(1, len(dims)):
+        higher = [hi for d in dims[:k] for hi in by_dim[d]]
+        for lo in by_dim[dims[k]]:
+            items = by_cls[lo]
+            for hi in higher:
+                if all(x[0] in below for x in items):
+                    break
+                if not left:
+                    return -1
+                left -= 1
+                if not any(sum(map(mul, u, row)) for u in hi._normals for row in lo.basis):
+                    _defer(below, by_cls, lo, hi)
+    return left
 
 
 def _refuse_reducible(g):
@@ -286,7 +343,9 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
                 for p in spots:
                     buckets.setdefault(p.vertex, {}).setdefault(p.cls, []).append((e.id, i))
 
-        below, joins = _compare_classes(orc, buckets)
+        counts = {}
+        below, joins = _compare_classes(orc, buckets, counts)
+        truncated = truncated or counts["cut"]
         survivors = [e.id for e in unassigned_edges if e.id not in below]
         if not survivors:
             # Every remaining edge is strictly below another: the strictness

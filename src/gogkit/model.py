@@ -32,6 +32,10 @@ adds the two-element check of ends, order pairs, transport maps and index
 pairs.  A missing field reads as null, so it is named by its path the same
 way.  Checked integer rows are already a matrix in lowest terms over
 denominator 1, so each edge matrix is built from them directly.
+
+Every report and graph file is written by one renderer: `render_json(doc)`
+returns exactly `json.dumps(doc, indent=2, sort_keys=True)`, without the
+pure-Python generators that an indented `json.dumps` runs.
 """
 
 from __future__ import annotations
@@ -490,5 +494,58 @@ def write_text(path, body):
         raise GraphLoadError(f"cannot write {path}: {e}") from e
 
 
+_escape = json.encoder.encode_basestring_ascii    # the string encoder json.dumps uses
+
+
+def render_json(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, built without its generators.
+
+    Exact `str`, `int`, `bool`, `None`, `list`, `tuple` and `str`-keyed `dict`
+    values are written directly into one list of pieces; any other value
+    (floats, subclasses, dicts with other keys) is handed to `json.dumps`
+    itself and indented to its place, so the output is always equal.
+    """
+    out = []
+    _render(doc, out, "\n")
+    return "".join(out)
+
+
+def _render(x, out, nl):
+    """Append the pieces of `x` at the indentation `nl` (a newline and spaces) to `out`."""
+    t = type(x)
+    if t is str:
+        out.append(_escape(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None:
+        out.append("null")
+    elif x is True or x is False:
+        out.append("true" if x else "false")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        head = "[" + inner
+        for v in x:
+            out.append(head)
+            _render(v, out, inner)
+            head = "," + inner
+        out.append(nl + "]")
+    elif t is dict and all(type(k) is str for k in x):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for k in sorted(x):
+            out.append(head + _escape(k) + ": ")
+            _render(x[k], out, inner)
+            head = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+
+
 def dump_graph(g: GraphOfGroups, path):
-    write_text(path, json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n")
+    write_text(path, render_json(graph_to_dict(g)) + "\n")

@@ -30,6 +30,16 @@ between the two end classes and canonical forms are unique, so this is
 exactly what the reverse `contains` and `carry` would compute, and a walk
 that tries the arc back (every `explore` does) pays one `carry` per pair.
 Table transports are not cached this way; their arcs can be one-way.
+
+`explore` asks its oracle for the arcs at a vertex (`arcs`) and for the
+ones a class crosses (`crossings`).  The abelian oracle builds, once per
+vertex, an arc table of (edge, entered end, end class, its dimension,
+opposite end class), and settles most arcs from it without a call: an end
+class of lower dimension, or of equal dimension and another span, refuses
+the class, and an equal one hands over its opposite end class.  Only a
+larger end class, or one from another ambient space (where `transport`
+raises), goes through `transport`.  The table oracle asks `transport` on
+every arc.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ class AbelianOracle:
     def __init__(self, g: GraphOfGroups):
         self.g = g
         self._moved = {}
+        self._arcs = {}
 
     def top_class(self, vid: str) -> RationalSubspace:
         return full_space(self.g.vertex(vid).rank)
@@ -94,6 +105,31 @@ class AbelianOracle:
         self._moved[key] = moved
         return moved
 
+    def arcs(self, vid: str):
+        """The arc table of a vertex: (edge, entered end, end class, its dimension,
+        opposite end class) for each incident edge end, in `ends_at` order."""
+        table = self._arcs.get(vid)
+        if table is None:
+            table = self._arcs[vid] = [
+                (e, i, end, end.dim, e.ends[1 - i].matrix.column_span())
+                for (e, i) in self.g.ends_at(vid) for end in (e.ends[i].matrix.column_span(),)]
+        return table
+
+    def crossings(self, arcs, cls: RationalSubspace):
+        """(edge, entered end, moved class) for each of `arcs` that cls crosses,
+        in order; only a larger end class, or one from another ambient space,
+        is asked through `transport`."""
+        out = []
+        dim, ambient = cls.dim, cls.ambient_dim
+        for (e, i, end, end_dim, opposite) in arcs:
+            if end_dim > dim or end.ambient_dim != ambient:
+                moved = self.transport(e.id, i, cls)
+                if moved is not None:
+                    out.append((e, i, moved))
+            elif end_dim == dim and end == cls:
+                out.append((e, i, opposite))
+        return out
+
 
 class TableOracle:
     """Classes are declared labels; order, transport and indices are tables."""
@@ -136,6 +172,19 @@ class TableOracle:
             return None
         return self.t.transport.get(eid, ({}, {}))[entered_end].get(cls)
 
+    def arcs(self, vid: str):
+        """The (edge, entered end) pairs at a vertex, in `ends_at` order."""
+        return self.g.ends_at(vid)
+
+    def crossings(self, arcs, cls: str):
+        """(edge, entered end, moved class) for each of `arcs` that cls crosses, in order."""
+        out = []
+        for (e, i) in arcs:
+            moved = self.transport(e.id, i, cls)
+            if moved is not None:
+                out.append((e, i, moved))
+        return out
+
 
 class Placement(NamedTuple):
     """A class seen at a vertex, with the transport path that produced it."""
@@ -157,8 +206,9 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
             max_steps=None) -> ExploreResult:
     """All placements reachable from (vertex, class) by class-preserving walks.
 
-    Each step is one guarded `transport`, so every step moves the
-    commensurability class by the isomorphism underlying the edge.  States
+    Each step is one guarded `transport`, or the oracle's `crossings`
+    settling it from the arc table with the same result, so every step moves
+    the commensurability class by the isomorphism underlying the edge.  States
     are deduplicated on (vertex, class); `truncated` reports that a cap
     (`max_steps` rounds or MAX_STATES states) cut the search while new states
     were still appearing, in which case the result is a lower bound.  Each
@@ -169,12 +219,12 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
     allowed = None if edge_ids is None else set(edge_ids)
     if allowed and allowed - g.edge_index.keys():
         g.edge(next(eid for eid in edge_ids if eid not in g.edge_index))   # raises UnknownId
-    arcs = {}   # vertex -> its allowed (edge, end index) pairs, in order
+    arcs = {}   # vertex -> its allowed arcs, in order
 
     def arcs_at(vid):
         if vid not in arcs:
-            arcs[vid] = [(e, i) for (e, i) in g.ends_at(vid)
-                         if allowed is None or e.id in allowed]
+            arcs[vid] = oracle.arcs(vid) if allowed is None else [
+                a for a in oracle.arcs(vid) if a[0].id in allowed]
         return arcs[vid]
 
     start = Placement(start_vertex, start_cls, ())
@@ -190,10 +240,7 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
         steps += 1
         nxt = []
         for pl in frontier:
-            for (e, i) in arcs_at(pl.vertex):
-                cls2 = oracle.transport(e.id, i, pl.cls)
-                if cls2 is None:
-                    continue
+            for (e, i, cls2) in oracle.crossings(arcs_at(pl.vertex), pl.cls):
                 dest = e.ends[1 - i].vertex
                 key = (dest, cls2)
                 if key in seen:

@@ -52,8 +52,9 @@ NO_RAFT_TABLE = {
 
 
 # Valid and irreducible, but two finite-index rank-3 loops at v1 make its flotilla
-# walks reach about 1457 classes each, so its depth filtration takes minutes at
-# the default horizon.  Its depth-zero rafts need no walk; v2 is a point raft.
+# walks reach about 1457 classes each at horizon 6, and MAX_STATES at the default
+# horizon, so its depth filtration takes seconds and ends Unknown.  Its depth-zero
+# rafts need no walk; v2 is a point raft.
 CLASS_STALL = {
     "oracle": "abelian",
     "vertices": [{"id": "v0", "rank": 2}, {"id": "v1", "rank": 3}, {"id": "v2", "rank": 1}],

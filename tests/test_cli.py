@@ -137,7 +137,7 @@ def test_crossing_walks_no_transport(capsys, monkeypatch):
 @pytest.mark.parametrize("vertex,code,needle", [("v2", 1, "disconnected"),
                                                 ("v0", 2, "not a one-vertex depth-zero raft")])
 def test_crossing_skips_a_stalling_filtration(tmp_path, vertex, code, needle):
-    """The depth filtration of CLASS_STALL runs for minutes; crossing needs none of it."""
+    """The depth filtration of CLASS_STALL walks for seconds; crossing needs none of it."""
     path = tmp_path / "stall.json"
     path.write_text(json.dumps(CLASS_STALL))
     done = subprocess.run([sys.executable, "-m", "gogkit.cli", "crossing", str(path),
@@ -145,6 +145,23 @@ def test_crossing_skips_a_stalling_filtration(tmp_path, vertex, code, needle):
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == code
     assert needle in (done.stdout if code == 1 else done.stderr)
+
+
+@pytest.mark.parametrize("command", ["depth", "check", "ball"])
+def test_class_stall_finishes_at_the_default_horizon(tmp_path, command):
+    """On CLASS_STALL two flotilla walks stop at MAX_STATES and no level may make
+    more than MAX_COMPARISONS class comparisons, so every command that runs the
+    filtration finishes: `depth` says Unknown, the others stay in the contract."""
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(CLASS_STALL))
+    done = subprocess.run([sys.executable, "-m", "gogkit.cli", command, str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    if command == "depth":
+        assert done.returncode == 4
+        assert done.stdout.startswith("verdict: Unknown(10)\n")
+    assert done.returncode in _readme_exit_codes() - {6}, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_crossing_exit_codes(capsys):

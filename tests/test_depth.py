@@ -651,3 +651,53 @@ def test_rafts_point_at_the_flotillas_they_absorb(graph):
             empty = {frozenset(r.absorbed[0].members) for r in level.rafts if not r.core}
             assert empty == set(comps) - cored
     assert absorbing >= 30
+
+
+@pytest.mark.parametrize("name, needed", [("arc3", 1), ("arc4", 2)])
+def test_comparison_budget_cuts_a_level_to_unknown(graph, monkeypatch, name, needed):
+    """A level that runs out of comparisons leaves the rest uncompared and goes on:
+    every orbit still gets a depth, and the verdict is Unknown at the horizon.
+    A budget the level exactly spends cuts nothing."""
+    from gogkit import depth
+
+    g = graph(name)
+    full = depth_filtration(g)
+    assert full.verdict.kind == "finite"
+    monkeypatch.setattr(depth, "MAX_COMPARISONS", needed)
+    assert depth_filtration(g) == full
+    monkeypatch.setattr(depth, "MAX_COMPARISONS", needed - 1)
+    cut = depth_filtration(g)
+    assert cut.verdict.render() == f"Unknown({2 * len(g.edges)})"
+    assert set(cut.depth) == set(full.depth)
+    assert max(cut.depth.values()) < max(full.depth.values())
+
+
+def test_comparison_budget_cuts_the_table_pair_loop(monkeypatch):
+    """With no comparison allowed, the two loops that are each strictly below
+    the other are not compared, so no infinite chain is found and both get depth 1."""
+    from gogkit import depth, graph_from_dict
+
+    g = graph_from_dict(MUTUALLY_BELOW_LOOPS)
+    assert depth_filtration(g).verdict.kind == "infinite"
+    monkeypatch.setattr(depth, "MAX_COMPARISONS", 0)
+    cut = depth_filtration(g)
+    assert cut.verdict.render() == "Unknown(6)"
+    assert cut.depth == {"f": 0, "v0": 0, "v1": 0, "a": 1, "b": 1}
+
+
+def test_each_level_reports_its_comparison_count(graph, monkeypatch):
+    """`_compare_classes` reports the comparisons a level made, and no cut under the budget."""
+    from gogkit import depth
+
+    seen = []
+    compare = depth._compare_classes
+
+    def counted(orc, buckets, counts=None):
+        out = compare(orc, buckets, counts)
+        seen.append(dict(counts))
+        return out
+
+    monkeypatch.setattr(depth, "_compare_classes", counted)
+    depth_filtration(graph("arc4"))
+    assert seen == [{"comparisons": 2, "cut": False}, {"comparisons": 1, "cut": False},
+                    {"comparisons": 0, "cut": False}]

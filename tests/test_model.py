@@ -1,12 +1,18 @@
 """Graph model validation and the JSON wire format."""
 
 import json
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogkit import (GraphLoadError, GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec,
                     graph_from_dict, graph_to_dict, load_graph, validate)
 from gogkit.exactlin import RatMatrix
+from gogkit.model import render_json
+
+from conftest import FIXTURES
 
 
 def test_worked_example_is_valid(graph):
@@ -204,3 +210,46 @@ def test_validate_reports_bad_graphs_without_raising():
         (EdgeSpec("e", 1, (EdgeEnd("v", one),) * 3),),
     )
     assert "edge e: must have exactly two ends" in validate(three).violations
+
+
+class _Pair(NamedTuple):
+    a: object
+    b: object
+
+
+class _Text(str):
+    pass
+
+
+_text = st.text(st.sampled_from('"\\/\n\r\t\b\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600')
+                | st.characters(), max_size=6)
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200)
+            | st.integers(-2 ** 200, -2 ** 64) | st.floats() | _text | st.builds(_Text, _text))
+
+
+def _containers(kids):
+    return (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+            | st.builds(_Pair, kids, kids)
+            | st.dictionaries(_text, kids, max_size=4)
+            | st.dictionaries(st.integers(-3, 3) | st.booleans(), kids, max_size=4))
+
+
+@given(st.recursive(_scalars, _containers, max_leaves=24))
+@settings(max_examples=300, deadline=None)
+def test_render_json_equals_the_indented_sorted_dump(doc):
+    """Escapes, big ints, floats with nan and inf, tuples, empty containers,
+    subclasses and int or bool keys all render as json.dumps renders them."""
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "heis", "nonex",
+                                  "shear_unknown", "thm14", "z2hnn"])
+def test_reduce_output_graph_is_the_indented_sorted_dump(tmp_path, capsys, name):
+    from gogkit import complete_reduce
+    from gogkit.cli import main
+
+    out = tmp_path / "reduced.json"
+    assert main(["reduce", str(FIXTURES / f"{name}.json"), "-o", str(out)]) == 0
+    reduced = complete_reduce(load_graph(FIXTURES / f"{name}.json"))
+    assert out.read_text(encoding="utf-8") == \
+        json.dumps(graph_to_dict(reduced), indent=2, sort_keys=True) + "\n"

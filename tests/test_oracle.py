@@ -319,6 +319,8 @@ def test_transport_rejects_a_class_from_another_ambient(graph, cls):
     orc = graph("arc3").oracle()   # e's end classes live in Q^3
     with pytest.raises(DimensionMismatch):
         orc.transport("e", 0, cls)
+    with pytest.raises(DimensionMismatch):     # the arc table asks transport too
+        explore(orc, "u", cls)
 
 
 def test_table_transport_refuses_classes_above_the_end_class():
@@ -393,6 +395,76 @@ def test_explore_matches_edge_scan(graph, name):
                 _explore_by_scan(orc, vid, cls, edge_ids, 4)
 
 
+def _explore_by_transport(orc, vid, cls, edge_ids, max_steps):
+    """`explore` without the arc table: a breadth-first walk that asks
+    `transport` on every allowed arc of every state."""
+    allowed = None if edge_ids is None else set(edge_ids)
+    start = oracle.Placement(vid, cls, ())
+    out, seen, frontier, steps, truncated = [start], {(vid, cls)}, [start], 0, False
+    while frontier:
+        if max_steps is not None and steps >= max_steps:
+            truncated = True
+            break
+        steps += 1
+        nxt = []
+        for pl in frontier:
+            for (e, i) in orc.g.ends_at(pl.vertex):
+                if allowed is not None and e.id not in allowed:
+                    continue
+                moved = orc.transport(e.id, i, pl.cls)
+                key = (e.ends[1 - i].vertex, moved)
+                if moved is None or key in seen:
+                    continue
+                if len(seen) >= oracle.MAX_STATES:
+                    truncated = True
+                    continue
+                seen.add(key)
+                nxt.append(oracle.Placement(*key, pl.path + ((e.id, i),)))
+        out += nxt
+        frontier = nxt
+    return oracle.ExploreResult(tuple(out), truncated)
+
+
+def _arc_table_cases():
+    """(graph, horizons) params, named: every valid abelian fixture, CLASS_STALL
+    and seeded `_mixed_rank_graph` draws."""
+    import json
+    import random
+
+    from conftest import CLASS_STALL, FIXTURES, _mixed_rank_graph
+
+    cases = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "vertices" in doc and doc.get("oracle", "abelian") == "abelian":
+            cases.append((path.stem, graph_from_dict(doc), None))
+    cases.append(("class_stall", graph_from_dict(CLASS_STALL), (1, 2, 3)))
+    rng = random.Random(4101)
+    for k in range(60):
+        g = _mixed_rank_graph(rng)
+        if g is not None:
+            cases.append((f"mixed{k}", g, None))
+    return [pytest.param(g, horizons or (1, 2, 2 * max(1, len(g.edges))), id=label)
+            for label, g, horizons in cases if validate(g).ok]
+
+
+@pytest.mark.parametrize("g, horizons", _arc_table_cases())
+def test_explore_matches_a_walk_that_transports_every_arc(g, horizons):
+    """The arc table's shortcuts change nothing: placements in order, their paths
+    and `truncated` all equal a walk that calls `transport` on every arc."""
+    ids = sorted(g.edge_ids())
+    starts = []
+    for vid, cls in spans_at(g, g.oracle()):
+        starts += [(vid, cls)] + [(vid, canonicalize([b], cls.ambient_dim)) for b in cls.basis]
+    for max_steps in horizons:
+        for edge_ids in (None, ids[::2], ids[1:]):
+            for vid, cls in starts:
+                got = explore(oracle.AbelianOracle(g), vid, cls, edge_ids=edge_ids,
+                              max_steps=max_steps)
+                assert got == _explore_by_transport(oracle.AbelianOracle(g), vid, cls,
+                                                    edge_ids, max_steps), (vid, cls, edge_ids)
+
+
 def test_explore_rejects_unknown_edge_ids(graph):
     orc = graph("arc3").oracle()
     with pytest.raises(KeyError, match="no edge 'nope'"):
@@ -404,14 +476,14 @@ def test_explore_rejects_unknown_edge_ids(graph):
 
 @pytest.mark.parametrize("name", ["arc4", "bs22", "thm14"])
 def test_explore_edge_lookups_do_not_grow_with_the_pool(graph, monkeypatch, name):
+    """An abelian walk reads its arcs off the oracle's arc table: one `ends_at`
+    per vertex, however long the pool, and no `edge` lookup at all."""
     calls = []
-    lookup = GraphOfGroups.edge
-
-    def counted(self, eid):
-        calls.append(eid)
-        return lookup(self, eid)
-
-    monkeypatch.setattr(GraphOfGroups, "edge", counted)
+    for method in ("edge", "ends_at"):
+        def counted(self, key, _lookup=getattr(GraphOfGroups, method), _name=method):
+            calls.append(_name)
+            return _lookup(self, key)
+        monkeypatch.setattr(GraphOfGroups, method, counted)
     counts = []
     for copies in (None, 1, 50):
         g = graph(name)     # a fresh graph, so the oracle's caches start cold
@@ -419,8 +491,9 @@ def test_explore_edge_lookups_do_not_grow_with_the_pool(graph, monkeypatch, name
         pool = None if copies is None else g.edge_ids() * copies
         calls.clear()
         res = explore(g.oracle(), g.vertex_ids()[0], cls, edge_ids=pool, max_steps=4)
-        counts.append((len(calls), res))
+        counts.append((calls.count("ends_at"), calls.count("edge"), res))
     assert counts[0][0] > 0
+    assert counts[0][1] == 0
     assert counts[0] == counts[1] == counts[2]
 
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("argv", [
@@ -37,3 +38,24 @@ def test_report_digests_past_fixture_size(argv, last):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == last
+
+
+def test_ab_pairs_runs_a_commit_against_itself():
+    """One pair of one-second runs of HEAD against HEAD: a summary line per
+    end-to-end metric, and nothing left behind in the repository."""
+    if not (ROOT / ".git").exists():
+        pytest.skip("needs a git checkout to archive commits from")
+    before = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--ignored"],
+                            capture_output=True, text=True, check=True).stdout
+    done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "HEAD", "HEAD",
+                           "--workload", "ball-compare", "--seed", "1", "--pairs", "1",
+                           "--seconds", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pair 1 parent: failed/attempted ")
+    assert lines[1].startswith("pair 1 change: failed/attempted ")
+    assert [line.split()[0] for line in lines[3:]] == [
+        "setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb", "scaling_exp"]
+    assert all("change wins " in line for line in lines[3:])
+    assert subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--ignored"],
+                          capture_output=True, text=True, check=True).stdout == before
