@@ -9,8 +9,13 @@ hashing are plain tuple operations.
 A matrix is integer rows over one positive denominator, and caches its column
 span, determinant and left inverse.  Everything is exact and runs on Python
 ints: one fraction-free Gauss-Jordan elimination (`_echelon`) serves
-canonical forms, kernels and inverses, and determinants use Bareiss's
-integer-preserving elimination.  Each subspace caches its integer normals on
+canonical forms and kernels, and determinants use Bareiss's
+integer-preserving elimination.  The small shapes of edge maps have closed
+forms, chosen by size, with `_echelon` as their fallback and test reference:
+the span of one column is its primitive self and of two independent columns
+two cross-multiplied rows (`_small_span`), a square with a nonzero
+determinant spans the whole space, and an inverse up to 3x3 is the adjugate
+over the determinant.  Each subspace caches its integer normals on
 first use: containment is dot products with them, and intersection and
 preimage are kernels of them (stacked, or pulled back through the matrix).
 `carry` moves a span across an injective map with two small matrix-vector
@@ -147,6 +152,35 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> RationalSubspace:
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
     return RationalSubspace(ambient_dim, tuple(_echelon(vectors)[0]))
+
+
+def _small_span(vectors, n: int) -> RationalSubspace:
+    """canonicalize(vectors, n) for integer vectors, in closed form when there
+    are one or two independent ones.
+
+    One vector spans its primitive self.  For two, u and v: c1 is the first
+    row where either is nonzero, and w = v[c1] u - u[c1] v vanishes there;
+    its first nonzero entry c2 is the second pivot.  b, the vector nonzero at
+    c1, less a multiple of w that clears c2, is the first row.  No c2 means
+    dependent vectors, which go to `canonicalize` as every other input does.
+    """
+    if len(vectors) == 1:
+        u = vectors[0]
+        return RationalSubspace(n, (_primitive(u),) if any(u) else ())
+    if len(vectors) == 2:
+        u, v = vectors
+        for c1 in range(n):
+            if u[c1] or v[c1]:
+                w = [v[c1] * x - u[c1] * y for x, y in zip(u, v)]
+                for c2 in range(c1 + 1, n):
+                    if w[c2]:
+                        b = u if u[c1] else v
+                        g = gcd(w[c2], b[c2])
+                        p, f = w[c2] // g, b[c2] // g
+                        return RationalSubspace(n, (
+                            _primitive([p * x - f * y for x, y in zip(b, w)]), _primitive(w)))
+                break
+    return canonicalize(vectors, n)
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +329,26 @@ class RatMatrix(_Matrix):
         return Fraction(sign * prev, self.den ** n)
 
     def inverse(self) -> "RatMatrix":
+        """den * adj(A) / det(A) for A = ints up to 3x3, Gauss-Jordan on [A | I] past that."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.ints)]
+        n, a = self.rows, self.ints
+        if 1 <= n <= 3:
+            if n == 1:
+                adj = [[1]]
+            elif n == 2:
+                adj = [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
+            else:
+                (p, q, r), (s, t, u), (v, w, x) = a
+                adj = [[t * x - u * w, r * w - q * x, q * u - r * t],
+                       [u * v - s * x, p * x - r * v, r * s - p * u],
+                       [s * w - t * v, q * v - p * w, p * t - q * s]]
+            d = sum(a[0][k] * adj[k][0] for k in range(n))
+            if not d:
+                raise ValueError("matrix is singular")
+            scale = self.den if d > 0 else -self.den
+            return _lowest(n, n, [[scale * y for y in row] for row in adj], abs(d))
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
         reduced, pivots = _echelon(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
@@ -312,7 +362,10 @@ class RatMatrix(_Matrix):
 
     @cached_property
     def _span(self) -> RationalSubspace:
-        return canonicalize(list(zip(*self.ints)), self.rows)
+        """A nonsingular square spans everything; other shapes go to `_small_span`."""
+        if self.rows == self.cols and self._det:
+            return full_space(self.rows)
+        return _small_span(list(zip(*self.ints)), self.rows)
 
     @cached_property
     def _left_inverse(self):
@@ -371,4 +424,4 @@ def carry(m_in: RatMatrix, m_out: RatMatrix, s: RationalSubspace) -> RationalSub
         vp = [v[p] for p in pivots]
         x = [sum(map(mul, b, vp)) for b in inv]
         out.append([sum(map(mul, row, x)) for row in m_out.ints])
-    return canonicalize(out, m_out.rows)
+    return _small_span(out, m_out.rows)

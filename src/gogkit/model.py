@@ -18,7 +18,7 @@ graph an index its maker already holds: `collapse` hands on a patched copy
 of its input's, equal to the one the new graph would build.  An edge
 matrix caches its own column span and determinant the same way, so
 `validate`'s injectivity check, the oracle's end classes and indices, and
-every graph `collapse` returns with that matrix share one elimination and
+every graph `collapse` returns with that matrix share one column span and
 one determinant; the abelian oracle itself caches only transport results.
 `validate` builds the declared vertex-id set once, and checks a table
 graph's transport against the preorder of that graph's own `TableOracle`.

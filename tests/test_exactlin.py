@@ -399,9 +399,18 @@ rationals = st.one_of(st.integers(-4, 4),
 
 @st.composite
 def rational_rows(draw, square=False):
-    n = draw(st.integers(1, 4))
+    """(n, rows): k rows of n rationals, k = n for squares.  n runs from 0 to 4,
+    so the matrix has 0 to 4 columns; half the draws make one column zero or
+    a multiple of another, which leaves a square singular."""
+    n = draw(st.integers(0, 4))
     k = n if square else draw(st.integers(0, 5))
-    return n, [[draw(rationals) for _ in range(n)] for _ in range(k)]
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(k)]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from([0, 1, -2, Fraction(2, 3)]))
+        for row in rows:
+            row[j] = c * row[i]
+    return n, rows
 
 
 @given(rational_rows())
@@ -409,6 +418,7 @@ def rational_rows(draw, square=False):
 def test_canonicalize_kernel_rank_match_fraction_reference(data):
     n, rows = data
     assert canonicalize(rows, n).basis == ref_canonical_basis(rows)
+    assert RatMatrix.from_rows(rows).column_span().basis == ref_canonical_basis(list(zip(*rows)))
     kernel = kernel_vectors(rows, n)
     assert kernel == ref_kernel(rows, n)
     assert all(type(x) is Fraction for v in kernel for x in v)
@@ -423,10 +433,11 @@ def test_det_and_inverse_match_fraction_reference(data, extra):
     m = RatMatrix.from_rows(rows)
     det = m.det()
     assert type(det) is Fraction and det == ref_det(rows)
-    i, j = extra.draw(st.integers(0, n - 1)), extra.draw(st.integers(0, n - 1))
-    swapped = list(rows)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert RatMatrix.from_rows(swapped).det() == (det if i == j else -det)
+    if n:
+        i, j = extra.draw(st.integers(0, n - 1)), extra.draw(st.integers(0, n - 1))
+        swapped = list(rows)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert RatMatrix.from_rows(swapped).det() == (det if i == j else -det)
     if det == 0:
         with pytest.raises(ValueError):
             m.inverse()
@@ -456,8 +467,27 @@ def test_det_sign_follows_row_swaps():
 
 
 def test_inverse_of_singular_matrix_raises():
-    with pytest.raises(ValueError, match="singular"):
-        RatMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).inverse()
+    for rows in ([[0]], [[1, 2], [Fraction(1, 2), 1]], [[1, 2, 3], [0, 1, 1], [1, 3, 4]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]]):
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix.from_rows(rows).inverse()
+
+
+@pytest.mark.parametrize("rows, basis", [
+    ([[0], [0], [0]], ()),                                      # a zero column
+    ([[0], [-4], [6]], ((0, 2, -3),)),                          # one column, made primitive
+    ([[0, 1], [0, 2], [0, 3]], ((1, 2, 3),)),                   # a zero column of two
+    ([[2, -1], [4, -2], [6, -3]], ((1, 2, 3),)),                # dependent columns
+    ([[0, 2], [1, 0], [1, 4]], ((1, 0, 2), (0, 1, 1))),         # the first column is 0 at c1
+    ([[3, 1], [0, 0], [1, 2], [5, 0]], ((1, 0, 0, 2), (0, 0, 1, -1))),
+    ([[1, 2, 3], [0, 1, 1], [1, 3, 4]], ((1, 0, 1), (0, 1, 1))),  # a singular square
+    ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+])
+def test_column_span_of_each_shape_matches_the_elimination(rows, basis):
+    """The closed forms for one column, two columns and full-rank squares,
+    and the elimination that every other shape falls back to, agree with it."""
+    m = RatMatrix.from_rows(rows)
+    assert m.column_span().basis == basis == canonicalize(list(zip(*m.ints)), m.rows).basis
 
 
 def fraction_matrix(rows, cols, entries):
@@ -537,8 +567,7 @@ def carry_cases(draw):
     assume(m_in.rank() == k)
     m_out = RatMatrix.from_rows([[draw(rationals) for _ in range(k)]
                                  for _ in range(draw(st.integers(k, 4)))])
-    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
-                          max_size=k))
+    mixes = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(draw(st.integers(0, k)))]
     s = canonicalize([[sum(c * x for c, x in zip(cs, row)) for row in rows]
                       for cs in mixes], n)
     return m_in, m_out, s
