@@ -5,16 +5,16 @@
 
 For each E in SIZES, builds perfbench's `rank3_graph` and `reducible_graph`
 on E edges, each from `random.Random(3)`, and runs `gog depth` (text and
-JSON), `check` and `validate` on the first and `gog reduce` on the second.
-Each command runs RUNS times through `cli.main` in this process, on a
-freshly imported gogkit (so no cache carries over between runs), and the
-best time counts.  Each run's time is rescaled to one fixed host speed by
-perfbench's `HostSpeed`, as the benchmark's op times are, so the times of
-two checkouts run minutes apart on a shared host compare.  Prints per (E,
-command) the best scaled time in ms, the exit code, the report's size in
-bytes and its sha256, then one digest line over every exit code and report
-sha256 (not the times): two checkouts that print the same digest line gave
-byte-identical reports.
+JSON), `check` and `validate` on the first and `gog reduce` and `check` on
+the second.  Each command runs RUNS times through `cli.main` in this
+process, on a freshly imported gogkit (so no cache carries over between
+runs), and the best time counts.  Each run's time is rescaled to one fixed
+host speed by perfbench's `HostSpeed`, as the benchmark's op times are, so
+the times of two checkouts run minutes apart on a shared host compare.
+Prints per (E, command) the best scaled time in ms, the exit code, the
+report's size in bytes and its sha256, then one digest line over every exit
+code and report sha256 (not the times): two checkouts that print the same
+digest line gave byte-identical reports.
 
 The graphs are written to a temporary directory and named relative to it,
 so no temporary path enters a report.  Nothing under perfbench/ is written,
@@ -48,6 +48,7 @@ COMMANDS = (   # (label, graph family, argv before the graph file)
     ("check", "rank3", ["check"]),
     ("validate", "rank3", ["validate"]),
     ("reduce", "reducible", ["reduce"]),
+    ("check reducible", "reducible", ["check"]),
 )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 
 from . import __version__
 from .crossing import WrongVertex, check_hypotheses, crossing_graph
@@ -26,7 +27,7 @@ from .model import (GraphLoadError, UnknownId, dump_graph, graph_from_dict, grap
 from .oracle import UnsupportedOracle
 from .patterns import (LinearPattern, UnderdeterminedSlopes, patterns_equivalent,
                        rigidity_check, slope_invariant, vertex_edge_pattern)
-from .reduce import comm_classes, complete_reduce, reducible_edges
+from .reduce import comm_classes, complete_reduce
 from .treeball import LabelsNotMonotone, address_steps, annotate_depth, build_ball, to_dot
 
 EXIT_OK = 0
@@ -226,7 +227,7 @@ def cmd_ball(args):
     g = _load(args.file)
     root = sorted(g.vertex_ids())[0] if args.vertex is None else args.vertex
     ball = build_ball(g, root, args.radius, args.branch_cap)
-    if not reducible_edges(g):
+    with suppress(MustReduceFirst):    # a reducible graph gets no depth labels
         da = depth_filtration(g, args.horizon)
         if da.verdict.kind != "infinite":
             ball = annotate_depth(ball, da)

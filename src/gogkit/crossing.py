@@ -12,7 +12,9 @@ H.  So the verdict is read off the hyperplane nodes with no span sums: two or
 more nodes mean connected, and one node H takes one `contains` test, dot
 products with H's one cached normal, per incident span.  Every adjacency
 entry equals the verdict, and the witness of a disconnected graph is H
-itself, which holds every incident span.
+itself, which holds every incident span.  `check_hypotheses` runs the depth
+filtration on an irreducible input only; a reducible one gets the depth-zero
+rafts of its complete reduction, and no walk.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactlin import RationalSubspace, contains
-from .depth import DepthAssignment, _refuse_reducible, depth_filtration, depth_zero_rafts
+from .depth import (DepthAssignment, MustReduceFirst, _refuse_reducible, depth_filtration,
+                    depth_zero_rafts)
 from .oracle import UnsupportedOracle
 from .reduce import complete_reduce, reducible_edges
 
@@ -122,10 +125,16 @@ class HypothesisReport(NamedTuple):
 
 
 def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
-    """Evaluate the five structural hypotheses of the rigidity package."""
-    red = reducible_edges(g)
-    work = complete_reduce(g) if red else g
-    da = depth_filtration(work, horizon)
+    """Evaluate the five structural hypotheses of the rigidity package.
+
+    `depth_filtration`'s refusal is the one reducibility scan.  Without its
+    levels (a reducible input, whose `horizon` then changes nothing, or an
+    early Infinite verdict) level 0 is `depth_zero_rafts` of what is analysed.
+    """
+    try:
+        red, work, da = (), g, depth_filtration(g, horizon)
+    except MustReduceFirst:
+        red, work, da = reducible_edges(g), complete_reduce(g), None
     entries = []
 
     def put(k, status, detail):
@@ -143,7 +152,7 @@ def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     else:
         put(1, "unknown", f"transport horizon {da.verdict.horizon} exhausted")
 
-    rafts0 = list(da.levels[0].rafts) if da.levels else []
+    rafts0 = da.levels[0].rafts if da and da.levels else depth_zero_rafts(work)
     line = next((r for r in rafts0 if r.kind == "line"), None)
     if line is not None:
         put(2, "fail", "line raft {" + ",".join(line.members) + "}")

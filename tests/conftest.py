@@ -162,6 +162,12 @@ def fixture_path(name):
     return FIXTURES / f"{name}.json"
 
 
+def graph_fixture_paths():
+    """The fixtures that are valid graphs: no pattern, no invalid input."""
+    return [p for p in sorted(FIXTURES.glob("*.json"))
+            if not p.stem.startswith("pattern") and validate(load_graph(p)).ok]
+
+
 @pytest.fixture
 def graph():
     def _load(name):

@@ -16,7 +16,7 @@ from gogkit import dump_graph
 from gogkit.cli import build_parser, main
 
 from conftest import (CLASS_STALL, FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, _mixed_rank_graph,
-                      _star_graph, fixture_path)
+                      _star_graph, fixture_path, graph_fixture_paths)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -896,3 +896,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["ball", "--radius", "1"]])
+def test_check_and_ball_scan_for_reducible_edges_once(capsys, monkeypatch, argv):
+    """On an irreducible input the one scan is `depth_filtration`'s refusal; on a
+    reducible one, no scan ever meets a graph without reducible edges, so the
+    complete reduction is never scanned."""
+    from gogkit import crossing, depth, reduce
+
+    real, scans = reduce.reducible_edges, []
+    for module in (crossing, depth, reduce):
+        monkeypatch.setattr(module, "reducible_edges",
+                            lambda g: scans.append(real(g)) or scans[-1])
+    reducible = 0
+    for path in graph_fixture_paths():
+        scans.clear()
+        if run(capsys, argv[0], path, *argv[1:])[0] == 5:    # no table-mode tree ball
+            assert scans == [], path.stem
+        elif scans[0]:
+            reducible += 1
+            assert all(scans), path.stem
+        else:
+            assert len(scans) == 1, path.stem
+    assert reducible

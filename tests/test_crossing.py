@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gogkit import (check_hypotheses, complete_reduce, crossing_graph, depth_filtration,
-                    graph_from_dict, raft_kind, reducible_edges, validate)
+                    depth_zero_rafts, graph_from_dict, load_graph, raft_kind, reducible_edges,
+                    validate)
 from gogkit import exactlin
 from gogkit.crossing import CrossingGraph, CrossingNode, WrongVertex
 from gogkit.depth import MustReduceFirst
@@ -17,7 +18,8 @@ from gogkit.exactlin import (canonicalize, contains, full_space, kernel_vectors,
                              zero_space)
 from gogkit.oracle import UnsupportedOracle
 
-from conftest import _mixed_rank_graph, fixture_path
+from conftest import _mixed_rank_graph, fixture_path, graph_fixture_paths
+from test_reduce import reducible_graphs
 
 
 def test_two_spanning_hyperplanes_connected(graph):
@@ -431,3 +433,95 @@ def test_check_hypotheses_skips_the_raft_guard_and_keeps_its_details(monkeypatch
             if bad else f"checked {len(vids)} one-vertex rafts")
         rafts += len(vids)
     assert rafts >= 20
+
+
+def _entries(report):
+    return {e.number: (e.status, e.detail) for e in report.entries}
+
+
+def _check_the_old_way(g, horizon=None):
+    """`check_hypotheses`'s entries on a reducible input as the whole depth filtration
+    of the complete reduction gives them: level 0's rafts, and `crossing_graph`
+    through that filtration at each one-vertex raft."""
+    red = reducible_edges(g)
+    work = complete_reduce(g)
+    da = depth_filtration(work, horizon)
+    rafts0 = da.levels[0].rafts
+    line = next((r for r in rafts0 if r.kind == "line"), None)
+    out = {1: ("fail", f"reducible at edge {red[0][0]} end {red[0][1]}"),
+           2: ("fail", "line raft {" + ",".join(line.members) + "}") if line
+           else ("pass", f"{len(rafts0)} depth-zero rafts")}
+    if g.oracle_mode == "abelian":
+        graphs = [crossing_graph(work, r.core[0], da) for r in rafts0 if len(r.core) == 1]
+        bad = [cg for cg in graphs if cg.verdict == "disconnected"]
+        out[3] = ("pass", "rank-n abelian vertex groups are coarse PD(n)")
+        out[4] = (("fail", f"disconnected at {bad[0].vertex}; every incident span lies in "
+                   f"{bad[0].witness!r}") if bad
+                  else ("pass", f"checked {len(graphs)} one-vertex rafts"))
+        out[5] = ("pass", "finitely generated abelian groups have coarse finite type")
+    else:
+        cores = [m for r in rafts0 for m in r.core if m in work.vertex_ids()]
+        assert all(work.table.pd_flags[v]["is_coarse_pd"] for v in cores)
+        out[3] = ("pass", "declared coarse PD")
+        out[4] = ("unknown", "crossing graphs are not supported for the table oracle")
+        out[5] = ("pass", "declared by the table")
+    return out
+
+
+@given(reducible_graphs())
+@settings(max_examples=60, deadline=None)
+def test_reducible_check_matches_the_whole_filtration_of_its_reduction(g):
+    assume(reducible_edges(g))
+    for horizon in (None, 1):
+        report = check_hypotheses(g, horizon)
+        assert report.reduced
+        assert _entries(report) == _check_the_old_way(g, horizon)
+
+
+@pytest.mark.parametrize("name", ["heis", "f2xz_pendant"])
+@pytest.mark.parametrize("horizon", [None, 1])
+def test_reducible_fixture_check_matches_the_whole_filtration(graph, name, horizon):
+    g = graph(name)
+    assert _entries(check_hypotheses(g, horizon)) == _check_the_old_way(g, horizon)
+
+
+def test_reducible_f2xz_fails_hypothesis_four_on_its_reduction(graph):
+    g = graph("f2xz_pendant")
+    assert complete_reduce(g) == graph("f2xz")
+    report = check_hypotheses(g)
+    assert statuses(report) == {1: "fail", 2: "pass", 3: "pass", 4: "fail", 5: "pass"}
+    assert report.entry(4) == check_hypotheses(graph("f2xz")).entry(4)
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a reducible input's check walks no transport")
+
+
+@given(reducible_graphs())
+@settings(max_examples=30, deadline=None)
+def test_reducible_check_builds_no_level_past_zero(g):
+    import gogkit.depth
+
+    assume(reducible_edges(g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gogkit.depth, "explore", _no_walk)
+        mp.setattr(gogkit.depth, "_compare_classes", _no_walk)
+        check_hypotheses(g)
+
+
+def test_check_counts_the_depth_zero_rafts_of_what_it_analyses():
+    """Hypothesis 2 counts, and hypothesis 4 checks, the depth-zero rafts of the
+    input or of its complete reduction, also when the filtration returns no level."""
+    paths = graph_fixture_paths()
+    for path in paths:
+        g = load_graph(path)
+        work = complete_reduce(g)
+        rafts0 = depth_zero_rafts(work)
+        entries = _entries(check_hypotheses(g))
+        line = next((r for r in rafts0 if r.kind == "line"), None)
+        assert entries[2] == (("fail", "line raft {" + ",".join(line.members) + "}") if line
+                              else ("pass", f"{len(rafts0)} depth-zero rafts")), path.stem
+        if g.oracle_mode == "abelian" and entries[4][0] == "pass":
+            ones = sum(len(r.core) == 1 for r in rafts0)
+            assert entries[4][1] == f"checked {ones} one-vertex rafts", path.stem
+    assert len(paths) >= 10

@@ -26,7 +26,7 @@ def test_script_runs(argv):
 
 @pytest.mark.parametrize("argv, last", [
     (["e_ladder.py", "--sizes", "256", "--runs", "1"],
-     "sizes 256: sha256 6ca92bb8c7d62fe044ca4072774c19fead682742f3a51784d1a8a36f6cfb8948"),
+     "sizes 256: sha256 862723c227013974cdef854d362a24f6b0995c6ace3f4ea145e884645728c99d"),
     (["op_digests.py", "reduce-churn", "--seeds", "1", "--rounds", "1"],
      "reduce-churn seeds 1 rounds 1: 12 ops, "
      "sha256 fcd59c9279ee72d29be72c65eaec3285ac0ea0f13dba3e039c1a9acada5f22bd"),
