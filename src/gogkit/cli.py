@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Each `cmd_*` returns its report as (exit code, text lines, JSON payload) and
-writes nothing; `main` alone writes the report, as text or JSON, to stdout or
-to the `--output` file, and holds the one table from exceptions to exit codes.
+writes nothing (`depth` builds its lines for `--format text` only); `main`
+alone writes the report, as text or JSON, to stdout or to the `--output`
+file, and holds the one table from exceptions to exit codes.
 Exit codes form a disjoint contract: 0 success / all-pass, 1 analysis-level
 negative, 2 input error, 3 infinite depth, 4 unknown verdict, 5 analysis
 unsupported for the oracle mode, 6 internal error (a fault in gogkit itself,
@@ -85,30 +86,29 @@ def cmd_validate(args):
 
 def cmd_depth(args):
     da = depth_filtration(_load(args.file), args.horizon)
-    lines = [f"verdict: {da.verdict.render()}"]
-    lines += [f"depth {k}: {da.depth[k]}" for k in sorted(da.depth)]
     levels, below = [], {}    # below: the previous level's flotillas -> their index
     for lv in da.levels:
-        lvl = {"level": lv.level, "rafts": [], "flotillas": []}
-        for r in lv.rafts:
-            fis = [below[f] for f in r.absorbed]
-            lvl["rafts"].append({"core": r.core, "absorbed_flotillas": fis, "kind": r.kind})
-            desc = "{" + ",".join(r.core) + "}"
-            if fis:
-                desc += " absorbing " + ",".join(f"F{lv.level - 1}.{fi}" for fi in fis)
-            if r.kind:
-                desc += f" [{r.kind}]"
-            lines.append(f"level {lv.level} raft: {desc}")
-        for f in lv.flotillas:
-            lvl["flotillas"].append(f.members)
-            lines.append(f"level {lv.level} flotilla: {{{','.join(f.members)}}}")
-        levels.append(lvl)
+        rafts = [{"core": r.core, "absorbed_flotillas": [below[f] for f in r.absorbed],
+                  "kind": r.kind} for r in lv.rafts]
+        levels.append({"level": lv.level, "rafts": rafts,
+                       "flotillas": [f.members for f in lv.flotillas]})
         below = {f: fi for fi, f in enumerate(lv.flotillas)}
+    code = {"infinite": EXIT_INFINITE, "unknown": EXIT_UNKNOWN}.get(da.verdict.kind, EXIT_OK)
+    payload = {"verdict": _verdict_payload(da.verdict), "depth": da.depth, "levels": levels}
+    if args.format != "text":
+        return code, None, payload
+    lines = [f"verdict: {da.verdict.render()}"]
+    lines += [f"depth {k}: {da.depth[k]}" for k in sorted(da.depth)]
+    for lvl in levels:
+        n = lvl["level"]
+        for r in lvl["rafts"]:
+            fis = ",".join(f"F{n - 1}.{fi}" for fi in r["absorbed_flotillas"])
+            lines.append(f"level {n} raft: {{{','.join(r['core'])}}}" + (
+                f" absorbing {fis}" if fis else "") + (f" [{r['kind']}]" if r["kind"] else ""))
+        lines += [f"level {n} flotilla: {{{','.join(members)}}}" for members in lvl["flotillas"]]
     lines += [f"witness: {s.orbit} class {s.cls}" + (" (strict)" if s.strict else "")
               for s in da.verdict.witness]
-    code = {"infinite": EXIT_INFINITE, "unknown": EXIT_UNKNOWN}.get(da.verdict.kind, EXIT_OK)
-    return code, lines, {"verdict": _verdict_payload(da.verdict), "depth": da.depth,
-                         "levels": levels}
+    return code, lines, payload
 
 
 def cmd_rafts(args):
@@ -200,7 +200,7 @@ def _load_pattern(path, vertex):
             if n < 1:
                 raise GraphLoadError(f"pattern.ambient_dim: expected a positive integer, got {n}")
             return LinearPattern.of(
-                [canonicalize(int_rows(rows, f"pattern.subspaces[{k}]"), n) for k, rows
+                [canonicalize(int_rows(rows, "pattern.subspaces[{}]", k), n) for k, rows
                  in enumerate(typed(body.get("subspaces", []), list, "pattern.subspaces"))], n)
         g = _valid(graph_from_dict(doc))
     except ValueError as e:   # GraphLoadError and DimensionMismatch included

@@ -25,7 +25,7 @@ from .exactlin import RationalSubspace, contains
 from .depth import (DepthAssignment, MustReduceFirst, _refuse_reducible, depth_filtration,
                     depth_zero_rafts)
 from .oracle import UnsupportedOracle
-from .reduce import complete_reduce, reducible_edges
+from .reduce import complete_reduce
 
 
 class WrongVertex(ValueError):
@@ -127,14 +127,16 @@ class HypothesisReport(NamedTuple):
 def check_hypotheses(g, horizon: int | None = None) -> HypothesisReport:
     """Evaluate the five structural hypotheses of the rigidity package.
 
-    `depth_filtration`'s refusal is the one reducibility scan.  Without its
-    levels (a reducible input, whose `horizon` then changes nothing, or an
-    early Infinite verdict) level 0 is `depth_zero_rafts` of what is analysed.
+    `depth_filtration`'s refusal is the first reducibility scan, and its list
+    names hypothesis 1's first reducible end; `complete_reduce` makes the
+    second.  Without its levels (a reducible input, whose `horizon` then
+    changes nothing, or an early Infinite verdict) level 0 is
+    `depth_zero_rafts` of what is analysed.
     """
     try:
         red, work, da = (), g, depth_filtration(g, horizon)
-    except MustReduceFirst:
-        red, work, da = reducible_edges(g), complete_reduce(g), None
+    except MustReduceFirst as refusal:
+        red, work, da = refusal.edges, complete_reduce(g), None
     entries = []
 
     def put(k, status, detail):

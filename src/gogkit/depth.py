@@ -10,9 +10,11 @@ the survivors (and the positive-depth vertices coarsely equivalent to them)
 the next depth.  Each level files every edge end under the (vertex, class)
 placements its flotilla walk meets, compares the distinct classes at each
 vertex, and groups survivors filed under one class or equivalent classes
-into rafts with the level's one union-find.  In abelian mode the classes at
-a vertex are filed by dimension and a span is tested only against larger
-ones; table mode compares each pair of classes once.  A level makes at most
+into rafts with the level's one union-find.  Each flotilla's walks share one
+`EdgePool`, so a level costs its walks plus its pool sizes, not their product;
+the flotillas grow in one union-find kept across levels.  In abelian mode the
+classes at a vertex are filed by dimension and a span is tested only against
+larger ones; table mode compares each pair of classes once.  A level makes at most
 MAX_COMPARISONS comparisons: past that, the remaining pairs count as not
 compared, the level goes on, and the verdict becomes Unknown.  A raft holds the
 previous level's `Flotilla` records it absorbs, not copies of their members.
@@ -35,13 +37,18 @@ from itertools import combinations, product
 from operator import mul
 from typing import NamedTuple
 
-from .oracle import Placement, explore
+from .oracle import EdgePool, explore
 from .reduce import reducible_edges
 from .unionfind import UnionFind
 
 
 class MustReduceFirst(ValueError):
-    """Depth needs an irreducible graph; collapse reducible edges first."""
+    """Depth needs an irreducible graph; collapse reducible edges first.
+    `edges` holds the refusing scan's sorted reducible (edge id, end) pairs."""
+
+    def __init__(self, msg, edges=()):
+        super().__init__(msg)
+        self.edges = edges
 
 
 class WrongRaftLevel(ValueError):
@@ -103,9 +110,9 @@ def _ff_edges(g, orc):
             if orc.finite_index_end(e.id, 0) and orc.finite_index_end(e.id, 1)]
 
 
-def _components(vertex_ids, edges):
-    """(vertex ids, edge ids) of each component, ordered by least vertex id."""
-    uf = UnionFind(vertex_ids)
+def _components(uf, edges):
+    """(vertex ids, edge ids) of each class of `uf`, a union-find of vertex ids,
+    once joined along `edges` (joins made before stay), by least vertex id."""
     for e in edges:
         uf.union(e.ends[0].vertex, e.ends[1].vertex)
     comps = {root: (list(members), []) for root, members in uf.classes().items()}
@@ -126,10 +133,11 @@ def depth_zero_rafts(g) -> list[Raft]:
     orc = g.oracle()
     ff = _ff_edges(g, orc)
     ff_ids = {e.id for e in ff}
+    deeper = {e.ends[i].vertex for e in g.edges if e.id not in ff_ids
+              for i in (0, 1) if orc.finite_index_end(e.id, i)}   # found once, not per component
     rafts = []
-    for vids, eids in _components([v.id for v in g.vertices], ff):
-        if not any(e.id not in ff_ids and orc.finite_index_end(e.id, i)
-                   for vid in vids for (e, i) in g.ends_at(vid)):
+    for vids, eids in _components(UnionFind(v.id for v in g.vertices), ff):
+        if deeper.isdisjoint(vids):
             raft = Raft(0, tuple(sorted(vids + eids)), ())
             rafts.append(raft._replace(kind=raft_kind(g, raft)))
     return rafts
@@ -224,7 +232,7 @@ def _compare_classes(orc, buckets, counts=None):
     compare = _compare_spans if orc.g.oracle_mode == "abelian" else _compare_labels
     for z, by_cls in buckets.items():
         joins += [items for items in by_cls.values() if len(items) > 1]
-        if left >= 0:
+        if left >= 0 and len(by_cls) > 1:    # one class at z: nothing to compare
             left = compare(orc, z, by_cls, below, joins, left)
     if counts is not None:
         counts["comparisons"], counts["cut"] = MAX_COMPARISONS - max(left, 0), left < 0
@@ -264,30 +272,34 @@ def _compare_spans(orc, z, by_cls, below, joins, left):
     larger span's cached normals, until every item under it is deferred;
     returns the budget left, or -1.  Distinct spans of one dimension are
     never comparable, and no item reaches two spans of different dimension,
-    since transport keeps dimension."""
+    since transport keeps dimension.  Only a deferral changes whether every
+    item under a span is deferred, so that is tested again only after one."""
     by_dim = {}
     for c in by_cls:
         by_dim.setdefault(c.dim, []).append(c)
     dims = sorted(by_dim, reverse=True)
-    for k in range(1, len(dims)):
+    for k in range(1, len(dims)):    # none at one dimension
         higher = [hi for d in dims[:k] for hi in by_dim[d]]
         for lo in by_dim[dims[k]]:
             items = by_cls[lo]
+            done = all(x[0] in below for x in items)
             for hi in higher:
-                if all(x[0] in below for x in items):
+                if done:
                     break
                 if not left:
                     return -1
                 left -= 1
                 if not any(sum(map(mul, u, row)) for u in hi._normals for row in lo.basis):
                     _defer(below, by_cls, lo, hi)
+                    done = all(x[0] in below for x in items)
     return left
 
 
 def _refuse_reducible(g):
     """Depth, and with it every raft, is defined on irreducible graphs only."""
-    if reducible_edges(g):
-        raise MustReduceFirst("graph has reducible edges; apply complete_reduce first")
+    red = reducible_edges(g)
+    if red:
+        raise MustReduceFirst("graph has reducible edges; apply complete_reduce first", red)
 
 
 def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
@@ -316,37 +328,40 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
     depth = {m: 0 for r in rafts0 for m in r.core}
     flotillas = [Flotilla(0, r.core) for r in rafts0]    # each raft is one depth-0 component
     levels = [Level(0, tuple(rafts0), tuple(flotillas))]
+    edges = sorted(g.edges, key=lambda e: e.id)
+    end_classes = {e.id: (orc.class_of(e.id, 0), orc.class_of(e.id, 1)) for e in edges}
+    comps = UnionFind(v.id for v in g.vertices)   # joined along assigned edges, level by level
 
     n = 0
     while True:
-        unassigned_edges = [e for e in g.edges if e.id not in depth]
-        if not unassigned_edges:
+        unassigned = [e for e in edges if e.id not in depth]
+        if not unassigned:
             break
         n += 1
 
         flot_of = {m: fi for fi, fl in enumerate(flotillas) for m in fl.members}
-        flot_edge_ids = [sorted(m for m in fl.members if m in g.edge_index)
-                         for fl in flotillas]
+        # One pool per flotilla with edges, which every walk from that flotilla reuses.
+        pools = [EdgePool(orc, eids) if eids else None for eids in (
+            [m for m in fl.members if m in g.edge_index] for fl in flotillas)]
 
         # One item per unassigned edge end, filed under every (vertex, class)
         # placement its walk through its quotient node meets.
         buckets = {}    # vertex -> {class: [items]}, in explore order
-        for e in sorted(unassigned_edges, key=lambda e: e.id):
+        for e in unassigned:
             for i in (0, 1):
-                x = e.ends[i].vertex
-                cls = orc.class_of(e.id, i)
-                pool = flot_edge_ids[flot_of[x]] if x in flot_of else []
-                spots = [Placement(x, cls, ())]    # no edge to cross: the start alone
+                x, cls = e.ends[i].vertex, end_classes[e.id][i]
+                pool = pools[flot_of[x]] if x in flot_of else None
+                spots = ((x, cls, ()),)    # no edge to cross: the start placement alone
                 if pool:
                     res = explore(orc, x, cls, edge_ids=pool, max_steps=horizon)
                     truncated, spots = truncated or res.truncated, res.placements
-                for p in spots:
-                    buckets.setdefault(p.vertex, {}).setdefault(p.cls, []).append((e.id, i))
+                for z, c, _ in spots:
+                    buckets.setdefault(z, {}).setdefault(c, []).append((e.id, i))
 
         counts = {}
         below, joins = _compare_classes(orc, buckets, counts)
         truncated = truncated or counts["cut"]
-        survivors = [e.id for e in unassigned_edges if e.id not in below]
+        survivors = [e.id for e in g.edges if e.id not in depth and e.id not in below]
         if not survivors:
             # Every remaining edge is strictly below another: the strictness
             # pointers must close a cycle, which certifies an infinite chain.
@@ -396,7 +411,7 @@ def depth_filtration(g, horizon: int | None = None) -> DepthAssignment:
 
         # Every assigned orbit has depth <= n: the level's flotillas are their components.
         flotillas = [Flotilla(n, tuple(sorted(vids + eids))) for vids, eids in _components(
-            [v.id for v in g.vertices if v.id in depth], [e for e in g.edges if e.id in depth])]
+            comps, [e for e in g.edges if e.id in depth]) if vids[0] in depth]
         levels.append(Level(n, tuple(new_rafts), tuple(flotillas)))
 
     for v in g.vertices:

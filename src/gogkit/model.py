@@ -348,32 +348,33 @@ _KINDS = {int: "an exact integer", str: "a string", bool: "true or false",
           list: "an array", dict: "an object"}
 
 
-def typed(x, kind, where):
+def typed(x, kind, where, *at):
     """`x` when it has the JSON type `kind` (an int is never a bool); else
-    GraphLoadError naming the JSON path `where` and an abbreviated `x`."""
-    if isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
+    GraphLoadError naming the JSON path `where.format(*at)` and an abbreviated
+    `x`.  The path is formatted only then, so a good value costs no string."""
+    if type(x) is kind or isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
         return x
-    raise GraphLoadError(f"{where}: expected {_KINDS[kind]}, got {reprlib.repr(x)}")
+    raise GraphLoadError(f"{where.format(*at)}: expected {_KINDS[kind]}, got {reprlib.repr(x)}")
 
 
-def pair(x, where, of):
+def pair(x, of, where, *at):
     """`x` as a JSON array of exactly two `of`; GraphLoadError if not."""
-    if len(typed(x, list, where)) != 2:
-        raise GraphLoadError(f"{where}: need a pair of {of}")
+    if len(typed(x, list, where, *at)) != 2:
+        raise GraphLoadError(f"{where.format(*at)}: need a pair of {of}")
     return x
 
 
-def int_rows(m, where):
+def int_rows(m, where, *at):
     """`m` as a list of equal-length rows of exact integers; GraphLoadError if not.
     One pass over exact types accepts a decoded matrix; only a matrix that fails
     it is walked again by `typed`, so no path is formatted for a good one."""
     if not (type(m) is list and {*map(type, m)} <= {list}
             and {*map(type, chain.from_iterable(m))} <= {int}):
-        for i, r in enumerate(typed(m, list, where)):
-            for j, x in enumerate(typed(r, list, f"{where}[{i}]")):
-                typed(x, int, f"{where}[{i}][{j}]")
+        for i, r in enumerate(typed(m, list, where, *at)):
+            for j, x in enumerate(typed(r, list, where + "[{}]", *at, i)):
+                typed(x, int, where + "[{}][{}]", *at, i, j)
     if len({*map(len, m)}) > 1:
-        raise GraphLoadError(f"{where}: ragged matrix")
+        raise GraphLoadError(f"{where.format(*at)}: ragged matrix")
     return m
 
 
@@ -383,56 +384,55 @@ def graph_from_dict(doc) -> GraphOfGroups:
         raise GraphLoadError(f'oracle must be "abelian" or "table", got {reprlib.repr(mode)}')
     verts = []
     for i, v in enumerate(typed(doc.get("vertices", []), list, "vertices")):
-        v = typed(v, dict, f"vertices[{i}]")
-        verts.append(VertexSpec(typed(v.get("id"), str, f"vertices[{i}].id"),
-                                typed(v.get("rank"), int, f"vertices[{i}].rank")))
+        v = typed(v, dict, "vertices[{}]", i)
+        verts.append(VertexSpec(typed(v.get("id"), str, "vertices[{}].id", i),
+                                typed(v.get("rank"), int, "vertices[{}].rank", i)))
     edges = []
     for i, e in enumerate(typed(doc.get("edges", []), list, "edges")):
-        e = typed(e, dict, f"edges[{i}]")
-        eid = typed(e.get("id"), str, f"edges[{i}].id")
+        e = typed(e, dict, "edges[{}]", i)
+        eid = typed(e.get("id"), str, "edges[{}].id", i)
         ends = []
-        for j, end in enumerate(pair(e.get("ends"), f"edges[{i}].ends", "ends")):
-            where = f"edges[{i}].ends[{j}]"
-            end = typed(end, dict, where)
-            vid = typed(end.get("vertex"), str, f"{where}.vertex")
+        for j, end in enumerate(pair(e.get("ends"), "ends", "edges[{}].ends", i)):
+            end = typed(end, dict, "edges[{}].ends[{}]", i, j)
+            vid = typed(end.get("vertex"), str, "edges[{}].ends[{}].vertex", i, j)
             if mode == "abelian":
-                rows = int_rows(end.get("matrix"), f"{where}.matrix")
-                ends.append(EdgeEnd(vid, matrix=RatMatrix(
+                rows = int_rows(end.get("matrix"), "edges[{}].ends[{}].matrix", i, j)
+                ends.append(EdgeEnd(vid, RatMatrix(
                     len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))))
             else:
                 ends.append(EdgeEnd(vid, class_label=typed(end.get("class"), str,
-                                                           f"{where}.class")))
-        edges.append(EdgeSpec(eid, typed(e.get("rank"), int, f"edges[{i}].rank"), tuple(ends)))
+                                                           "edges[{}].ends[{}].class", i, j)))
+        edges.append(EdgeSpec(eid, typed(e.get("rank"), int, "edges[{}].rank", i), tuple(ends)))
     table = None
     if mode == "table":
         labels, top = {}, {}
         for vid, c in typed(doc.get("classes"), dict, "classes").items():
-            c = typed(c, dict, f"classes[{vid}]")
-            labels[vid] = tuple(typed(s, str, f"classes[{vid}].labels[{k}]") for k, s in
-                                enumerate(typed(c.get("labels"), list, f"classes[{vid}].labels")))
-            top[vid] = typed(c.get("top"), str, f"classes[{vid}].top")
+            c = typed(c, dict, "classes[{}]", vid)
+            labels[vid] = tuple(typed(s, str, "classes[{}].labels[{}]", vid, k) for k, s in
+                                enumerate(typed(c.get("labels"), list, "classes[{}].labels", vid)))
+            top[vid] = typed(c.get("top"), str, "classes[{}].top", vid)
         order = {}
         for vid, pairs in typed(doc.get("order", {}), dict, "order").items():
             order[vid] = tuple(
-                tuple(typed(s, str, f"order[{vid}][{k}][{j}]")
-                      for j, s in enumerate(pair(ab, f"order[{vid}][{k}]", "labels")))
-                for k, ab in enumerate(typed(pairs, list, f"order[{vid}]")))
+                tuple(typed(s, str, "order[{}][{}][{}]", vid, k, j)
+                      for j, s in enumerate(pair(ab, "labels", "order[{}][{}]", vid, k)))
+                for k, ab in enumerate(typed(pairs, list, "order[{}]", vid)))
         transport = {}
         for eid, maps in typed(doc.get("transport", {}), dict, "transport").items():
             transport[eid] = tuple(
-                {k: typed(v, str, f"transport[{eid}][{j}][{k}]")
-                 for k, v in typed(mp, dict, f"transport[{eid}][{j}]").items()}
-                for j, mp in enumerate(pair(maps, f"transport[{eid}]", "maps")))
+                {k: typed(v, str, "transport[{}][{}][{}]", eid, j, k)
+                 for k, v in typed(mp, dict, "transport[{}][{}]", eid, j).items()}
+                for j, mp in enumerate(pair(maps, "maps", "transport[{}]", eid)))
         indices = {}
         for eid, ab in typed(doc.get("indices", {}), dict, "indices").items():
-            indices[eid] = tuple(x if x == INFINITE else typed(x, int, f"indices[{eid}][{j}]")
-                                 for j, x in enumerate(pair(ab, f"indices[{eid}]", "indices")))
+            indices[eid] = tuple(x if x == INFINITE else typed(x, int, "indices[{}][{}]", eid, j)
+                                 for j, x in enumerate(pair(ab, "indices", "indices[{}]", eid)))
         pd_flags = {}
         for vid, flags in typed(doc.get("pd_flags", {}), dict, "pd_flags").items():
-            pd_flags[vid] = dict(typed(flags, dict, f"pd_flags[{vid}]"))
-            typed(flags.get("is_coarse_pd"), bool, f"pd_flags[{vid}].is_coarse_pd")
+            pd_flags[vid] = dict(typed(flags, dict, "pd_flags[{}]", vid))
+            typed(flags.get("is_coarse_pd"), bool, "pd_flags[{}].is_coarse_pd", vid)
             if "coarse_dim" in flags:
-                typed(flags["coarse_dim"], int, f"pd_flags[{vid}].coarse_dim")
+                typed(flags["coarse_dim"], int, "pd_flags[{}].coarse_dim", vid)
         table = TableData(labels, top, order, transport, indices, pd_flags)
     return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
 
@@ -495,13 +495,15 @@ def write_text(path, body):
 
 
 _escape = json.encoder.encode_basestring_ascii    # the string encoder json.dumps uses
+_JOINED = {str: _escape, int: int.__repr__}   # item types a long list writes in one join
 
 
 def render_json(doc) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, built without its generators.
 
     Exact `str`, `int`, `bool`, `None`, `list`, `tuple` and `str`-keyed `dict`
-    values are written directly into one list of pieces; any other value
+    values are written directly into one list of pieces (four or more items,
+    all exact `str` or all exact `int`, as one joined piece); any other value
     (floats, subclasses, dicts with other keys) is handed to `json.dumps`
     itself and indented to its place, so the output is always equal.
     """
@@ -526,6 +528,10 @@ def _render(x, out, nl):
             out.append("[]")
             return
         inner = nl + "  "
+        rep = _JOINED.get(type(x[0])) if len(x) > 3 else None
+        if rep and len({*map(type, x)}) == 1:
+            out.append("[" + inner + ("," + inner).join(map(rep, x)) + nl + "]")
+            return
         head = "[" + inner
         for v in x:
             out.append(head)

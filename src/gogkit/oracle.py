@@ -23,7 +23,8 @@ opposite end class with no elimination.  Only a smaller span is tested with
 crosses by `carry`: M_eta's cached left inverse solves M_eta X = V, and M_theta
 maps X over, two small matrix-vector products per basis row of V.
 End classes, indices and left inverses are read off the edge matrices, which
-cache them, so the abelian oracle caches only transports.  When `carry`
+cache them, so the abelian oracle caches only transports and, per (edge, end)
+asked, whether that end has finite index.  When `carry`
 moves V across an edge to W, the cache also records the way back, W
 entering at the opposite end goes to V: the edge map is an isomorphism
 between the two end classes and canonical forms are unique, so this is
@@ -61,6 +62,7 @@ class AbelianOracle:
         self.g = g
         self._moved = {}
         self._arcs = {}
+        self._finite = {}   # (edge id, end) -> whether that end has finite index
 
     def top_class(self, vid: str) -> RationalSubspace:
         return full_space(self.g.vertex(vid).rank)
@@ -79,8 +81,11 @@ class AbelianOracle:
         return a == b
 
     def finite_index_end(self, eid: str, end: int) -> bool:
-        e = self.g.edge(eid)
-        return e.rank == self.g.vertex(e.ends[end].vertex).rank
+        flag = self._finite.get((eid, end))
+        if flag is None:
+            e = self.g.edge(eid)
+            flag = self._finite[eid, end] = e.rank == self.g.vertex(e.ends[end].vertex).rank
+        return flag
 
     def index_value(self, eid: str, end: int) -> int:
         if not self.finite_index_end(eid, end):
@@ -202,6 +207,26 @@ class ExploreResult(NamedTuple):
 MAX_STATES = 20000   # distinct (vertex, class) states one `explore` may hold
 
 
+class EdgePool(frozenset):
+    """Edge ids a walk may cross, checked against the graph once, and each
+    vertex's arcs among them, filtered once for every `explore` given it."""
+
+    def __new__(cls, oracle, edge_ids):
+        pool = super().__new__(cls, edge_ids)
+        index = oracle.g.edge_index
+        if not index.keys() >= pool:
+            oracle.g.edge(next(eid for eid in edge_ids if eid not in index))   # raises UnknownId
+        pool.oracle, pool.arcs = oracle, {}
+        return pool
+
+    def arcs_at(self, vid):
+        """The oracle's arcs at `vid` whose edge is in the pool, in order."""
+        arcs = self.arcs.get(vid)
+        if arcs is None:
+            arcs = self.arcs[vid] = [a for a in self.oracle.arcs(vid) if a[0].id in self]
+        return arcs
+
+
 def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
             max_steps=None) -> ExploreResult:
     """All placements reachable from (vertex, class) by class-preserving walks.
@@ -213,19 +238,12 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
     (`max_steps` rounds or MAX_STATES states) cut the search while new states
     were still appearing, in which case the result is a lower bound.  Each
     state tries the edge ends at its vertex in (edge id, end index) order.
-    The pool is checked against the edge index once, by one set difference.
+    `edge_ids` becomes an `EdgePool` unless it is one (of this oracle), so a
+    walk costs O(states x degree) and a pool's checks are paid once per pool.
     """
-    g = oracle.g
-    allowed = None if edge_ids is None else set(edge_ids)
-    if allowed and allowed - g.edge_index.keys():
-        g.edge(next(eid for eid in edge_ids if eid not in g.edge_index))   # raises UnknownId
-    arcs = {}   # vertex -> its allowed arcs, in order
-
-    def arcs_at(vid):
-        if vid not in arcs:
-            arcs[vid] = oracle.arcs(vid) if allowed is None else [
-                a for a in oracle.arcs(vid) if a[0].id in allowed]
-        return arcs[vid]
+    if edge_ids is not None and not (type(edge_ids) is EdgePool and edge_ids.oracle is oracle):
+        edge_ids = EdgePool(oracle, edge_ids)
+    arcs_at = oracle.arcs if edge_ids is None else edge_ids.arcs_at
 
     start = Placement(start_vertex, start_cls, ())
     seen = {(start_vertex, start_cls)}

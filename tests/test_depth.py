@@ -290,7 +290,7 @@ def test_empty_flotilla_pools_skip_explore(graph, monkeypatch):
         da = depth_filtration(g)
         horizon = 2 * max(1, len(g.edges))
         items = _level_items(g, da)
-        assert [(vid, cls, kw["edge_ids"]) for vid, cls, kw in calls
+        assert [(vid, cls, sorted(kw["edge_ids"])) for vid, cls, kw in calls
                 if "edge_ids" in kw] == [item for item in items if item[2]]
         for x, cls, pool in items:
             if not pool:
@@ -298,6 +298,84 @@ def test_empty_flotilla_pools_skip_explore(graph, monkeypatch):
                 assert explore(g.oracle(), x, cls, edge_ids=pool, max_steps=horizon) == \
                     ExploreResult((Placement(x, cls, ()),), False)
     assert skipped
+
+
+def _rank3_graph(rng, n_edges):
+    """Irreducible: rank-3 vertices on a random spanning tree plus extra edges,
+    about one in five a loop, each of rank 1 or 2 with random injective maps."""
+    from gogkit import graph_from_dict
+
+    nv = n_edges // 2
+    pairs = [(rng.randrange(i), i) for i in range(1, nv)]
+    while len(pairs) < n_edges:
+        a = rng.randrange(nv)
+        pairs.append((a, a if rng.random() < 0.2 else rng.randrange(nv)))
+
+    def injective(r):
+        while True:
+            m = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
+            if RatMatrix.from_rows(m).rank() == r:
+                return m
+
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        r = rng.randint(1, 2)
+        edges.append({"id": f"e{k}", "rank": r, "ends": [
+            {"vertex": f"v{a}", "matrix": injective(r)}, {"vertex": f"v{b}", "matrix": injective(r)}]})
+    return graph_from_dict({"oracle": "abelian", "edges": edges,
+                            "vertices": [{"id": f"v{i}", "rank": 3} for i in range(nv)]})
+
+
+def test_each_level_builds_one_edge_pool_per_flotilla(monkeypatch):
+    """A level checks each flotilla's edge ids against the edge index, and
+    filters its arcs, once, however many walks start in it: one `EdgePool` per
+    flotilla with edges, in flotilla order, and every walk from a flotilla is
+    handed that flotilla's pool.  So a level copies each edge id at most once."""
+    import random
+
+    import gogkit.depth as depth_module
+    from gogkit.oracle import EdgePool, explore
+
+    g = _rank3_graph(random.Random(3), 512)
+    events, real_compare = [], depth_module._compare_classes
+
+    def build(orc, ids):
+        events.append(("pool", EdgePool(orc, ids)))
+        return events[-1][1]
+
+    def walk(orc, vid, cls, **kw):
+        events.append(("walk", kw["edge_ids"]))
+        return explore(orc, vid, cls, **kw)
+
+    def compare(*args, **kw):    # once per level, after its walks
+        events.append(("level", None))
+        return real_compare(*args, **kw)
+
+    monkeypatch.setattr(depth_module, "EdgePool", build)
+    monkeypatch.setattr(depth_module, "explore", walk)
+    monkeypatch.setattr(depth_module, "_compare_classes", compare)
+    da = depth_filtration(g)
+    assert da.verdict.kind == "finite"
+
+    per_level, current = [], []
+    for kind, pool in events:
+        if kind == "level":
+            per_level.append(current)
+            current = []
+        else:
+            current.append((kind, pool))
+    assert current == [] and len(per_level) == len(da.levels) - 1
+    big_level, edge_ids = False, set(g.edge_ids())
+    for level, happened in zip(da.levels, per_level):    # the walks of the next level
+        pools = [pool for kind, pool in happened if kind == "pool"]
+        walks = [pool for kind, pool in happened if kind == "walk"]
+        assert [sorted(pool) for pool in pools] == [
+            edges for edges in ([m for m in f.members if m in edge_ids]
+                                for f in level.flotillas) if edges]
+        assert sum(map(len, pools)) <= len(g.edges)
+        assert all(any(w is pool for pool in pools) for w in walks)
+        big_level = big_level or (len(walks) > 4 * len(pools) and max(map(len, pools)) > 100)
+    assert big_level    # many walks through a pool of many edges ran
 
 
 def test_abelian_filtration_runs_no_self_strict_scan(graph, monkeypatch):

@@ -1,5 +1,6 @@
 """Graph model validation and the JSON wire format."""
 
+import enum
 import json
 from typing import NamedTuple
 
@@ -242,6 +243,30 @@ def test_render_json_equals_the_indented_sorted_dump(doc):
     assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_LISTS = [list("abcd"), ["a\u00e9\n", '"q"', "\ud800", "", "x"], list(range(-2, 6)), [10 ** 30] * 5,
+          [True, False, True, False], [1, True, 2, False], [0, 1, 2, False],
+          [_Level.LOW, _Level.HIGH, 3, 4], [_Level.LOW] * 4, [1, 2, 3, _Level.HIGH],
+          [_Text("a"), "b", "c", "d"], ["a", "b", "c", _Text("d")], [_Text("t")] * 4,
+          [], (), ("a", "b", "c", "d", "e"), (1, 2, 3, 4), ["a"], [1], ["a", "b"], [1, 2, 3],
+          [["a", "b", "c", "d"], [1, 2, 3, 4], [], ["x"]], [[[1, 2, 3, 4]] * 4] * 2,
+          ["a", "b", "c", 1], [1, 2, 3, "d"], [1, 2, 3, 4.5], [1, 2, 3, None], ["a", "b", "c", None],
+          [{"k": [1, 2, 3, 4]}, {"k": ("a", "b", "c", "d")}]]
+
+
+@pytest.mark.parametrize("items", _LISTS + [{"nested": _LISTS}], ids=repr)
+def test_render_json_lists_equal_the_dump(items):
+    """Lists of only exact `str` or only exact `int` are written in one join;
+    bools, an IntEnum, a `str` subclass, a float or None among the items, and
+    short, empty, tuple and nested lists, all render as json.dumps does."""
+    assert render_json(items) == json.dumps(items, indent=2, sort_keys=True)
+    assert render_json({"x": [items]}) == json.dumps({"x": [items]}, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("name", ["arc3", "arc4", "bs22", "f2xz", "heis", "nonex",
                                   "shear_unknown", "thm14", "z2hnn"])
 def test_reduce_output_graph_is_the_indented_sorted_dump(tmp_path, capsys, name):
@@ -253,3 +278,153 @@ def test_reduce_output_graph_is_the_indented_sorted_dump(tmp_path, capsys, name)
     reduced = complete_reduce(load_graph(FIXTURES / f"{name}.json"))
     assert out.read_text(encoding="utf-8") == \
         json.dumps(graph_to_dict(reduced), indent=2, sort_keys=True) + "\n"
+
+
+# The reader as it was before its JSON paths were formatted lazily: every
+# path is built eagerly, so its messages are the reference for the lazy one.
+
+def _old_typed(x, kind, where):
+    import reprlib
+    kinds = {int: "an exact integer", str: "a string", bool: "true or false",
+             list: "an array", dict: "an object"}
+    if isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
+        return x
+    raise GraphLoadError(f"{where}: expected {kinds[kind]}, got {reprlib.repr(x)}")
+
+
+def _old_pair(x, where, of):
+    if len(_old_typed(x, list, where)) != 2:
+        raise GraphLoadError(f"{where}: need a pair of {of}")
+    return x
+
+
+def _old_int_rows(m, where):
+    for i, r in enumerate(_old_typed(m, list, where)):
+        for j, x in enumerate(_old_typed(r, list, f"{where}[{i}]")):
+            _old_typed(x, int, f"{where}[{i}][{j}]")
+    if len({*map(len, m)}) > 1:
+        raise GraphLoadError(f"{where}: ragged matrix")
+    return m
+
+
+def _old_graph_from_dict(doc):
+    import reprlib
+
+    from gogkit.model import INFINITE, TableData
+    typed, pair = _old_typed, _old_pair
+    mode = typed(doc, dict, "top level").get("oracle", "abelian")
+    if mode not in ("abelian", "table"):
+        raise GraphLoadError(f'oracle must be "abelian" or "table", got {reprlib.repr(mode)}')
+    verts = []
+    for i, v in enumerate(typed(doc.get("vertices", []), list, "vertices")):
+        v = typed(v, dict, f"vertices[{i}]")
+        verts.append(VertexSpec(typed(v.get("id"), str, f"vertices[{i}].id"),
+                                typed(v.get("rank"), int, f"vertices[{i}].rank")))
+    edges = []
+    for i, e in enumerate(typed(doc.get("edges", []), list, "edges")):
+        e = typed(e, dict, f"edges[{i}]")
+        eid = typed(e.get("id"), str, f"edges[{i}].id")
+        ends = []
+        for j, end in enumerate(pair(e.get("ends"), f"edges[{i}].ends", "ends")):
+            where = f"edges[{i}].ends[{j}]"
+            end = typed(end, dict, where)
+            vid = typed(end.get("vertex"), str, f"{where}.vertex")
+            if mode == "abelian":
+                rows = _old_int_rows(end.get("matrix"), f"{where}.matrix")
+                ends.append(EdgeEnd(vid, matrix=RatMatrix(
+                    len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))))
+            else:
+                ends.append(EdgeEnd(vid, class_label=typed(end.get("class"), str,
+                                                           f"{where}.class")))
+        edges.append(EdgeSpec(eid, typed(e.get("rank"), int, f"edges[{i}].rank"), tuple(ends)))
+    table = None
+    if mode == "table":
+        labels, top = {}, {}
+        for vid, c in typed(doc.get("classes"), dict, "classes").items():
+            c = typed(c, dict, f"classes[{vid}]")
+            labels[vid] = tuple(typed(s, str, f"classes[{vid}].labels[{k}]") for k, s in
+                                enumerate(typed(c.get("labels"), list, f"classes[{vid}].labels")))
+            top[vid] = typed(c.get("top"), str, f"classes[{vid}].top")
+        order = {}
+        for vid, pairs in typed(doc.get("order", {}), dict, "order").items():
+            order[vid] = tuple(
+                tuple(typed(s, str, f"order[{vid}][{k}][{j}]")
+                      for j, s in enumerate(pair(ab, f"order[{vid}][{k}]", "labels")))
+                for k, ab in enumerate(typed(pairs, list, f"order[{vid}]")))
+        transport = {}
+        for eid, maps in typed(doc.get("transport", {}), dict, "transport").items():
+            transport[eid] = tuple(
+                {k: typed(v, str, f"transport[{eid}][{j}][{k}]")
+                 for k, v in typed(mp, dict, f"transport[{eid}][{j}]").items()}
+                for j, mp in enumerate(pair(maps, f"transport[{eid}]", "maps")))
+        indices = {}
+        for eid, ab in typed(doc.get("indices", {}), dict, "indices").items():
+            indices[eid] = tuple(x if x == INFINITE else typed(x, int, f"indices[{eid}][{j}]")
+                                 for j, x in enumerate(pair(ab, f"indices[{eid}]", "indices")))
+        pd_flags = {}
+        for vid, flags in typed(doc.get("pd_flags", {}), dict, "pd_flags").items():
+            pd_flags[vid] = dict(typed(flags, dict, f"pd_flags[{vid}]"))
+            typed(flags.get("is_coarse_pd"), bool, f"pd_flags[{vid}].is_coarse_pd")
+            if "coarse_dim" in flags:
+                typed(flags["coarse_dim"], int, f"pd_flags[{vid}].coarse_dim")
+        table = TableData(labels, top, order, transport, indices, pd_flags)
+    return GraphOfGroups(tuple(verts), tuple(edges), mode, table)
+
+
+_WRONG = (None, True, 7, -1, 2.5, "x", "{}", [], [1], [[1, "a"]], {}, {"id": 1})
+
+
+def _mutants(doc):
+    """Copies of `doc` with one field or item, at any depth, deleted or replaced
+    by a value of another JSON type (a JSON path with "{}" in it included)."""
+    import copy
+
+    def paths(x, at=()):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                yield at + (k,), v
+                yield from paths(v, at + (k,))
+        elif isinstance(x, list):
+            for k, v in enumerate(x):
+                yield at + (k,), v
+                yield from paths(v, at + (k,))
+
+    for path, old in list(paths(doc)):
+        for new in ("delete",) + tuple(w for w in _WRONG if type(w) is not type(old)):
+            out = copy.deepcopy(doc)
+            parent = out
+            for k in path[:-1]:
+                parent = parent[k]
+            if new == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(new)
+            yield out
+    braced = copy.deepcopy(doc)    # a vertex id with braces is formatted, not parsed
+    for name in ("classes", "order", "pd_flags", "transport", "indices"):
+        if isinstance(braced.get(name), dict) and braced[name]:
+            key = next(iter(braced[name]))
+            braced[name] = {"{0}" + key: 5, **braced[name]}
+    yield braced
+
+
+def _outcome(read, doc):
+    try:
+        return "ok", read(doc)
+    except Exception as e:    # the message, and the type, are what is compared
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(FIXTURES.glob("*.json"))
+                                  if not p.stem.startswith("pattern")], ids=lambda p: p.stem)
+def test_load_errors_name_the_paths_the_eager_reader_named(path):
+    """Each field of each graph fixture, deleted or given a value of the wrong
+    type, gives the same GraphLoadError message (or the same graph) as the
+    reader that formatted every JSON path up front."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    count = 0
+    for mutant in _mutants(doc):
+        expected = _outcome(_old_graph_from_dict, mutant)
+        assert _outcome(graph_from_dict, mutant) == expected, expected
+        count += expected[0] == "GraphLoadError"
+    assert count > 50
