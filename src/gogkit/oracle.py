@@ -18,36 +18,48 @@ through this one guarded step.
 The abelian guard looks at dimensions first.  Edge maps are injective, so a
 span of larger dimension than the entered end class never crosses, and one of
 equal dimension crosses only when it is that class, which lands on the
-opposite end class with no elimination.  Only a smaller span is tested with
-`contains` (dot products with the end class's cached normals), and it
-crosses by `carry`: M_eta's cached left inverse solves M_eta X = V, and M_theta
-maps X over, two small matrix-vector products per basis row of V.
-End classes, indices and left inverses are read off the edge matrices, which
-cache them, so the abelian oracle caches only transports and, per (edge, end)
-asked, whether that end has finite index.  When `carry`
-moves V across an edge to W, the cache also records the way back, W
-entering at the opposite end goes to V: the edge map is an isomorphism
-between the two end classes and canonical forms are unique, so this is
-exactly what the reverse `contains` and `carry` would compute, and a walk
-that tries the arc back (every `explore` does) pays one `carry` per pair.
-Table transports are not cached this way; their arcs can be one-way.
+opposite end class with no elimination.  Only a smaller span is tested, by
+dot products with the end class's cached normals, inline rather than through
+the cached `contains`, and it crosses by `carry`: M_eta's cached left inverse
+solves M_eta X = V, and M_theta maps X over, two small matrix-vector
+products per basis row of V.
+
+Caches.  End classes, indices and left inverses are read off the edge
+matrices, which cache them.  The abelian oracle is one per graph
+(`GraphOfGroups.oracle`) and its caches live as long as the graph:
+- `_moved` holds each class that `carry` moved, under (edge, entered end,
+  class), together with the way back: W entering at the opposite end goes
+  to V.  The edge map is an isomorphism between the two end classes and
+  canonical forms are unique, so this is exactly what the reverse guard and
+  `carry` would compute, and a walk that tries the arc back (every `explore`
+  does) pays one `carry` per pair.  A direct `transport` of an end class
+  also stores the opposite end class it lands on.  A refusal is never
+  stored: it costs a few dot products to find again.  `_moved` is not
+  bounded; it grows with the distinct crossings the graph's walks make.
+- `_arcs` holds one arc table per vertex asked, one row per edge end there.
+- `_finite` holds, per (edge, end) asked, whether that end has finite index.
+Table transports are not cached; their arcs can be one-way.
 
 `explore` asks its oracle for the arcs at a vertex (`arcs`) and for the
-ones a class crosses (`crossings`).  The abelian oracle builds, once per
-vertex, an arc table of (edge, entered end, end class, its dimension,
-opposite end class), and settles most arcs from it without a call: an end
-class of lower dimension, or of equal dimension and another span, refuses
-the class, and an equal one hands over its opposite end class.  Only a
-larger end class, or one from another ambient space (where `transport`
-raises), goes through `transport`.  The table oracle asks `transport` on
-every arc.
+ones a class crosses (`crossings`).  The abelian oracle's arc table holds,
+per incident edge end, (edge, entered end, end class, its dimension,
+opposite end class), and `crossings` settles every guard from it without a
+call: an end class of lower dimension, or of equal dimension and another
+span, refuses the class, and an equal one hands over its opposite end
+class; a larger end class refuses it unless every dot product of its
+normals with the class's basis vanishes.  Only an arc the class crosses
+into a larger end class, or one from another ambient space (where
+`transport` raises), goes through `transport`, so a refused arc stores
+nothing and asks `contains` nothing (`carry` still asks it once, on the
+first crossing of an arc).  The table oracle asks `transport` on every arc.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
-from .exactlin import RationalSubspace, carry, contains, full_space
+from .exactlin import RationalSubspace, _check_same_ambient, carry, contains, full_space
 from .model import INFINITE, GraphOfGroups
 
 
@@ -94,20 +106,20 @@ class AbelianOracle:
 
     def transport(self, eid: str, entered_end: int, cls: RationalSubspace):
         """cls carried across the edge, or None when it is not below the entered end class."""
-        key = (eid, entered_end, cls)
-        if key in self._moved:
-            return self._moved[key]
-        moved = None
+        moved = self._moved.get((eid, entered_end, cls))
+        if moved is not None:
+            return moved
         end_cls = self.class_of(eid, entered_end)
-        if cls.dim < end_cls.dim or cls.ambient_dim != end_cls.ambient_dim:
-            # contains raises DimensionMismatch on a class from another ambient
-            if contains(end_cls, cls):
-                ends = self.g.edge(eid).ends
-                moved = carry(ends[entered_end].matrix, ends[1 - entered_end].matrix, cls)
-                self._moved[(eid, 1 - entered_end, moved)] = cls   # the way back
+        _check_same_ambient(end_cls, cls)
+        if cls.dim < end_cls.dim:
+            if any(sum(map(mul, u, row)) for u in end_cls._normals for row in cls.basis):
+                return None
+            ends = self.g.edge(eid).ends
+            moved = self._moved[eid, entered_end, cls] = carry(
+                ends[entered_end].matrix, ends[1 - entered_end].matrix, cls)
+            self._moved[eid, 1 - entered_end, moved] = cls   # the way back
         elif cls == end_cls:
-            moved = self.class_of(eid, 1 - entered_end)
-        self._moved[key] = moved
+            moved = self._moved[eid, entered_end, cls] = self.class_of(eid, 1 - entered_end)
         return moved
 
     def arcs(self, vid: str):
@@ -122,15 +134,17 @@ class AbelianOracle:
 
     def crossings(self, arcs, cls: RationalSubspace):
         """(edge, entered end, moved class) for each of `arcs` that cls crosses,
-        in order; only a larger end class, or one from another ambient space,
-        is asked through `transport`."""
+        in order.  The guard is settled from the arc table, so a refused arc
+        costs dot products and stores nothing; an arc from another ambient
+        space goes to `transport`, which raises."""
         out = []
-        dim, ambient = cls.dim, cls.ambient_dim
+        dim, ambient, basis = cls.dim, cls.ambient_dim, cls.basis
         for (e, i, end, end_dim, opposite) in arcs:
-            if end_dim > dim or end.ambient_dim != ambient:
-                moved = self.transport(e.id, i, cls)
-                if moved is not None:
-                    out.append((e, i, moved))
+            if end.ambient_dim != ambient:
+                self.transport(e.id, i, cls)   # raises DimensionMismatch
+            elif end_dim > dim:
+                if not any(sum(map(mul, u, row)) for u in end._normals for row in basis):
+                    out.append((e, i, self.transport(e.id, i, cls)))
             elif end_dim == dim and end == cls:
                 out.append((e, i, opposite))
         return out

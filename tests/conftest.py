@@ -158,6 +158,46 @@ def _star_graph(m):
     return graph_from_dict({"oracle": "abelian", "vertices": vertices, "edges": edges})
 
 
+def flag_graph(rng, n_edges, n, finite):
+    """Irreducible coordinate-flag graph: E edges on max(2, E // 2) rank-n vertices.
+
+    The edges are a random spanning tree plus extra pairs, about one in five
+    a loop, each of rank r in 1..n-1.  Every end matrix is an r x r block over
+    n - r zero rows, so every end class is the coordinate subspace
+    span(e_1..e_r).  With `finite` the block is a signed permutation matrix
+    with entries scaled by 1, 2 or 3: classes stay coordinate subspaces,
+    orbits are finite, and the chain F_1 < ... < F_{n-1} plants the verdict
+    Finite(n - 1) once every rank occurs.  Otherwise the block is a random
+    nonsingular matrix with entries in -2..2, and lines inside the flags have
+    infinite orbits, so walks get cut and the verdict is Unknown.
+    """
+    nv = max(2, n_edges // 2)
+    pairs = [(rng.randrange(i), i) for i in range(1, nv)]
+    while len(pairs) < n_edges:
+        a = rng.randrange(nv)
+        pairs.append((a, a if rng.random() < 0.2 else rng.randrange(nv)))
+    rng.shuffle(pairs)
+
+    def end(r):
+        if finite:
+            perm = rng.sample(range(r), r)
+            block = [[rng.choice((-3, -2, -1, 1, 2, 3)) if j == perm[i] else 0
+                      for j in range(r)] for i in range(r)]
+        else:
+            block = [[0]]
+            while not RatMatrix.from_rows(block).det():
+                block = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        return block + [[0] * r for _ in range(n - r)]
+
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        r = rng.randint(1, n - 1)
+        edges.append({"id": f"e{k}", "rank": r, "ends": [
+            {"vertex": f"v{a}", "matrix": end(r)}, {"vertex": f"v{b}", "matrix": end(r)}]})
+    return graph_from_dict({"oracle": "abelian", "edges": edges,
+                            "vertices": [{"id": f"v{i}", "rank": n} for i in range(nv)]})
+
+
 def fixture_path(name):
     return FIXTURES / f"{name}.json"
 

@@ -7,7 +7,7 @@ from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, depth_filtrati
 from gogkit.depth import MustReduceFirst, Raft, WrongRaftLevel
 from gogkit.exactlin import RatMatrix
 
-from conftest import NO_RAFT_TABLE, _random_irreducible_graph, _star_graph
+from conftest import NO_RAFT_TABLE, _random_irreducible_graph, _star_graph, flag_graph
 
 
 def members(raft):
@@ -779,3 +779,29 @@ def test_each_level_reports_its_comparison_count(graph, monkeypatch):
     depth_filtration(graph("arc4"))
     assert seen == [{"comparisons": 2, "cut": False}, {"comparisons": 1, "cut": False},
                     {"comparisons": 0, "cut": False}]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n_edges", [16, 24, 48])
+def test_finite_flag_graphs_have_their_planted_depth(n, n_edges):
+    """Coordinate flags with finite orbits: the chain F_1 < ... < F_{n-1} of end
+    classes gives Finite(n - 1) on valid, irreducible draws with every rank."""
+    import random
+
+    for seed in range(3):
+        g = flag_graph(random.Random(seed), n_edges, n, True)
+        assert validate(g).ok and not reducible_edges(g)
+        assert {e.rank for e in g.edges} == set(range(1, n))
+        assert depth_filtration(g).verdict.render() == f"Finite({n - 1})"
+
+
+def test_infinite_flag_graph_stays_unknown_and_small():
+    """Coordinate flags with infinite orbits, E = 8: line walks are cut at the
+    horizon, so the verdict is Unknown, and the walks store a few hundred
+    transports (larger draws store hundreds of thousands; ROADMAP item 21)."""
+    import random
+
+    g = flag_graph(random.Random(3), 8, 3, False)
+    assert validate(g).ok and not reducible_edges(g)
+    assert depth_filtration(g).verdict.render() == "Unknown(16)"
+    assert len(g.oracle()._moved) < 1000

@@ -503,17 +503,29 @@ def ref_mul(a, b):
         for row in a.entries])
 
 
-def rat_matrix(draw, rows, cols):
-    return fraction_matrix(rows, cols, [[Fraction(draw(rationals)) for _ in range(cols)]
+def rat_matrix(draw, rows, cols, integer=False):
+    entries = st.integers(-5, 5) if integer else rationals
+    return fraction_matrix(rows, cols, [[Fraction(draw(entries)) for _ in range(cols)]
                                         for _ in range(rows)])
 
 
-@given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def _lowest_product(a, b):
+    """a.mul(b) the way a rational product goes: integer rows over den_a * den_b,
+    through `_lowest`."""
+    cols = list(zip(*b.ints)) if b.ints else [()] * b.cols
+    return exactlin._lowest(a.rows, b.cols, [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                                             for row in a.ints], a.den * b.den)
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_mul_matches_fraction_reference(data, n, k, m):
-    a, b = rat_matrix(data.draw, n, k), rat_matrix(data.draw, k, m)
+def test_mul_matches_fraction_reference(data, n, k, m, int_a, int_b):
+    """Integer factors take the fast path, which must equal the `_lowest` route."""
+    a, b = rat_matrix(data.draw, n, k, int_a), rat_matrix(data.draw, k, m, int_b)
     product = a.mul(b)
-    assert product == ref_mul(a, b)
+    assert product == ref_mul(a, b) == _lowest_product(a, b)
+    assert all(type(row) is tuple for row in product.ints)
     assert (product.rows, product.cols) == (n, m)
     assert all(type(x) is Fraction for row in product.entries for x in row)
     k2 = data.draw(st.integers(0, 3).filter(lambda j: j != k))
@@ -599,3 +611,70 @@ def test_carry_rejects_bad_shapes_and_spans_outside_the_image():
         carry(m_in, m_in, full_space(3))
     with pytest.raises(DimensionMismatch):
         carry(m_in, RatMatrix.identity(2), zero_space(2))
+
+
+# -- the unit-determinant fast path of inverse -------------------------------------
+
+
+@st.composite
+def unimodular_ints(draw, n):
+    """Integer rows of determinant +-1: the identity after a few row operations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return tuple(map(tuple, m))
+
+
+@given(st.data(), st.integers(1, 4), st.booleans(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_inverses_equal_the_lowest_terms_route(data, n, unimodular, den):
+    """At |det(ints)| = 1 the inverse is den * adj(ints), an integer matrix; it and
+    every other inverse equal the Fraction Gauss-Jordan inverse in lowest terms."""
+    if unimodular:
+        ints = data.draw(unimodular_ints(n))
+    else:
+        ints = tuple(tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(n))
+    m = RatMatrix.from_rows([[Fraction(x, den) for x in row] for row in ints])
+    assume(m.det())
+    inv = m.inverse()
+    reduced, _ = ref_rref([list(r) + [int(a == b) for b in range(n)]
+                           for a, r in enumerate(m.entries)])
+    assert inv == RatMatrix.from_rows([row[n:] for row in reduced])
+    assert all(type(row) is tuple for row in inv.ints)
+    if unimodular:
+        assert inv.den == 1 and inv.mul(m) == RatMatrix.identity(n)
+
+
+# -- the contains cache -----------------------------------------------------------
+
+
+def test_contains_cache_stays_bounded_over_many_analyses():
+    """Reduction, the depth filtration, the crossing check and the fingerprint
+    of 60 benchmark-family graphs in one process ask `contains` about more
+    distinct pairs than its cache holds, and the cache stops at its bound."""
+    import importlib.util
+    import pathlib
+    import random
+
+    from gogkit import check_hypotheses, comm_classes, complete_reduce, graph_from_dict
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(46)
+    before = contains.cache_info()
+    for k in range(30):
+        n_edges = (16, 32)[k % 2]
+        for doc in (inputs.reducible_graph(rng, n_edges), inputs.rank3_graph(rng, n_edges)):
+            g = graph_from_dict(doc)
+            check_hypotheses(complete_reduce(g))
+            comm_classes(g)
+    info = contains.cache_info()
+    assert info.maxsize == 1024
+    assert info.misses - before.misses > info.maxsize >= info.currsize

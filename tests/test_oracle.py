@@ -465,6 +465,66 @@ def test_explore_matches_a_walk_that_transports_every_arc(g, horizons):
                                                     edge_ids, max_steps), (vid, cls, edge_ids)
 
 
+def _walk_cases():
+    """Graphs, named: the cases above, and both coordinate-flag variants at E = 8."""
+    import random
+
+    from conftest import flag_graph
+
+    cases = [pytest.param(p.values[0], id=p.id) for p in _arc_table_cases()]
+    for n, finite, seed in ((3, True, 3), (4, True, 3), (3, False, 3), (3, False, 0)):
+        kind = "finite" if finite else "infinite"
+        cases.append(pytest.param(flag_graph(random.Random(seed), 8, n, finite),
+                                  id=f"flag_{kind}_n{n}_seed{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("g", _walk_cases())
+def test_walk_agrees_with_the_per_arc_transport_loop(g):
+    """At every state two rounds of `explore` reach, `crossings` returns, in arc
+    order, what asking `transport` on each arc returns, and what the guard on
+    `contains` followed by image(preimage(...)) gives.  A refused arc stores
+    nothing in `_moved` and asks `contains` nothing, through `crossings` (which
+    does not ask `transport` about it) and through `transport`; a class from
+    another ambient space raises."""
+    orc = oracle.AbelianOracle(g)
+    states = {}
+    for vid, cls in spans_at(g, orc):
+        for start in [cls] + [canonicalize([b], cls.ambient_dim) for b in cls.basis]:
+            states.update(dict.fromkeys(
+                (p.vertex, p.cls) for p in explore(orc, vid, start, max_steps=2).placements))
+    for vid, cls in states:
+        arcs = orc.arcs(vid)
+        by_transport = [(e, i, m) for (e, i, *_) in arcs
+                        for m in (orc.transport(e.id, i, cls),) if m is not None]
+        assert orc.crossings(arcs, cls) == by_transport
+        fresh = oracle.AbelianOracle(g)
+        assert by_transport == [(e, i, m) for (e, i, *_) in arcs
+                                for m in (_old_transport(fresh, e.id, i, cls),) if m is not None]
+        crossed = {(e.id, i) for e, i, _ in by_transport}
+        for arc in arcs:
+            if (arc[0].id, arc[1]) in crossed:
+                continue
+            cold, asked = oracle.AbelianOracle(g), []
+            real = cold.transport
+            cold.transport = lambda *args: asked.append(args) or real(*args)
+            info = contains.cache_info()
+            assert cold.crossings([arc], cls) == [] and asked == []
+            assert cold.transport(arc[0].id, arc[1], cls) is None
+            assert cold._moved == {} and contains.cache_info() == info
+    for v in g.vertices:
+        arcs = orc.arcs(v.id)
+        for cls in (full_space(v.rank + 1), canonicalize([[1] * (v.rank + 1)])):
+            if arcs:
+                with pytest.raises(DimensionMismatch):
+                    orc.crossings(arcs, cls)
+            for arc in arcs:
+                with pytest.raises(DimensionMismatch):
+                    orc.crossings([arc], cls)
+                with pytest.raises(DimensionMismatch):
+                    orc.transport(arc[0].id, arc[1], cls)
+
+
 def test_explore_rejects_unknown_edge_ids(graph):
     orc = graph("arc3").oracle()
     with pytest.raises(KeyError, match="no edge 'nope'"):
