@@ -8,13 +8,13 @@ on E edges, each from `random.Random(3)`, and runs `gog depth` (text and
 JSON), `check` and `validate` on the first and `gog reduce` and `check` on
 the second.  Each command runs RUNS times through `cli.main` in this
 process, on a freshly imported gogkit (so no cache carries over between
-runs), and the best time counts.  Each run's time is rescaled to one fixed
-host speed by perfbench's `HostSpeed`, as the benchmark's op times are, so
-the times of two checkouts run minutes apart on a shared host compare.
-Prints per (E, command) the best scaled time in ms, the exit code, the
-report's size in bytes and its sha256, then one digest line over every exit
-code and report sha256 (not the times): two checkouts that print the same
-digest line gave byte-identical reports.
+runs), and the best raw `time.perf_counter` time counts.  Times are not
+rescaled to a host speed, so on a shared host only runs alternated with each
+other compare: to compare two checkouts, run them in turn, several times.
+Prints per (E, command) the best time in ms, the exit code, the report's
+size in bytes and its sha256, then one digest line over every exit code and
+report sha256 (not the times): two checkouts that print the same digest line
+gave byte-identical reports.
 
 The graphs are written to a temporary directory and named relative to it,
 so no temporary path enters a report.  Nothing under perfbench/ is written,
@@ -40,7 +40,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import inputs  # noqa: E402
-from run import HostSpeed  # noqa: E402
 
 COMMANDS = (   # (label, graph family, argv before the graph file)
     ("depth", "rank3", ["depth"]),
@@ -59,8 +58,8 @@ def fresh_main():
     return importlib.import_module("gogkit.cli").main
 
 
-def best_run(argv, runs, host):
-    """(best seconds scaled by `host`, exit code, report bytes) of `gog argv` over `runs` runs."""
+def best_run(argv, runs):
+    """(best seconds, exit code, report bytes) of `gog argv` over `runs` runs."""
     best, code, report = None, None, None
     for _ in range(runs):
         main = fresh_main()
@@ -68,7 +67,7 @@ def best_run(argv, runs, host):
         with contextlib.redirect_stdout(out):
             t = time.perf_counter()
             code = main(argv)
-            dt = host.scale(time.perf_counter() - t)
+            dt = time.perf_counter() - t
         best = dt if best is None else min(best, dt)
         report = out.getvalue().encode()
     return best, code, report
@@ -85,7 +84,6 @@ def main(argv=None):
         p.error("--runs must be at least 1 and every size at least 2")
     whole = hashlib.sha256()
     here = os.getcwd()
-    host = HostSpeed()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -95,7 +93,7 @@ def main(argv=None):
                     pathlib.Path(f"{family}_{n}.json").write_text(
                         json.dumps(build(random.Random(3), n)))
                 for label, family, cmd in COMMANDS:
-                    secs, code, report = best_run([*cmd, f"{family}_{n}.json"], args.runs, host)
+                    secs, code, report = best_run([*cmd, f"{family}_{n}.json"], args.runs)
                     sha = hashlib.sha256(report).hexdigest()
                     whole.update(f"{n} {label} {code} {sha}\n".encode())
                     print(f"E={n:<5} {label:<20} {1000 * secs:9.1f} ms  exit {code}  "

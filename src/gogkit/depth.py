@@ -34,9 +34,9 @@ comparisons.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import mul
 from typing import NamedTuple
 
+from .exactlin import _inside
 from .oracle import EdgePool, explore
 from .reduce import reducible_edges
 from .unionfind import UnionFind
@@ -289,7 +289,7 @@ def _compare_spans(orc, z, by_cls, below, joins, left):
                 if not left:
                     return -1
                 left -= 1
-                if not any(sum(map(mul, u, row)) for u in hi._normals for row in lo.basis):
+                if _inside(hi, lo):
                     _defer(below, by_cls, lo, hi)
                     done = all(x[0] in below for x in items)
     return left

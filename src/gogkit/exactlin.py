@@ -16,22 +16,23 @@ the span of one column is its primitive self and of two independent columns
 two cross-multiplied rows (`_small_span`), a square with a nonzero
 determinant spans the whole space, and an inverse up to 3x3 is the adjugate
 over the determinant.  Each subspace caches its integer normals on
-first use: containment is dot products with them, and intersection and
-preimage are kernels of them (stacked, or pulled back through the matrix).
-`carry` moves a span across an injective map with two small matrix-vector
-products per basis row, through the left inverse that the map caches on
-first use.  A product of two integer matrices, and an inverse whose integer
-rows have determinant +-1, is built in lowest terms directly, with no gcd
-pass.  fractions.Fraction appears only where a public value is rational:
-RatMatrix entries, determinants and kernel vectors.  No floating point is
-used anywhere.
+first use: containment is dot products with them (`_inside`, the one
+inclusion test), and intersection and preimage are kernels of them
+(stacked, or pulled back through the matrix).  `carry` moves a span across
+an injective map with two small matrix-vector products per basis row,
+through the left inverse that the map caches on first use, and checks its
+precondition by `_inside`, not the `contains` cache.  A product of two
+integer matrices, and an inverse whose integer rows have determinant +-1,
+is built in lowest terms directly, with no gcd pass.  fractions.Fraction
+appears only where a public value is rational: RatMatrix entries,
+determinants and kernel vectors.  No floating point is used anywhere.
 
 Caches.  A subspace keeps its normals, and a matrix its span, determinant
 and left inverse, for as long as the object lives.  `full_space` keeps one
 subspace per dimension asked.  `contains` keeps the answers for the 1024
 (a, b) pairs asked most recently, in one process-wide `lru_cache`: one
 analysis of a benchmark-size graph asks at most a few dozen distinct pairs
-(85 at most over the four benchmark workloads), so 1024 keeps every reuse
+(55 at most over the four benchmark workloads), so 1024 keeps every reuse
 within an analysis and most reuse across analyses of a repeated graph,
 while a long process no longer keeps every pair it ever asked.
 """
@@ -210,6 +211,12 @@ def _check_same_ambient(a: RationalSubspace, b: RationalSubspace):
         )
 
 
+def _inside(a: RationalSubspace, b: RationalSubspace) -> bool:
+    """Whether b lies in a, for two subspaces of one Q^n: every normal of a is
+    orthogonal to every basis row of b."""
+    return not any(sum(map(mul, u, row)) for u in a._normals for row in b.basis)
+
+
 @lru_cache(maxsize=1024)   # the pairs asked most recently; see the module docstring
 def contains(a: RationalSubspace, b: RationalSubspace) -> bool:
     """True iff b is a subspace of a (every basis row of b lies in span(a)).
@@ -219,9 +226,7 @@ def contains(a: RationalSubspace, b: RationalSubspace) -> bool:
     other.
     """
     _check_same_ambient(a, b)
-    if b.dim > a.dim:
-        return False
-    return not any(sum(map(mul, u, row)) for u in a._normals for row in b.basis)
+    return b.dim <= a.dim and _inside(a, b)
 
 
 def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
@@ -429,7 +434,7 @@ def carry(m_in: RatMatrix, m_out: RatMatrix, s: RationalSubspace) -> RationalSub
     if s.ambient_dim != m_in.rows or m_in.cols != m_out.cols:
         raise DimensionMismatch("carry: the shapes of m_in, m_out and s do not fit")
     left = m_in._left_inverse
-    if left is None or not contains(m_in._span, s):
+    if left is None or not _inside(m_in._span, s):
         raise ValueError("carry: m_in is not injective or s is outside its column span")
     pivots, inv = left
     out = []

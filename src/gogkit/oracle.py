@@ -8,21 +8,24 @@ degenerates to plain span comparison), and transport of a class across an
 edge to the opposite vertex.
 
 Transport is guarded: a class crosses an edge only when it sits below the
-class of the end it enters, and `transport` returns None otherwise.  Through
+class of the end it enters, and the step returns None otherwise.  Through
 an edge entered at end eta with opposite end theta, a span V inside the
 entered end class goes to image(M_theta, preimage(M_eta, V)), which moves the
-commensurability class itself (an isomorphism is acting underneath).  Every
-walk in the package, `explore` and the tree-ball walks alike, crosses edges
-through this one guarded step.
+commensurability class itself (an isomorphism is acting underneath).  Each
+oracle lists the arcs at a vertex (`arcs`), one per incident edge end in
+`ends_at` order, and takes one guarded step across an arc (`step`); every
+walk in the package crosses edges through it, and `transport(eid, end, cls)`
+is that step on one arc.
 
-The abelian guard looks at dimensions first.  Edge maps are injective, so a
-span of larger dimension than the entered end class never crosses, and one of
-equal dimension crosses only when it is that class, which lands on the
-opposite end class with no elimination.  Only a smaller span is tested, by
-dot products with the end class's cached normals, inline rather than through
-the cached `contains`, and it crosses by `carry`: M_eta's cached left inverse
-solves M_eta X = V, and M_theta maps X over, two small matrix-vector
-products per basis row of V.
+The abelian guard, in `AbelianOracle.step` only, looks at dimensions first.
+Edge maps are injective, so a span at least as large as the entered end
+class crosses only when it is that class, and then lands on the opposite
+end class with no elimination.  Only a smaller span is tested, by
+`exactlin._inside` (dot products with the end class's cached normals), and
+it crosses by `carry`: M_eta's cached left inverse solves M_eta X = V, and
+M_theta maps X over, two small matrix-vector products per basis row of V.
+A refused arc costs a few dot products, stores nothing and asks the
+`contains` cache nothing.
 
 Caches.  End classes, indices and left inverses are read off the edge
 matrices, which cache them.  The abelian oracle is one per graph
@@ -32,34 +35,20 @@ matrices, which cache them.  The abelian oracle is one per graph
   to V.  The edge map is an isomorphism between the two end classes and
   canonical forms are unique, so this is exactly what the reverse guard and
   `carry` would compute, and a walk that tries the arc back (every `explore`
-  does) pays one `carry` per pair.  A direct `transport` of an end class
-  also stores the opposite end class it lands on.  A refusal is never
-  stored: it costs a few dot products to find again.  `_moved` is not
-  bounded; it grows with the distinct crossings the graph's walks make.
-- `_arcs` holds one arc table per vertex asked, one row per edge end there.
+  does) pays one `carry` per pair.  It holds carries only: an end class and
+  a refusal cost a comparison or a few dot products to find again.  `_moved`
+  is not bounded; it grows with the distinct crossings the graph's walks make.
+- `_arcs` holds one arc table per vertex asked: (edge, entered end, end
+  class) per edge end there, so a walk's step makes no id lookup.
 - `_finite` holds, per (edge, end) asked, whether that end has finite index.
 Table transports are not cached; their arcs can be one-way.
-
-`explore` asks its oracle for the arcs at a vertex (`arcs`) and for the
-ones a class crosses (`crossings`).  The abelian oracle's arc table holds,
-per incident edge end, (edge, entered end, end class, its dimension,
-opposite end class), and `crossings` settles every guard from it without a
-call: an end class of lower dimension, or of equal dimension and another
-span, refuses the class, and an equal one hands over its opposite end
-class; a larger end class refuses it unless every dot product of its
-normals with the class's basis vanishes.  Only an arc the class crosses
-into a larger end class, or one from another ambient space (where
-`transport` raises), goes through `transport`, so a refused arc stores
-nothing and asks `contains` nothing (`carry` still asks it once, on the
-first crossing of an arc).  The table oracle asks `transport` on every arc.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
-from .exactlin import RationalSubspace, _check_same_ambient, carry, contains, full_space
+from .exactlin import RationalSubspace, _check_same_ambient, _inside, carry, contains, full_space
 from .model import INFINITE, GraphOfGroups
 
 
@@ -109,45 +98,33 @@ class AbelianOracle:
         moved = self._moved.get((eid, entered_end, cls))
         if moved is not None:
             return moved
-        end_cls = self.class_of(eid, entered_end)
-        _check_same_ambient(end_cls, cls)
-        if cls.dim < end_cls.dim:
-            if any(sum(map(mul, u, row)) for u in end_cls._normals for row in cls.basis):
-                return None
-            ends = self.g.edge(eid).ends
-            moved = self._moved[eid, entered_end, cls] = carry(
-                ends[entered_end].matrix, ends[1 - entered_end].matrix, cls)
-            self._moved[eid, 1 - entered_end, moved] = cls   # the way back
-        elif cls == end_cls:
-            moved = self._moved[eid, entered_end, cls] = self.class_of(eid, 1 - entered_end)
-        return moved
+        e = self.g.edge(eid)
+        return self.step((e, entered_end, e.ends[entered_end].matrix.column_span()), cls)
 
     def arcs(self, vid: str):
-        """The arc table of a vertex: (edge, entered end, end class, its dimension,
-        opposite end class) for each incident edge end, in `ends_at` order."""
+        """The arc table of a vertex: (edge, entered end, end class) for each
+        incident edge end, in `ends_at` order."""
         table = self._arcs.get(vid)
         if table is None:
-            table = self._arcs[vid] = [
-                (e, i, end, end.dim, e.ends[1 - i].matrix.column_span())
-                for (e, i) in self.g.ends_at(vid) for end in (e.ends[i].matrix.column_span(),)]
+            table = self._arcs[vid] = [(e, i, e.ends[i].matrix.column_span())
+                                       for (e, i) in self.g.ends_at(vid)]
         return table
 
-    def crossings(self, arcs, cls: RationalSubspace):
-        """(edge, entered end, moved class) for each of `arcs` that cls crosses,
-        in order.  The guard is settled from the arc table, so a refused arc
-        costs dot products and stores nothing; an arc from another ambient
-        space goes to `transport`, which raises."""
-        out = []
-        dim, ambient, basis = cls.dim, cls.ambient_dim, cls.basis
-        for (e, i, end, end_dim, opposite) in arcs:
-            if end.ambient_dim != ambient:
-                self.transport(e.id, i, cls)   # raises DimensionMismatch
-            elif end_dim > dim:
-                if not any(sum(map(mul, u, row)) for u in end._normals for row in basis):
-                    out.append((e, i, self.transport(e.id, i, cls)))
-            elif end_dim == dim and end == cls:
-                out.append((e, i, opposite))
-        return out
+    def step(self, arc, cls: RationalSubspace):
+        """The class cls crosses `arc` to, or None when it is not below the
+        arc's end class; the one abelian guard (see the module docstring)."""
+        e, i, end = arc
+        if end.ambient_dim != cls.ambient_dim:
+            _check_same_ambient(end, cls)   # raises DimensionMismatch
+        if len(cls.basis) >= len(end.basis):
+            return e.ends[1 - i].matrix.column_span() if cls == end else None
+        if not _inside(end, cls):
+            return None
+        moved = self._moved.get((e.id, i, cls))
+        if moved is None:
+            moved = self._moved[e.id, i, cls] = carry(e.ends[i].matrix, e.ends[1 - i].matrix, cls)
+            self._moved[e.id, 1 - i, moved] = cls   # the way back
+        return moved
 
 
 class TableOracle:
@@ -195,14 +172,9 @@ class TableOracle:
         """The (edge, entered end) pairs at a vertex, in `ends_at` order."""
         return self.g.ends_at(vid)
 
-    def crossings(self, arcs, cls: str):
-        """(edge, entered end, moved class) for each of `arcs` that cls crosses, in order."""
-        out = []
-        for (e, i) in arcs:
-            moved = self.transport(e.id, i, cls)
-            if moved is not None:
-                out.append((e, i, moved))
-        return out
+    def step(self, arc, cls: str):
+        """`transport` across the arc (edge, entered end)."""
+        return self.transport(arc[0].id, arc[1], cls)
 
 
 class Placement(NamedTuple):
@@ -245,10 +217,9 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
             max_steps=None) -> ExploreResult:
     """All placements reachable from (vertex, class) by class-preserving walks.
 
-    Each step is one guarded `transport`, or the oracle's `crossings`
-    settling it from the arc table with the same result, so every step moves
-    the commensurability class by the isomorphism underlying the edge.  States
-    are deduplicated on (vertex, class); `truncated` reports that a cap
+    Each step is the oracle's one guarded `step` across an arc, so every step
+    moves the commensurability class by the isomorphism underlying the edge.
+    States are deduplicated on (vertex, class); `truncated` reports that a cap
     (`max_steps` rounds or MAX_STATES states) cut the search while new states
     were still appearing, in which case the result is a lower bound.  Each
     state tries the edge ends at its vertex in (edge id, end index) order.
@@ -258,6 +229,7 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
     if edge_ids is not None and not (type(edge_ids) is EdgePool and edge_ids.oracle is oracle):
         edge_ids = EdgePool(oracle, edge_ids)
     arcs_at = oracle.arcs if edge_ids is None else edge_ids.arcs_at
+    step = oracle.step
 
     start = Placement(start_vertex, start_cls, ())
     seen = {(start_vertex, start_cls)}
@@ -272,7 +244,11 @@ def explore(oracle, start_vertex, start_cls, *, edge_ids=None,
         steps += 1
         nxt = []
         for pl in frontier:
-            for (e, i, cls2) in oracle.crossings(arcs_at(pl.vertex), pl.cls):
+            for arc in arcs_at(pl.vertex):
+                cls2 = step(arc, pl.cls)
+                if cls2 is None:
+                    continue
+                e, i = arc[0], arc[1]
                 dest = e.ends[1 - i].vertex
                 key = (dest, cls2)
                 if key in seen:

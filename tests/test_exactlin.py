@@ -654,14 +654,16 @@ def test_inverses_equal_the_lowest_terms_route(data, n, unimodular, den):
 
 
 def test_contains_cache_stays_bounded_over_many_analyses():
-    """Reduction, the depth filtration, the crossing check and the fingerprint
-    of 60 benchmark-family graphs in one process ask `contains` about more
-    distinct pairs than its cache holds, and the cache stops at its bound."""
+    """Reduction, the crossing check, the fingerprint and the depth labels of
+    three radius-2 tree balls per graph, over 60 benchmark-family graphs in one
+    process, ask `contains` about more distinct pairs than its cache holds,
+    and the cache stops at its bound."""
     import importlib.util
     import pathlib
     import random
 
-    from gogkit import check_hypotheses, comm_classes, complete_reduce, graph_from_dict
+    from gogkit import (annotate_depth, build_ball, check_hypotheses, comm_classes,
+                        complete_reduce, depth_filtration, graph_from_dict)
 
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
@@ -673,8 +675,12 @@ def test_contains_cache_stays_bounded_over_many_analyses():
         n_edges = (16, 32)[k % 2]
         for doc in (inputs.reducible_graph(rng, n_edges), inputs.rank3_graph(rng, n_edges)):
             g = graph_from_dict(doc)
-            check_hypotheses(complete_reduce(g))
+            reduced = complete_reduce(g)
+            check_hypotheses(reduced)
             comm_classes(g)
+            da = depth_filtration(reduced)
+            for v in reduced.vertices[:3]:
+                annotate_depth(build_ball(reduced, v.id, 2), da)
     info = contains.cache_info()
     assert info.maxsize == 1024
     assert info.misses - before.misses > info.maxsize >= info.currsize

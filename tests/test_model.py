@@ -2,6 +2,7 @@
 
 import enum
 import json
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -137,6 +138,65 @@ def test_table_transport_must_link_end_classes(graph):
     doc["transport"]["e"][0]["F1"] = "F1"   # must land on the other end class F2
     report = validate(graph_from_dict(doc))
     assert any("opposite end class" in v for v in report.violations)
+
+
+def _heis_with(edit):
+    doc = graph_to_dict(load_graph(FIXTURES / "heis.json"))
+    edit(doc)
+    return doc
+
+
+_JSON_VIOLATIONS = [   # (edit of heis.json, one exact violation it brings)
+    (lambda d: d["classes"]["v"].update(labels=[]), "vertex v: no class labels declared"),
+    (lambda d: d["indices"].pop("e"), "edge e: missing or malformed index pair"),
+    (lambda d: d["indices"].update(e=[0, 2]),
+     'edge e end 0: index must be a positive integer or "inf"'),
+    (lambda d: d["transport"].pop("e"), "edge e: transport table must give one map per end"),
+    (lambda d: d["vertices"][0].update(rank=-1), "vertex v: negative rank"),
+    (lambda d: d["edges"][0].update(rank=-1), "edge e: negative rank"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _JSON_VIOLATIONS,
+                         ids=["empty_labels", "no_indices", "index_zero", "no_transport",
+                              "negative_vertex_rank", "negative_edge_rank"])
+def test_validate_names_each_json_violation(edit, message):
+    assert message in validate(graph_from_dict(_heis_with(edit))).violations
+
+
+def test_gog_validate_exits_one_on_a_json_violation(tmp_path, capsys):
+    from gogkit.cli import main
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_heis_with(lambda d: d["indices"].update(e=[0, 2]))))
+    assert main(["validate", str(path)]) == 1
+    assert 'edge e end 0: index must be a positive integer or "inf"' in capsys.readouterr().out
+
+
+def _api_violations():
+    """(graph, one exact violation) for inputs that no JSON document decodes to."""
+    heis = load_graph(FIXTURES / "heis.json")
+    e = heis.edges[0]
+    one = RatMatrix.identity(1)
+    v = (VertexSpec("v", 1),)
+    return [
+        (heis._replace(table=None), "table oracle selected but no table data present"),
+        (heis._replace(edges=(e._replace(ends=(EdgeEnd("v"), e.ends[1])),) + heis.edges[1:]),
+         "edge e end 0: no class label"),
+        (GraphOfGroups(v, (EdgeSpec("e", 1, (EdgeEnd("v"), EdgeEnd("v", one))),)),
+         "edge e end 0: abelian mode requires a matrix"),
+        (GraphOfGroups(v, (EdgeSpec("e", 1, (EdgeEnd("v", one), EdgeEnd(
+            "v", RatMatrix.from_rows([[Fraction(1, 2)]])))),)),
+         "edge e end 1: matrix entries must be integers"),
+        (GraphOfGroups(v, (), "free"), "unknown oracle mode 'free'"),
+    ]
+
+
+@pytest.mark.parametrize("g, message", _api_violations(),
+                         ids=["no_table", "no_class", "no_matrix", "fraction_matrix",
+                              "unknown_mode"])
+def test_validate_names_each_api_only_violation(g, message):
+    assert message in validate(g).violations
 
 
 def _loop(eid, vid, m=1):

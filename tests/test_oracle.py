@@ -194,19 +194,17 @@ def test_a_carried_class_comes_back_from_the_cache(g, data):
 
 
 class _OneWayOracle(oracle.AbelianOracle):
-    """The abelian oracle with transports cached one way only."""
+    """The abelian oracle with steps cached one way only."""
 
-    def transport(self, eid, entered_end, cls):
-        key = (eid, entered_end, cls)
+    def step(self, arc, cls):
+        e, i, end_cls = arc
+        key = (e.id, i, cls)
         if key not in self._moved:
             moved = None
-            end_cls = self.class_of(eid, entered_end)
             if cls.dim < end_cls.dim and contains(end_cls, cls):
-                ends = self.g.edge(eid).ends
-                moved = oracle.carry(ends[entered_end].matrix,
-                                     ends[1 - entered_end].matrix, cls)
+                moved = oracle.carry(e.ends[i].matrix, e.ends[1 - i].matrix, cls)
             elif cls == end_cls:
-                moved = self.class_of(eid, 1 - entered_end)
+                moved = self.class_of(e.id, 1 - i)
             self._moved[key] = moved
         return self._moved[key]
 
@@ -481,12 +479,12 @@ def _walk_cases():
 
 @pytest.mark.parametrize("g", _walk_cases())
 def test_walk_agrees_with_the_per_arc_transport_loop(g):
-    """At every state two rounds of `explore` reach, `crossings` returns, in arc
-    order, what asking `transport` on each arc returns, and what the guard on
-    `contains` followed by image(preimage(...)) gives.  A refused arc stores
-    nothing in `_moved` and asks `contains` nothing, through `crossings` (which
+    """At every state two rounds of `explore` reach, `step` on each arc, in arc
+    order, returns what `transport` returns on that arc, and what the guard on
+    `contains` followed by image(preimage(...)) gives.  A step asks `contains`
+    nothing; a refused arc stores nothing in `_moved`, through `step` (which
     does not ask `transport` about it) and through `transport`; a class from
-    another ambient space raises."""
+    another ambient space raises from both, and from `explore`."""
     orc = oracle.AbelianOracle(g)
     states = {}
     for vid, cls in spans_at(g, orc):
@@ -495,21 +493,25 @@ def test_walk_agrees_with_the_per_arc_transport_loop(g):
                 (p.vertex, p.cls) for p in explore(orc, vid, start, max_steps=2).placements))
     for vid, cls in states:
         arcs = orc.arcs(vid)
-        by_transport = [(e, i, m) for (e, i, *_) in arcs
+        by_step = [(e, i, m) for (e, i, end) in arcs
+                   for m in (orc.step((e, i, end), cls),) if m is not None]
+        by_transport = [(e, i, m) for (e, i, _) in arcs
                         for m in (orc.transport(e.id, i, cls),) if m is not None]
-        assert orc.crossings(arcs, cls) == by_transport
+        assert by_step == by_transport
         fresh = oracle.AbelianOracle(g)
-        assert by_transport == [(e, i, m) for (e, i, *_) in arcs
+        assert by_transport == [(e, i, m) for (e, i, _) in arcs
                                 for m in (_old_transport(fresh, e.id, i, cls),) if m is not None]
         crossed = {(e.id, i) for e, i, _ in by_transport}
         for arc in arcs:
-            if (arc[0].id, arc[1]) in crossed:
-                continue
             cold, asked = oracle.AbelianOracle(g), []
             real = cold.transport
             cold.transport = lambda *args: asked.append(args) or real(*args)
             info = contains.cache_info()
-            assert cold.crossings([arc], cls) == [] and asked == []
+            moved = cold.step(arc, cls)
+            assert asked == [] and contains.cache_info() == info
+            if (arc[0].id, arc[1]) in crossed:
+                continue
+            assert moved is None
             assert cold.transport(arc[0].id, arc[1], cls) is None
             assert cold._moved == {} and contains.cache_info() == info
     for v in g.vertices:
@@ -517,10 +519,10 @@ def test_walk_agrees_with_the_per_arc_transport_loop(g):
         for cls in (full_space(v.rank + 1), canonicalize([[1] * (v.rank + 1)])):
             if arcs:
                 with pytest.raises(DimensionMismatch):
-                    orc.crossings(arcs, cls)
+                    explore(orc, v.id, cls, max_steps=1)
             for arc in arcs:
                 with pytest.raises(DimensionMismatch):
-                    orc.crossings([arc], cls)
+                    orc.step(arc, cls)
                 with pytest.raises(DimensionMismatch):
                     orc.transport(arc[0].id, arc[1], cls)
 

@@ -8,6 +8,7 @@ from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, collapse,
                     comm_classes, complete_reduce, graph_to_dict, reducible_edges,
                     validate)
 from gogkit.exactlin import RatMatrix
+from gogkit.model import TableData
 from gogkit.oracle import explore
 from gogkit.reduce import NotReducible
 from gogkit.unionfind import UnionFind
@@ -93,6 +94,45 @@ def test_table_collapse_carries_untouched_entries(graph):
     out = collapse(g, "f", 0)
     assert out.table.indices["zz"] is index and out.table.transport["zz"] is maps
     assert sorted(out.table.indices) == sorted(out.table.transport) == ["e", "zz"]
+
+
+def _unseeded_collapse_cases():
+    """(graph, edge id, end) whose collapse cannot patch the parent's index:
+    a duplicate vertex id, a duplicate edge id, a dangling absorbed vertex."""
+    one, two = RatMatrix.identity(1), RatMatrix.from_rows([[2]])
+
+    def edge(eid, v0, m0, v1, m1):
+        return EdgeSpec(eid, 1, (EdgeEnd(v0, m0), EdgeEnd(v1, m1)))
+
+    a, b = VertexSpec("a", 1), VertexSpec("b", 1)
+    duplicate_vertex = GraphOfGroups(
+        (a, b, b), (edge("e", "a", one, "b", one), edge("f", "b", two, "a", one)))
+    duplicate_edge = GraphOfGroups(
+        (a, b), (edge("e", "a", one, "b", one), edge("f", "a", two, "b", one),
+                 edge("f", "b", two, "a", one)))
+    maps = ({"A": "A"}, {"A": "A"})
+    dangling_absorbed = GraphOfGroups(
+        (VertexSpec("v", 1),),
+        (EdgeSpec("e", 1, (EdgeEnd("v", class_label="A"), EdgeEnd("ghost", class_label="A"))),
+         EdgeSpec("f", 1, (EdgeEnd("ghost", class_label="A"), EdgeEnd("v", class_label="A")))),
+        "table",
+        TableData({"v": ("A",)}, {"v": "A"}, {}, {"e": maps, "f": maps},
+                  {"e": (1, 1), "f": (1, 2)}, {}))
+    return [pytest.param(duplicate_vertex, "e", 0, id="duplicate_vertex"),
+            pytest.param(duplicate_edge, "e", 0, id="duplicate_edge"),
+            pytest.param(dangling_absorbed, "e", 1, id="dangling_absorbed")]
+
+
+@pytest.mark.parametrize("g, eid, end", _unseeded_collapse_cases())
+def test_collapse_leaves_an_unpatchable_index_to_the_new_graph(g, eid, end):
+    """With duplicate ids or a dangling absorbed vertex, `collapse` seeds no
+    index, and the collapsed graph builds the index of its own fields."""
+    g.ends_at(g.edges[0].ends[0].vertex)   # the parent's index is built
+    out = collapse(g, eid, end)
+    assert "_index" not in out.__dict__
+    assert out._index == GraphOfGroups(*out)._index
+    control = collapse(chain_graph(), "e", 0)
+    assert "_index" in control.__dict__
 
 
 def test_complete_reduce_rejects_unknown_order(graph):
