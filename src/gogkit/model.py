@@ -13,13 +13,11 @@ All values are immutable after construction; operations elsewhere in the
 package are pure functions over them.  A graph builds its id and incidence
 index, and its oracle, on first use; both are caches, not part of the value.
 The incidence index lists each vertex's edge ends sorted by (edge id, end
-index), so every walk over them sees one order.  `seed_index` gives a new
-graph an index its maker already holds: `collapse` hands on a patched copy
-of its input's, equal to the one the new graph would build.  An edge
-matrix caches its own column span and determinant the same way, so
-`validate`'s injectivity check, the oracle's end classes and indices, and
-every graph `collapse` returns with that matrix share one column span and
-one determinant; the abelian oracle itself caches only transport results.
+index), so every walk over them sees one order.  An edge matrix caches its
+own column span and determinant the same way, so `validate`'s injectivity
+check, the oracle's end classes and indices, and every graph `collapse`
+returns with that matrix share one column span and one determinant; the
+abelian oracle itself caches only transport results.
 `validate` builds the declared vertex-id set once, and checks a table
 graph's transport against the preorder of that graph's own `TableOracle`.
 
@@ -117,12 +115,10 @@ class GraphOfGroups(_Graph):
     @cached_property
     def _index(self):
         """id -> vertex and id -> edge (first match wins), and vertex id ->
-        incident (edge, end index) pairs sorted by (edge id, end index), keyed
-        in vertex order, then any dangling vertex ids in edge order."""
-        vertices, edges = {}, {}
+        incident (edge, end index) pairs sorted by (edge id, end index)."""
+        vertices, edges, ends = {}, {}, {}
         for v in self.vertices:
             vertices.setdefault(v.id, v)
-        ends = {vid: [] for vid in vertices}
         for e in sorted(self.edges, key=lambda e: e.id):
             edges.setdefault(e.id, e)
             for i, end in enumerate(e.ends):
@@ -166,13 +162,6 @@ class GraphOfGroups(_Graph):
     def oracle(self):
         """This graph's one oracle, so its class and transport caches are shared."""
         return self._oracle
-
-
-def seed_index(g: GraphOfGroups, index) -> GraphOfGroups:
-    """`g` with `index` as its cached `_index`; the caller vouches that it is
-    exactly what `_index` would build (`collapse` hands on a patched copy)."""
-    g.__dict__["_index"] = index
-    return g
 
 
 class ValidationReport(NamedTuple):

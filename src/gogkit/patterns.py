@@ -130,24 +130,15 @@ def rigidity_check(pattern: LinearPattern) -> RigidityVerdict:
 #
 # A line through the origin of Q^2 is recorded by its slope as a normalized
 # integer pair (p, q) ~ p/q with gcd 1, q >= 0, and (1, 0) for the vertical
-# line.
-
-
-def _norm_slope(p: int, q: int):
-    if p == 0 and q == 0:
-        raise ValueError("0/0 is not a slope")
-    g = gcd(abs(p), abs(q))
-    p, q = p // g, q // g
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return (p, q)
+# line.  A primitive row (q, p), first nonzero entry positive, is that pair
+# read backwards: a canonical basis row, or a row of frame coordinates.
 
 
 def line_slope(s: RationalSubspace):
     if s.ambient_dim != 2 or s.dim != 1:
         raise DimensionMismatch("slopes are defined for lines in Q^2")
     x, y = s.basis[0]
-    return _norm_slope(y, x)
+    return (y, x)
 
 
 def _slope_key(s):
@@ -186,7 +177,7 @@ def slope_invariant(pattern: LinearPattern) -> SlopeInvariant:
     # distinct lines in the plane are in general position: every frame has coordinates
     for frame in itertools.permutations([i for i in members if subs[i] not in subs[:i]], 3):
         others = _frame_coordinates(minors, frame, [i for i in members if i not in frame])
-        slopes = [(0, 1), (1, 0), (1, 1)] + [_norm_slope(c1, c0) for c0, c1 in others]
+        slopes = [(0, 1), (1, 0), (1, 1)] + [(c1, c0) for c0, c1 in others]
         images.append(sorted((_slope_key(s), s) for s in slopes))
     return SlopeInvariant(tuple(s for _, s in min(images)))
 

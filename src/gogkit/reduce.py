@@ -9,25 +9,24 @@ not unique, but the multiset of commensurability classes of vertex and edge
 groups is; `comm_classes` computes that fingerprint.
 
 `complete_reduce` scans the graph for reducible ends once and keeps them in a
-candidate set.  A collapse changes only the edges with an end at the absorbed
-vertex: those ends move to the kept vertex (an edge may become a loop) and
-are composed with the collapsed edge's maps, so their determinant or index
-gets multiplied by the index of the collapsed edge at the kept end.  So after
-each collapse only both ends of those re-attached edges are rechecked; every
-other edge, and whether it is reducible, carries over unchanged.  So does
-the incidence index: `collapse` finds the edges to rebuild through
-`ends_at`, and hands the graph it returns a copy of its input's index in
-which only the kept vertex, the far ends of the re-attached edges, the
-absorbed vertex and the collapsed edge change.  A step thus copies three
-dicts rather than sorting and indexing every edge again; it still builds
-the new edge tuple in one pass.  In table mode the `indices` and
-`transport` tables are copied and patched at the re-attached edges only.
+candidate set.  A collapse changes only the star of the absorbed vertex, the
+edges with an end there: those ends move to the kept vertex (an edge may
+become a loop) and are composed with the collapsed edge's maps, so their
+determinant or index gets multiplied by the index of the collapsed edge at
+the kept end.  So the reduction keeps one working copy of the graph (edges
+by position, each vertex's incident positions, each edge id's positions)
+and hands each step's `collapse` a small graph: the star, plus the first
+copy of each of its edge ids, so that an id names the edge it names in the
+whole graph.  The collapsed edges are written back by position, and only
+both ends of the star's edges are rechecked, on the collapsed star's oracle;
+every other edge, and whether it is reducible, carries over unchanged.  One
+graph is built at the end.  In table mode each step still copies the
+table's dicts, patched at the re-attached edges only.
 """
 
 from __future__ import annotations
 
-from .model import (INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData, UnknownId,
-                    seed_index)
+from .model import INFINITE, EdgeEnd, EdgeSpec, GraphOfGroups, TableData, UnknownId
 from .oracle import explore
 from .unionfind import UnionFind
 
@@ -53,8 +52,7 @@ def reducible_edges(g: GraphOfGroups):
 def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
     """Collapse along a reducible edge; the surjective end's vertex disappears.
 
-    Only the edges with an end at the absorbed vertex are rebuilt, and the
-    returned graph gets a patched copy of `g`'s index rather than a new one.
+    Only the edges with an end at the absorbed vertex are rebuilt.
     """
     orc = g.oracle()
     try:
@@ -107,40 +105,12 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
         table = TableData(drop(t.labels), drop(t.top), drop(t.order), transport, indices,
                           drop(t.pd_flags))
 
-    out = GraphOfGroups(
+    return GraphOfGroups(
         tuple(v for v in g.vertices if v.id != gone),
         tuple(moved.get(id(f), f) for f in g.edges if f.id != eid),
         g.oracle_mode,
         table,
     )
-    return _carry_index(g, out, eid, gone, kept, moved)
-
-
-def _carry_index(g, out, eid, gone, kept, moved):
-    """`out` with `g`'s index patched for the collapse of `eid` into `kept`.
-
-    Only `kept` and the far ends of the moved edges change end lists; `gone`
-    and `eid` drop out.  Duplicate ids or a dangling `kept` or `gone` leave
-    `out` to build its own index.
-    """
-    vertices, edges, ends = g._index
-    if (len(vertices) != len(g.vertices) or len(edges) != len(g.edges)
-            or gone not in vertices or kept not in vertices):
-        return out
-    vertices, edges, ends = dict(vertices), dict(edges), dict(ends)
-    del vertices[gone], edges[eid]
-    old_kept, old_gone = ends[kept], ends.pop(gone)
-    for f in moved.values():
-        edges[f.id] = f
-
-    def swap(pairs):
-        return [(moved.get(id(f), f), i) for f, i in pairs]
-
-    for v in {fe.vertex for f in moved.values() for fe in f.ends} - {kept}:
-        ends[v] = swap(ends[v])
-    ends[kept] = sorted(swap(p for p in old_kept + old_gone if p[0].id != eid),
-                        key=lambda p: (p[0].id, p[1]))
-    return seed_index(out, (vertices, edges, ends))
 
 
 def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
@@ -149,24 +119,49 @@ def complete_reduce(g: GraphOfGroups, order="lex") -> GraphOfGroups:
     The edge count strictly decreases, so this terminates.  `order` picks the
     next (edge id, end index): "lex" (default) the least, "revlex" the
     greatest; any other value raises ValueError.  The graph is scanned once;
-    after each collapse only the ends of the re-attached edges are rechecked.
+    each step collapses the absorbed vertex's star (see the module
+    docstring), and an irreducible `g` is returned as it is.
     """
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown edge-selection policy {order!r}")
     pick = min if order == "lex" else max
     cands = set(reducible_edges(g))
+    if not cands:
+        return g
+    edges, table = list(g.edges), g.table      # a collapsed edge's slots become None
+    at, copies, firsts = {}, {}, {}   # vertex id -> positions; edge id -> positions, ascending
+    for p, e in enumerate(edges):
+        copies.setdefault(e.id, []).append(p)
+        for fe in e.ends:
+            at.setdefault(fe.vertex, set()).add(p)
+    for v in g.vertices:
+        firsts.setdefault(v.id, v)
     while cands:
         eid, end = pick(cands)
-        gone = g.edge(eid).ends[end].vertex
-        touched = {f.id for f, _ in g.ends_at(gone)}
-        g = collapse(g, eid, end)
-        orc = g.oracle()
-        for fid in touched:
+        e = edges[copies[eid][0]]
+        gone, kept = e.ends[end].vertex, e.ends[1 - end].vertex
+        ids = {edges[p].id for p in at[gone]}
+        handed = sorted(at[gone].union(copies[f][0] for f in ids))
+        star = tuple(edges[p] for p in handed)
+        vids = dict.fromkeys(fe.vertex for f in star for fe in f.ends)
+        out = collapse(GraphOfGroups(tuple(firsts[v] for v in vids if v in firsts), star,
+                                     g.oracle_mode, table), eid, end)
+        for p, f in zip([p for p in handed if edges[p].id != eid], out.edges):
+            edges[p] = f
+        for p in copies.pop(eid):
+            for fe in edges[p].ends:
+                at[fe.vertex].discard(p)
+            edges[p] = None
+        at[kept] |= at.pop(gone)
+        firsts.pop(gone, None)
+        table, orc = out.table, out.oracle()
+        for fid in ids:
             for i in (0, 1):
                 cands.discard((fid, i))
-                if fid != eid and _reducible(orc, g.edge(fid), i):
+                if fid != eid and _reducible(orc, out.edge(fid), i):
                     cands.add((fid, i))
-    return g
+    return GraphOfGroups(tuple(v for v in g.vertices if v.id in firsts),
+                         tuple(filter(None, edges)), g.oracle_mode, table)
 
 
 def comm_classes(g: GraphOfGroups, horizon: int | None = None):

@@ -198,6 +198,16 @@ def flag_graph(rng, n_edges, n, finite):
                             "vertices": [{"id": f"v{i}", "rank": n} for i in range(nv)]})
 
 
+def benchmark_inputs():
+    """perfbench's graph families (`perfbench/inputs.py`), loaded by path."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", FIXTURES.parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
 def fixture_path(name):
     return FIXTURES / f"{name}.json"
 

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from gogkit import dump_graph
+from gogkit import dump_graph, load_graph
 from gogkit.cli import build_parser, main
 
 from conftest import (CLASS_STALL, FIXTURES, NO_RAFT_TABLE, RANK0_PROBE, _mixed_rank_graph,
@@ -682,13 +682,14 @@ def _readme_exit_codes():
 
 
 def test_random_valid_graphs_stay_in_the_exit_contract(capsys, tmp_path):
-    """Seeded valid graphs of rank 0-3 through every one-graph command: no internal error."""
+    """Seeded valid graphs of rank 0-3 through every one-graph command: no
+    internal error, and `reduce -o` writes a valid graph that reduces no further."""
     contract = _readme_exit_codes()
     assert contract == set(range(7))
     rng = random.Random(2929)
-    target = tmp_path / "g.json"
+    target, reduced = tmp_path / "g.json", tmp_path / "out.json"
     seen = set()
-    drawn = 0
+    drawn = shrank = 0
     while drawn < 200:
         g = _mixed_rank_graph(rng)
         if g is None:
@@ -697,6 +698,7 @@ def test_random_valid_graphs_stay_in_the_exit_contract(capsys, tmp_path):
         dump_graph(g, target)
         vertex = rng.choice(g.vertex_ids())
         for argv in (["validate"], ["depth"], ["rafts"], ["check"], ["reduce"],
+                     ["reduce", "--order", "revlex"], ["reduce", "-o", reduced],
                      ["crossing", "--vertex", vertex], ["invariants", "--vertex", vertex],
                      ["ball", "--vertex", vertex, "--radius", rng.randint(0, 3),
                       "--branch-cap", rng.randint(1, 2)]):
@@ -705,8 +707,14 @@ def test_random_valid_graphs_stay_in_the_exit_contract(capsys, tmp_path):
             assert "Traceback" not in err
             assert code == 0 or argv[0] != "validate", err
             seen.add((argv[0], code))
-    # The draws reach both answers of check and crossing, and an Unknown depth.
+        assert run(capsys, "validate", reduced)[0] == 0, target.read_text()
+        code, out, _ = run(capsys, "reduce", reduced)
+        assert code == 0 and re.match(r"reduced: (\d+) -> \1 edges", out), out
+        shrank += len(load_graph(reduced).edges) < len(g.edges)
+    # The draws reach both answers of check and crossing, and an Unknown depth,
+    # and many are reducible.
     assert {("check", 0), ("check", 1), ("crossing", 0), ("crossing", 1), ("depth", 4)} <= seen
+    assert shrank >= 50
 
 
 NON_STRING_IDS = {   # case -> (fixture, paths set to the bad value, the path reported)

@@ -658,17 +658,13 @@ def test_contains_cache_stays_bounded_over_many_analyses():
     three radius-2 tree balls per graph, over 60 benchmark-family graphs in one
     process, ask `contains` about more distinct pairs than its cache holds,
     and the cache stops at its bound."""
-    import importlib.util
-    import pathlib
     import random
 
+    from conftest import benchmark_inputs
     from gogkit import (annotate_depth, build_ball, check_hypotheses, comm_classes,
                         complete_reduce, depth_filtration, graph_from_dict)
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = benchmark_inputs()
     rng = random.Random(46)
     before = contains.cache_info()
     for k in range(30):

@@ -113,6 +113,20 @@ def test_slope_of_lines():
     assert line_slope(canonicalize([(2, 3)])) == (3, 2)
 
 
+def _norm_slope(p, q):
+    """The slope p/q as a pair (p, q) with gcd 1, q >= 0 and (1, 0) for oo."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
+
+
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda v: v != (0, 0)))
+def test_slope_of_a_line_is_its_normalized_pair(v):
+    """A canonical basis row already is the normalized slope pair, read backwards."""
+    x, y = v
+    assert line_slope(canonicalize([v])) == _norm_slope(y, x)
+
+
 def test_normalization_frame_is_fixed():
     inv = slope_invariant(slopes_pattern(0, "inf", 1))
     assert inv.render() == "{0, 1, oo}"

@@ -1,17 +1,21 @@
 """Collapse of reducible edges and invariance of the reduction fingerprint."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, collapse,
-                    comm_classes, complete_reduce, graph_to_dict, reducible_edges,
-                    validate)
+                    comm_classes, complete_reduce, graph_from_dict, graph_to_dict,
+                    reducible_edges, validate)
 from gogkit.exactlin import RatMatrix
 from gogkit.model import TableData
 from gogkit.oracle import explore
 from gogkit.reduce import NotReducible
 from gogkit.unionfind import UnionFind
+
+from conftest import benchmark_inputs
 
 
 def abelian_graph(vertices, edges):
@@ -96,15 +100,16 @@ def test_table_collapse_carries_untouched_entries(graph):
     assert sorted(out.table.indices) == sorted(out.table.transport) == ["e", "zz"]
 
 
-def _unseeded_collapse_cases():
-    """(graph, edge id, end) whose collapse cannot patch the parent's index:
-    a duplicate vertex id, a duplicate edge id, a dangling absorbed vertex."""
+def _invalid_id_graphs():
+    """Reducible graphs with a duplicate vertex id, a duplicate edge id, a
+    dangling absorbed vertex, and a duplicate edge id whose first copy lies
+    off the star of the first collapse (lex reduces that one to ['c'])."""
     one, two = RatMatrix.identity(1), RatMatrix.from_rows([[2]])
 
     def edge(eid, v0, m0, v1, m1):
         return EdgeSpec(eid, 1, (EdgeEnd(v0, m0), EdgeEnd(v1, m1)))
 
-    a, b = VertexSpec("a", 1), VertexSpec("b", 1)
+    a, b, c = VertexSpec("a", 1), VertexSpec("b", 1), VertexSpec("c", 1)
     duplicate_vertex = GraphOfGroups(
         (a, b, b), (edge("e", "a", one, "b", one), edge("f", "b", two, "a", one)))
     duplicate_edge = GraphOfGroups(
@@ -118,21 +123,13 @@ def _unseeded_collapse_cases():
         "table",
         TableData({"v": ("A",)}, {"v": "A"}, {}, {"e": maps, "f": maps},
                   {"e": (1, 1), "f": (1, 2)}, {}))
-    return [pytest.param(duplicate_vertex, "e", 0, id="duplicate_vertex"),
-            pytest.param(duplicate_edge, "e", 0, id="duplicate_edge"),
-            pytest.param(dangling_absorbed, "e", 1, id="dangling_absorbed")]
+    first_copy_off_star = GraphOfGroups(
+        (a, b, c), (edge("f", "b", one, "c", one), edge("e", "a", one, "b", one),
+                    edge("f", "a", two, "c", one)))
+    return duplicate_vertex, duplicate_edge, dangling_absorbed, first_copy_off_star
 
 
-@pytest.mark.parametrize("g, eid, end", _unseeded_collapse_cases())
-def test_collapse_leaves_an_unpatchable_index_to_the_new_graph(g, eid, end):
-    """With duplicate ids or a dangling absorbed vertex, `collapse` seeds no
-    index, and the collapsed graph builds the index of its own fields."""
-    g.ends_at(g.edges[0].ends[0].vertex)   # the parent's index is built
-    out = collapse(g, eid, end)
-    assert "_index" not in out.__dict__
-    assert out._index == GraphOfGroups(*out)._index
-    control = collapse(chain_graph(), "e", 0)
-    assert "_index" in control.__dict__
+INVALID_ID_GRAPHS = _invalid_id_graphs()
 
 
 def test_complete_reduce_rejects_unknown_order(graph):
@@ -301,15 +298,59 @@ def test_collapse_order_does_not_change_fingerprint(g, p1, p2):
 
 @given(reducible_graphs())
 @settings(max_examples=200, deadline=None)
+@example(INVALID_ID_GRAPHS[0])
+@example(INVALID_ID_GRAPHS[1])
+@example(INVALID_ID_GRAPHS[2])
+@example(INVALID_ID_GRAPHS[3])
 def test_complete_reduce_matches_full_rescan(g):
+    """Equal graphs, vertex and edge order included, and the input's index untouched."""
+    g.ends_at(g.vertices[0].id)   # the input's index is built
     for order, pick in (("lex", min), ("revlex", max)):
-        assert graph_to_dict(complete_reduce(g, order)) == graph_to_dict(_reduce_with(g, pick))
+        assert complete_reduce(g, order) == _reduce_with(g, pick)
+    assert g._index == GraphOfGroups(*g)._index
 
 
 @pytest.mark.parametrize("order, pick", [("lex", min), ("revlex", max)])
 def test_complete_reduce_matches_full_rescan_on_table_graph(graph, order, pick):
     g = graph("heis")
-    assert graph_to_dict(complete_reduce(g, order)) == graph_to_dict(_reduce_with(g, pick))
+    assert complete_reduce(g, order) == _reduce_with(g, pick)
+
+
+def _collapse_inputs(g, order):
+    """`complete_reduce(g, order)` and the (graph, edge id, end) of each `collapse` call."""
+    import gogkit.reduce as reduce_mod
+    real, calls = reduce_mod.collapse, []
+
+    def spy(h, eid, end):
+        calls.append((h, eid, end))
+        return real(h, eid, end)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduce_mod, "collapse", spy)
+        out = complete_reduce(g, order)
+    return out, calls
+
+
+def test_complete_reduce_collapses_stars():
+    """Each `collapse` gets the edges with an end at the absorbed vertex plus
+    the first copy of each of their ids, in edge order, and nothing more;
+    over a reduction of a seeded E = 1024 benchmark-family draw they sum to
+    at most 2E.  A full collapse after each step replays the reduction."""
+    big = graph_from_dict(benchmark_inputs().reducible_graph(random.Random(3), 1024))
+    off_star = INVALID_ID_GRAPHS[3]
+    assert complete_reduce(off_star).vertex_ids() == ["c"]
+    for g, order in ((off_star, "lex"), (chain_graph(), "revlex"), (big, "lex"), (big, "revlex")):
+        out, calls = _collapse_inputs(g, order)
+        whole = g
+        for h, eid, end in calls:
+            gone = whole.edge(eid).ends[end].vertex
+            star = [f for f in whole.edges if gone in (f.ends[0].vertex, f.ends[1].vertex)]
+            wanted = {id(f) for f in star} | {id(whole.edge(f.id)) for f in star}
+            assert h.edges == tuple(f for f in whole.edges if id(f) in wanted)
+            whole = collapse(whole, eid, end)
+        assert calls and out == whole
+        if g is big:
+            assert sum(len(h.edges) for h, _, _ in calls) <= 2 * len(big.edges)
 
 
 def test_parallel_identity_edges_leave_a_loop():
@@ -379,53 +420,7 @@ def test_comm_classes_match_token_pairs(graph, name):
     assert comm_classes(g) == _comm_classes_by_pairs(g)
 
 
-# -- the index `collapse` hands on, and one walk per abelian orbit ---------------
-
-
-def _index_layout(index):
-    """An incidence index as plain data: every key in dict order, with the
-    identity of each record it holds and each vertex's (edge id, end) order."""
-    vertices, edges, ends = index
-    return ([(k, id(v)) for k, v in vertices.items()],
-            [(k, id(e)) for k, e in edges.items()],
-            [(k, [(e.id, i, id(e)) for e, i in pairs]) for k, pairs in ends.items()])
-
-
-def _reduce_checking_index(g, order):
-    """`complete_reduce(g, order)`, checking after every collapse that the
-    returned graph carries exactly the index a fresh copy of it builds, over
-    the same records as its own edges and vertices, and that the input's
-    index is untouched."""
-    import gogkit.reduce as reduce_mod
-    real, steps = reduce_mod.collapse, []
-
-    def checked(h, eid, end):
-        out = real(h, eid, end)
-        assert "_index" in vars(out)   # handed on, not built on first use
-        assert _index_layout(out._index) == _index_layout(GraphOfGroups(*out)._index)
-        assert _index_layout(h._index) == _index_layout(GraphOfGroups(*h)._index)
-        steps.append((eid, end))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduce_mod, "collapse", checked)
-        out = complete_reduce(g, order)
-    return out, steps
-
-
-@given(reducible_graphs())
-@settings(max_examples=100, deadline=None)
-def test_collapse_hands_on_a_fresh_index(g):
-    for order in ("lex", "revlex"):
-        out, _ = _reduce_checking_index(g, order)
-        assert out == complete_reduce(g, order)
-
-
-@pytest.mark.parametrize("name", ["heis", "chain"])
-@pytest.mark.parametrize("order", ["lex", "revlex"])
-def test_collapse_hands_on_a_fresh_index_on_fixtures(graph, name, order):
-    _, steps = _reduce_checking_index(graph(name) if name == "heis" else chain_graph(), order)
-    assert steps
+# -- one walk per abelian orbit ---------------------------------------------------
 
 
 def _comm_classes_every_start(g, horizon=None):
