@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gogkit import (GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec, collapse,
@@ -126,7 +126,8 @@ def _invalid_id_graphs():
     first_copy_off_star = GraphOfGroups(
         (a, b, c), (edge("f", "b", one, "c", one), edge("e", "a", one, "b", one),
                     edge("f", "a", two, "c", one)))
-    return duplicate_vertex, duplicate_edge, dangling_absorbed, first_copy_off_star
+    return {"duplicate_vertex": duplicate_vertex, "duplicate_edge": duplicate_edge,
+            "dangling_absorbed": dangling_absorbed, "first_copy_off_star": first_copy_off_star}
 
 
 INVALID_ID_GRAPHS = _invalid_id_graphs()
@@ -296,18 +297,23 @@ def test_collapse_order_does_not_change_fingerprint(g, p1, p2):
     assert _reduce_with(r1, p2) == r1
 
 
-@given(reducible_graphs())
-@settings(max_examples=200, deadline=None)
-@example(INVALID_ID_GRAPHS[0])
-@example(INVALID_ID_GRAPHS[1])
-@example(INVALID_ID_GRAPHS[2])
-@example(INVALID_ID_GRAPHS[3])
-def test_complete_reduce_matches_full_rescan(g):
+def _check_full_rescan(g):
     """Equal graphs, vertex and edge order included, and the input's index untouched."""
     g.ends_at(g.vertices[0].id)   # the input's index is built
     for order, pick in (("lex", min), ("revlex", max)):
         assert complete_reduce(g, order) == _reduce_with(g, pick)
     assert g._index == GraphOfGroups(*g)._index
+
+
+@given(reducible_graphs())
+@settings(max_examples=200, deadline=None)
+def test_complete_reduce_matches_full_rescan(g):
+    _check_full_rescan(g)
+
+
+@pytest.mark.parametrize("name", list(INVALID_ID_GRAPHS))
+def test_complete_reduce_matches_full_rescan_with_invalid_ids(name):
+    _check_full_rescan(INVALID_ID_GRAPHS[name])
 
 
 @pytest.mark.parametrize("order, pick", [("lex", min), ("revlex", max)])
@@ -331,26 +337,34 @@ def _collapse_inputs(g, order):
     return out, calls
 
 
-def test_complete_reduce_collapses_stars():
+def _big_reducible():
+    return graph_from_dict(benchmark_inputs().reducible_graph(random.Random(3), 1024))
+
+
+@pytest.mark.parametrize("name, order", [
+    ("first_copy_off_star", "lex"), ("chain", "revlex"), ("heis", "lex"), ("heis", "revlex"),
+    ("big", "lex"), ("big", "revlex")])
+def test_complete_reduce_collapses_stars(graph, name, order):
     """Each `collapse` gets the edges with an end at the absorbed vertex plus
-    the first copy of each of their ids, in edge order, and nothing more;
-    over a reduction of a seeded E = 1024 benchmark-family draw they sum to
-    at most 2E.  A full collapse after each step replays the reduction."""
-    big = graph_from_dict(benchmark_inputs().reducible_graph(random.Random(3), 1024))
-    off_star = INVALID_ID_GRAPHS[3]
-    assert complete_reduce(off_star).vertex_ids() == ["c"]
-    for g, order in ((off_star, "lex"), (chain_graph(), "revlex"), (big, "lex"), (big, "revlex")):
-        out, calls = _collapse_inputs(g, order)
-        whole = g
-        for h, eid, end in calls:
-            gone = whole.edge(eid).ends[end].vertex
-            star = [f for f in whole.edges if gone in (f.ends[0].vertex, f.ends[1].vertex)]
-            wanted = {id(f) for f in star} | {id(whole.edge(f.id)) for f in star}
-            assert h.edges == tuple(f for f in whole.edges if id(f) in wanted)
-            whole = collapse(whole, eid, end)
-        assert calls and out == whole
-        if g is big:
-            assert sum(len(h.edges) for h, _, _ in calls) <= 2 * len(big.edges)
+    the first copy of each of their ids, in edge order, and nothing more, in
+    both oracle modes; over a reduction of a seeded E = 1024 benchmark-family
+    draw they sum to at most 2E.  A full collapse after each step replays the
+    reduction."""
+    g = {"first_copy_off_star": lambda: INVALID_ID_GRAPHS[name], "chain": chain_graph,
+         "heis": lambda: graph("heis"), "big": _big_reducible}[name]()
+    if name == "first_copy_off_star":
+        assert complete_reduce(g, order).vertex_ids() == ["c"]
+    out, calls = _collapse_inputs(g, order)
+    whole = g
+    for h, eid, end in calls:
+        gone = whole.edge(eid).ends[end].vertex
+        star = [f for f in whole.edges if gone in (f.ends[0].vertex, f.ends[1].vertex)]
+        wanted = {id(f) for f in star} | {id(whole.edge(f.id)) for f in star}
+        assert h.edges == tuple(f for f in whole.edges if id(f) in wanted)
+        whole = collapse(whole, eid, end)
+    assert calls and out == whole
+    if name == "big":
+        assert sum(len(h.edges) for h, _, _ in calls) <= 2 * len(g.edges)
 
 
 def test_parallel_identity_edges_leave_a_loop():
