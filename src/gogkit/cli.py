@@ -157,6 +157,8 @@ def cmd_reduce(args):
     if args.output_graph:
         dump_graph(reduced, args.output_graph)
         lines.append(f"wrote {args.output_graph}")
+    if args.format != "json":      # the reduced graph's dict is for the JSON report only
+        return EXIT_OK, lines, None
     return EXIT_OK, lines, {"graph": graph_to_dict(reduced),
                             "classes": [list(map(str, c)) for c in classes]}
 

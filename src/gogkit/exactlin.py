@@ -28,8 +28,10 @@ appears only where a public value is rational: RatMatrix entries,
 determinants and kernel vectors.  No floating point is used anywhere.
 
 Caches.  A subspace keeps its normals, and a matrix its span, determinant
-and left inverse, for as long as the object lives.  `full_space` keeps one
-subspace per dimension asked.  `contains` keeps the answers for the 1024
+and left inverse, for as long as the object lives, in its `__dict__`
+through `cached`, which takes no lock: `functools.cached_property` means
+the same from Python 3.12 but locks on 3.10 and 3.11.  `full_space` keeps
+one subspace per dimension asked.  `contains` keeps the answers for the 1024
 (a, b) pairs asked most recently, in one process-wide `lru_cache`: one
 analysis of a benchmark-size graph asks at most a few dozen distinct pairs
 (55 at most over the four benchmark workloads), so 1024 keeps every reuse
@@ -40,7 +42,7 @@ while a long process no longer keeps every pair it ever asked.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -48,6 +50,18 @@ from typing import NamedTuple
 
 class DimensionMismatch(ValueError):
     """Operands live in incompatible ambient spaces or have bad shapes."""
+
+
+class cached:
+    """A cached attribute: `fn(obj)`, stored in `obj.__dict__` on first read."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 def _int_row(row):
@@ -58,14 +72,24 @@ def _int_row(row):
     return [x.numerator * (d // x.denominator) for x in row]
 
 
+def _lead(row):
+    """The index of the row's first nonzero entry, or None for a zero row."""
+    for c, x in enumerate(row):
+        if x:
+            return c
+
+
 def _primitive(row):
     """An integer row over the gcd of its entries, first nonzero entry positive."""
     g = gcd(*row)
     if g == 0:
         return tuple(row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(row) if g == 1 else tuple(x // g for x in row)
+    for x in row:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _echelon(rows):
@@ -128,11 +152,11 @@ class RationalSubspace(_Subspace):
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
-    @cached_property
+    @cached
     def _normals(self) -> tuple[tuple[int, ...], ...]:
         """Integer covectors spanning the annihilator: per non-pivot column fc, m at
         fc and -row[fc] * (m // row[p]) at each pivot p, m the lcm of the pivots."""
-        pivots = [next(c for c, x in enumerate(row) if x) for row in self.basis]
+        pivots = list(map(_lead, self.basis))
         m = lcm(*[row[p] for row, p in zip(self.basis, pivots)])
         n, out = self.ambient_dim, []
         for fc in [c for c in range(n) if c not in pivots]:
@@ -214,7 +238,11 @@ def _check_same_ambient(a: RationalSubspace, b: RationalSubspace):
 def _inside(a: RationalSubspace, b: RationalSubspace) -> bool:
     """Whether b lies in a, for two subspaces of one Q^n: every normal of a is
     orthogonal to every basis row of b."""
-    return not any(sum(map(mul, u, row)) for u in a._normals for row in b.basis)
+    for u in a._normals:
+        for row in b.basis:
+            if sum(map(mul, u, row)):
+                return False
+    return True
 
 
 @lru_cache(maxsize=1024)   # the pairs asked most recently; see the module docstring
@@ -323,7 +351,7 @@ class RatMatrix(_Matrix):
     def det(self) -> Fraction:
         return self._det
 
-    @cached_property
+    @cached
     def _det(self) -> Fraction:
         """Bareiss's fraction-free elimination on the integer rows, over den^n."""
         if self.rows != self.cols:
@@ -379,21 +407,23 @@ class RatMatrix(_Matrix):
     def column_span(self) -> RationalSubspace:
         return self._span
 
-    @cached_property
+    @cached
     def _span(self) -> RationalSubspace:
         """A nonsingular square spans everything; other shapes go to `_small_span`."""
         if self.rows == self.cols and self._det:
             return full_space(self.rows)
+        if self.cols == 1:
+            return _small_span([[row[0] for row in self.ints]], self.rows)
         return _small_span(list(zip(*self.ints)), self.rows)
 
-    @cached_property
+    @cached
     def _left_inverse(self):
         """(P, B): the pivot coordinates P of the column span, onto which that
         span projects injectively, and B with B * ints[P] a nonzero multiple of
         the identity.  None when the columns are dependent."""
         if self._span.dim < self.cols:
             return None
-        pivots = tuple(next(c for c, x in enumerate(row) if x) for row in self._span.basis)
+        pivots = tuple(map(_lead, self._span.basis))
         block = RatMatrix(self.cols, self.cols, tuple(self.ints[p] for p in pivots))
         return pivots, block.inverse().ints
 

@@ -11,7 +11,8 @@ be analyzed without implementing group-element arithmetic.
 
 All values are immutable after construction; operations elsewhere in the
 package are pure functions over them.  A graph builds its id and incidence
-index, and its oracle, on first use; both are caches, not part of the value.
+index, and its oracle, on first use; both are caches, not part of the value,
+kept through `exactlin.cached`, the package's one lock-free cache idiom.
 The incidence index lists each vertex's edge ends sorted by (edge id, end
 index), so every walk over them sees one order.  An edge matrix caches its
 own column span and determinant the same way, so `validate`'s injectivity
@@ -40,11 +41,10 @@ from __future__ import annotations
 
 import json
 import reprlib
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .exactlin import RatMatrix
+from .exactlin import RatMatrix, cached
 
 INFINITE = "inf"
 
@@ -112,7 +112,7 @@ class GraphOfGroups(_Graph):
     so the index and the oracle are cached beside the value, outside `==`,
     `repr` and `hash`."""
 
-    @cached_property
+    @cached
     def _index(self):
         """id -> vertex and id -> edge (first match wins), and vertex id ->
         incident (edge, end index) pairs sorted by (edge id, end index)."""
@@ -152,7 +152,7 @@ class GraphOfGroups(_Graph):
         index); loops contribute both ends."""
         return list(self._index[2].get(vid, ()))
 
-    @cached_property
+    @cached
     def _oracle(self):
         from .oracle import AbelianOracle, TableOracle
         if self.oracle_mode == "abelian":

@@ -81,7 +81,7 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
     table = None
     if g.oracle_mode == "table":
         t = g.table
-        cross = orc.index_value(eid, 1 - end)   # index of the absorbed group in kept
+        cross = t.indices[eid][1 - end]          # index of gone's group in kept, or "inf"
         emap_in = t.transport[eid][end]          # gone -> kept
         emap_out = t.transport[eid][1 - end]     # kept -> gone
         indices, transport = dict(t.indices), dict(t.transport)
@@ -90,7 +90,7 @@ def collapse(g: GraphOfGroups, eid: str, end: int) -> GraphOfGroups:
             idx, maps = list(t.indices[f.id]), list(t.transport[f.id])
             for i in (0, 1):
                 if f.ends[i].vertex == gone:
-                    idx[i] = INFINITE if idx[i] == INFINITE else idx[i] * cross
+                    idx[i] = INFINITE if INFINITE in (idx[i], cross) else idx[i] * cross
                     # Entering at the re-attached end now starts at `kept`:
                     # hop back across e first, then use the old map.
                     maps[i] = {lab: maps[i][v] for lab, v in emap_out.items() if v in maps[i]}

@@ -4,7 +4,9 @@ import pytest
 
 from gogkit import (EdgeEnd, EdgeSpec, GraphOfGroups, VertexSpec, graph_from_dict, load_graph,
                     reducible_edges, validate)
-from gogkit.exactlin import RatMatrix
+from gogkit.exactlin import RatMatrix, contains
+from gogkit.model import INFINITE, TableData
+from gogkit.oracle import explore
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -196,6 +198,51 @@ def flag_graph(rng, n_edges, n, finite):
             {"vertex": f"v{a}", "matrix": end(r)}, {"vertex": f"v{b}", "matrix": end(r)}]})
     return graph_from_dict({"oracle": "abelian", "edges": edges,
                             "vertices": [{"id": f"v{i}", "rank": n} for i in range(nv)]})
+
+
+def class_name(cls):
+    """A table label for an abelian class: its dimension and its canonical basis."""
+    return f"{cls.dim}:{cls!r}"
+
+
+def table_twin(g):
+    """The table-mode twin of an abelian graph, or None when a walk is cut.
+
+    The twin has the same vertices and edges.  Its classes at a vertex are the
+    top class and the end classes, closed under `explore` walks that end within
+    8 rounds, each named by `class_name`.  The order is strict
+    span inclusion, each transport map is the abelian step on every class at
+    the entered vertex, and each index is |det| or "inf".
+    """
+    orc = g.oracle()
+    classes = {v.id: set() for v in g.vertices}
+    starts = [(v.id, orc.top_class(v.id)) for v in g.vertices]
+    starts += [(fe.vertex, orc.class_of(e.id, i)) for e in g.edges for i, fe in enumerate(e.ends)]
+    for vid, cls in starts:
+        if cls not in classes[vid]:     # abelian orbits are symmetric: one walk each
+            walk = explore(orc, vid, cls, max_steps=8)
+            if walk.truncated:
+                return None
+            for p in walk.placements:
+                classes[p.vertex].add(p.cls)
+    edges, transport, indices = [], {}, {}
+    for e in g.edges:
+        edges.append(EdgeSpec(e.id, e.rank, tuple(
+            EdgeEnd(fe.vertex, class_label=class_name(orc.class_of(e.id, i)))
+            for i, fe in enumerate(e.ends))))
+        transport[e.id] = tuple(
+            {class_name(c): class_name(orc.transport(e.id, i, c))
+             for c in classes[fe.vertex] if orc.transport(e.id, i, c) is not None}
+            for i, fe in enumerate(e.ends))
+        indices[e.id] = tuple(orc.index_value(e.id, i) if orc.finite_index_end(e.id, i)
+                              else INFINITE for i in (0, 1))
+    table = TableData(
+        {vid: tuple(sorted(map(class_name, cs))) for vid, cs in classes.items()},
+        {v.id: class_name(orc.top_class(v.id)) for v in g.vertices},
+        {vid: tuple((class_name(a), class_name(b)) for a in cs for b in cs
+                    if a != b and contains(b, a)) for vid, cs in classes.items()},
+        transport, indices, {})
+    return GraphOfGroups(g.vertices, tuple(edges), "table", table)
 
 
 def benchmark_inputs():

@@ -898,6 +898,16 @@ def test_ci_smoke_table(capsys, monkeypatch, row):
     assert run(capsys, *row["argv"])[0] == row["exit"]
 
 
+def test_only_json_reduce_builds_the_graph_dict(capsys, monkeypatch):
+    from gogkit import cli
+
+    real, built = cli.graph_to_dict, []
+    monkeypatch.setattr(cli, "graph_to_dict", lambda g: built.append(g) or real(g))
+    assert run(capsys, "reduce", fixture_path("heis"))[0] == 0 and built == []
+    assert run(capsys, "reduce", fixture_path("heis"), "--format", "json")[0] == 0
+    assert len(built) == 1
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, gogkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gogkit import exactlin
@@ -488,6 +488,34 @@ def test_column_span_of_each_shape_matches_the_elimination(rows, basis):
     and the elimination that every other shape falls back to, agree with it."""
     m = RatMatrix.from_rows(rows)
     assert m.column_span().basis == basis == canonicalize(list(zip(*m.ints)), m.rows).basis
+
+
+small_or_big = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@given(st.lists(small_or_big, min_size=1, max_size=6))
+@example([0, 0, 0, 0, 0, 0])
+@example([0, -2**70, 3 * 2**69])
+@settings(max_examples=300, deadline=None)
+def test_one_column_span_matches_canonicalize(column):
+    """The one-column span, read straight off the rows, is the column's
+    canonical span: zero for a zero column, else its primitive self."""
+    m = RatMatrix(len(column), 1, tuple((x,) for x in column))
+    assert m.column_span() == canonicalize([column], len(column))
+
+
+@given(st.lists(small_or_big, max_size=6))
+@example([0, -6, 4, 0])
+@settings(max_examples=300, deadline=None)
+def test_primitive_matches_gcd_and_sign_reference(row):
+    """A nonzero row over the gcd of its absolute values, signed so that the first
+    nonzero entry is positive, and a zero row as it is."""
+    g = 0
+    for x in row:
+        g = math.gcd(g, abs(x))
+    lead = [x for x in row if x][:1]
+    want = tuple(x // g * (1 if lead[0] > 0 else -1) for x in row) if lead else tuple(row)
+    assert exactlin._primitive(row) == exactlin._primitive(tuple(row)) == want
 
 
 def fraction_matrix(rows, cols, entries):

@@ -58,7 +58,7 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert len(CASES) == 516
+    assert len(CASES) == 539
     assert sorted(golden) == sorted(" ".join(c) for c in CASES)
 
 

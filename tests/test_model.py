@@ -1,7 +1,9 @@
 """Graph model validation and the JSON wire format."""
 
+import ast
 import enum
 import json
+import pathlib
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -11,10 +13,11 @@ from hypothesis import strategies as st
 
 from gogkit import (GraphLoadError, GraphOfGroups, EdgeEnd, EdgeSpec, VertexSpec,
                     graph_from_dict, graph_to_dict, load_graph, validate)
-from gogkit.exactlin import RatMatrix
+from gogkit import exactlin
+from gogkit.exactlin import RatMatrix, RationalSubspace, canonicalize, cached
 from gogkit.model import render_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_path
 
 
 def test_worked_example_is_valid(graph):
@@ -253,6 +256,46 @@ def test_one_oracle_per_graph(graph, name):
     assert g == fresh and repr(g) == repr(fresh)
     copy = g._replace()
     assert copy == g and copy.oracle() is not orc and copy.oracle().g is copy
+
+
+CACHED = [   # (owner class, attribute, a maker of fresh equal records)
+    (RationalSubspace, "_normals", lambda: canonicalize([(2, 4, 0), (0, 0, 3)])),
+    (RatMatrix, "_span", lambda: RatMatrix.from_rows([[1, 2], [0, -3], [4, 1]])),
+    (RatMatrix, "_det", lambda: RatMatrix.from_rows([[2, 1], [1, Fraction(3, 2)]])),
+    (RatMatrix, "_left_inverse", lambda: RatMatrix.from_rows([[1, 2], [0, -3], [4, 1]])),
+    (GraphOfGroups, "_index", lambda: load_graph(fixture_path("arc3"))),
+    (GraphOfGroups, "_oracle", lambda: load_graph(fixture_path("arc3"))),
+]
+
+
+@pytest.mark.parametrize("owner, name, make", CACHED, ids=[c[1] for c in CACHED])
+def test_cached_attribute_contract(monkeypatch, owner, name, make):
+    """Each cache is computed once per record and stored in its `__dict__`, takes
+    no part in `==`, `hash` or `repr`, and a `_replace` copy computes its own."""
+    attr = vars(owner)[name]
+    assert isinstance(attr, cached) and getattr(owner, name) is attr
+    calls = []
+    monkeypatch.setattr(attr, "fn", lambda obj, fn=attr.fn: calls.append(obj) or fn(obj))
+    x, fresh = make(), make()
+    value = getattr(x, name)
+    assert getattr(x, name) is value and vars(x)[name] is value
+    assert len(calls) == 1 and calls[0] is x
+    assert name not in vars(fresh)
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+    copy = x._replace()
+    assert name not in vars(copy)
+    own = getattr(copy, name)
+    assert vars(copy)[name] is own and len(calls) == 2 and calls[1] is copy
+
+
+def test_no_module_uses_cached_property():
+    """`exactlin.cached` is the one cache idiom: on Python 3.10 and 3.11
+    `functools.cached_property` takes a lock on every first read."""
+    for path in sorted(pathlib.Path(exactlin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            assert "cached_property" not in names, path.name
 
 
 def test_validate_reports_bad_graphs_without_raising():

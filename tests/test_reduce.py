@@ -15,7 +15,7 @@ from gogkit.oracle import explore
 from gogkit.reduce import NotReducible
 from gogkit.unionfind import UnionFind
 
-from conftest import benchmark_inputs
+from conftest import _mixed_rank_graph, benchmark_inputs, class_name, table_twin
 
 
 def abelian_graph(vertices, edges):
@@ -320,6 +320,36 @@ def test_complete_reduce_matches_full_rescan_with_invalid_ids(name):
 def test_complete_reduce_matches_full_rescan_on_table_graph(graph, order, pick):
     g = graph("heis")
     assert complete_reduce(g, order) == _reduce_with(g, pick)
+
+
+def _end_data(g):
+    """Per edge, in order: its id and each end's vertex, class label and index;
+    an abelian class is labelled as its table twin labels it."""
+    orc = g.oracle()
+    name = class_name if g.oracle_mode == "abelian" else str
+    return [(e.id, [(fe.vertex, name(orc.class_of(e.id, i)),
+                     orc.index_value(e.id, i) if orc.finite_index_end(e.id, i) else "inf")
+                    for i, fe in enumerate(e.ends)]) for e in g.edges]
+
+
+def test_table_twins_reduce_like_their_abelian_graphs():
+    """The reduction of each seeded draw's table twin, in both orders, is valid
+    and has the abelian reduction's vertices, edges, end classes and indices,
+    also where a collapsed edge has infinite index at its kept end."""
+    rng, twins, reduced = random.Random(11), 0, 0
+    for _ in range(300):
+        g = _mixed_rank_graph(rng)
+        twin = None if g is None or not validate(g).ok else table_twin(g)
+        if twin is None:
+            continue
+        assert validate(twin).ok, validate(twin).violations
+        twins += 1
+        for order in ("lex", "revlex"):
+            ra, rt = complete_reduce(g, order), complete_reduce(twin, order)
+            assert validate(rt).ok, validate(rt).violations
+            assert rt.vertex_ids() == ra.vertex_ids() and _end_data(rt) == _end_data(ra)
+            reduced += len(rt.edges) < len(g.edges)
+    assert twins > 250 and reduced > 200
 
 
 def _collapse_inputs(g, order):
