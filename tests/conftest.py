@@ -210,9 +210,9 @@ def table_twin(g):
 
     The twin has the same vertices and edges.  Its classes at a vertex are the
     top class and the end classes, closed under `explore` walks that end within
-    8 rounds, each named by `class_name`.  The order is strict
-    span inclusion, each transport map is the abelian step on every class at
-    the entered vertex, and each index is |det| or "inf".
+    8 rounds, each named by `class_name`.  The order is strict span inclusion,
+    each transport map is the abelian step on every class at the entered
+    vertex, and each index is |det| or "inf".
     """
     orc = g.oracle()
     classes = {v.id: set() for v in g.vertices}
@@ -231,8 +231,8 @@ def table_twin(g):
             EdgeEnd(fe.vertex, class_label=class_name(orc.class_of(e.id, i)))
             for i, fe in enumerate(e.ends))))
         transport[e.id] = tuple(
-            {class_name(c): class_name(orc.transport(e.id, i, c))
-             for c in classes[fe.vertex] if orc.transport(e.id, i, c) is not None}
+            {class_name(c): class_name(d) for c in classes[fe.vertex]
+             if (d := orc.transport(e.id, i, c)) is not None}
             for i, fe in enumerate(e.ends))
         indices[e.id] = tuple(orc.index_value(e.id, i) if orc.finite_index_end(e.id, i)
                               else INFINITE for i in (0, 1))
